@@ -10,9 +10,19 @@ A series in ``num_vars`` variables truncated at total degree ``trunc`` is
 a dense complex vector laid out in graded colexicographic rank order (see
 :mod:`jetmod.multiindex`).  Because the order is graded, the coefficient
 block of a lower truncation is a prefix of that of a higher one, so
-truncating is a slice.  Products use a precomputed convolution table per
-``(num_vars, trunc)`` context; all terms above the truncation degree are
-discarded.
+truncating is a slice.  Products use one convolution table per
+``(num_vars, trunc)`` context: the coefficient pairs whose degrees sum to
+at most ``trunc``, ordered by the degree of their product, with the offset
+of each degree kept beside it.  All terms above the truncation degree are
+discarded.  A context whose table would exceed
+:data:`jetmod.multiindex.MAX_TABLE` pairs is refused before anything is
+built.
+
+Reciprocal, log, exp and real powers are solved degree by degree from the
+Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
+(Neidinger, Math. Comp. 74, 2005): degree ``n`` of the result is one pass
+over the degree-``n`` slice of the product table, so each operation costs
+about one convolution.
 
 All values are double-precision complex.  The identities these series are
 used to verify are exact; tests check them numerically at relative
@@ -26,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import degree_slice
+from .multiindex import MAX_TABLE, degree_slice
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -43,6 +53,14 @@ class SeriesContext:
             raise ValueError("need num_vars >= 1")
         if trunc < 0:
             raise ValueError("need trunc >= 0")
+        # pairs (alpha, beta) with |alpha| + |beta| <= trunc are the
+        # monomials of degree <= trunc in 2 * num_vars variables
+        pairs = math.comb(2 * num_vars + trunc, trunc)
+        if pairs > MAX_TABLE:
+            raise ValueError(
+                f"series context (num_vars, trunc) = ({num_vars}, {trunc}) needs "
+                f"{pairs} product pairs, exceeding the supported size {MAX_TABLE}"
+            )
         self.num_vars = num_vars
         self.trunc = trunc
         indices = []
@@ -51,27 +69,46 @@ class SeriesContext:
         self.indices = tuple(indices)
         self.size = len(indices)
         self.rank = {alpha: i for i, alpha in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices])
+        self.exponents = np.array(self.indices, dtype=np.int64)
+        self.degrees = self.exponents.sum(axis=1)
+        # ranks of degree t are degree_starts[t]:degree_starts[t + 1]
+        self.degree_starts = np.searchsorted(self.degrees, np.arange(trunc + 2))
+        # mixed-radix key sum_i e_i (trunc+1)^i: additive, and without carries
+        # for exponents of total degree <= trunc; Python ints once it
+        # outgrows int64
+        radix = trunc + 1
+        dtype = np.int64 if radix**num_vars < 2**63 else object
+        self._weights = np.array([radix**i for i in range(num_vars)], dtype=dtype)
+        self._keys = (self.exponents * self._weights).sum(axis=1)
+        self._key_order = np.argsort(self._keys, kind="stable")
         self._mul_table = None
+        self.mul_offsets = None
         self._deriv_tables = {}
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Ranks of the monomials with the given exponent keys."""
+        pos = np.searchsorted(self._keys[self._key_order], keys)
+        return self._key_order[pos]
 
     @property
     def mul_table(self):
+        """Product pairs ``(left, right, out)`` ordered by output degree.
+
+        Pairs whose product has degree n are the slice
+        ``mul_offsets[n]:mul_offsets[n + 1]``.
+        """
         if self._mul_table is None:
-            left, right, out = [], [], []
-            for i, a in enumerate(self.indices):
-                da = self.degrees[i]
-                for j, b in enumerate(self.indices):
-                    if da + self.degrees[j] > self.trunc:
-                        continue
-                    left.append(i)
-                    right.append(j)
-                    out.append(self.rank[tuple(x + y for x, y in zip(a, b))])
-            self._mul_table = (
-                np.array(left, dtype=np.intp),
-                np.array(right, dtype=np.intp),
-                np.array(out, dtype=np.intp),
+            # beside a left factor of degree t fits the graded prefix of
+            # right factors of degree <= trunc - t
+            fit = self.degree_starts[self.trunc + 1 - self.degrees]
+            left = np.repeat(np.arange(self.size), fit)
+            right = np.arange(left.size) - np.repeat(np.cumsum(fit) - fit, fit)
+            out = self._lookup(self._keys[left] + self._keys[right])
+            by_degree = np.argsort(self.degrees[out], kind="stable")
+            self.mul_offsets = np.searchsorted(
+                self.degrees[out[by_degree]], np.arange(self.trunc + 2)
             )
+            self._mul_table = (left[by_degree], right[by_degree], out[by_degree])
         return self._mul_table
 
     def deriv_table(self, var: int):
@@ -81,14 +118,10 @@ class SeriesContext:
         """
         if var not in self._deriv_tables:
             lower = series_context(self.num_vars, self.trunc - 1)
-            src = np.empty(lower.size, dtype=np.intp)
-            fac = np.empty(lower.size)
-            for i, beta in enumerate(lower.indices):
-                up = list(beta)
-                up[var] += 1
-                src[i] = self.rank[tuple(up)]
-                fac[i] = beta[var] + 1
-            self._deriv_tables[var] = (src, fac)
+            up = lower.exponents.copy()
+            up[:, var] += 1
+            src = self._lookup((up * self._weights).sum(axis=1))
+            self._deriv_tables[var] = (src, up[:, var].astype(float))
         return self._deriv_tables[var]
 
 
@@ -189,12 +222,6 @@ class JetSeries:
 
     # -- analytic operations ----------------------------------------------
 
-    def _nilpotent_part(self):
-        """self with the constant term removed."""
-        c = self.c.copy()
-        c[0] = 0.0
-        return JetSeries(self.ctx, c)
-
     def _nonzero_constant(self, what: str) -> complex:
         a0 = complex(self.c[0])
         if abs(a0) < SINGULAR_TOL:
@@ -203,16 +230,44 @@ class JetSeries:
             )
         return a0
 
+    def _euler(self, alpha, beta, c, h0, a=None) -> "JetSeries":
+        """Solve for h = F(self) degree by degree from an Euler identity.
+
+        With g = self, each operation's identity (g E(h) = e h E(g) for
+        h = g^e, E(h) = h E(g) for exp, g E(h) = E(g) for log) has the
+        degree-n part, summed over the product pairs (l, r) of output
+        degree n,
+
+            h_n = (n a_n + sum (alpha deg_l + beta (n - deg_l)) g_l h_r) / (n c)
+
+        where ``a`` is g for log and absent otherwise.  The pairs with r in
+        degree n read h_n while it is still zero, so they add nothing.
+        """
+        ctx = self.ctx
+        left, right, out = ctx.mul_table
+        offsets, starts = ctx.mul_offsets, ctx.degree_starts
+        g = self.c
+        eg = (alpha - beta) * ctx.degrees * g
+        h = np.zeros(ctx.size, dtype=complex)
+        h[0] = h0
+        for n in range(1, ctx.trunc + 1):
+            pairs = slice(offsets[n], offsets[n + 1])
+            lo, hi = starts[n], starts[n + 1]
+            prod = (eg + beta * n * g)[left[pairs]] * h[right[pairs]]
+            o = out[pairs]
+            acc = (
+                np.bincount(o, weights=prod.real, minlength=hi)[lo:]
+                + 1j * np.bincount(o, weights=prod.imag, minlength=hi)[lo:]
+            )
+            if a is not None:
+                acc += n * a[lo:hi]
+            h[lo:hi] = acc / (n * c)
+        return JetSeries(ctx, h)
+
     def recip(self) -> "JetSeries":
         """Multiplicative inverse up to the truncation order."""
         a0 = self._nonzero_constant("series reciprocal")
-        u = self._nilpotent_part() * (-1.0 / a0)  # 1/a = (1/a0) sum u^j
-        out = JetSeries.constant(self.ctx, 1.0)
-        term = JetSeries.constant(self.ctx, 1.0)
-        for _ in range(self.ctx.trunc):
-            term = term * u
-            out = out + term
-        return out * (1.0 / a0)
+        return self._euler(-1.0, -1.0, a0, 1.0 / a0)
 
     def log(self) -> "JetSeries":
         """Principal-branch logarithm; rejects constant terms on (-inf, 0]."""
@@ -222,26 +277,20 @@ class JetSeries:
                 "series log: constant term on the negative real axis "
                 "(principal branch undefined)"
             )
-        u = self._nilpotent_part() * (1.0 / a0)
-        out = JetSeries.constant(self.ctx, np.log(a0))
-        term = JetSeries.constant(self.ctx, 1.0)
-        for j in range(1, self.ctx.trunc + 1):
-            term = term * u
-            out = out + term * ((-1.0) ** (j + 1) / j)
-        return out
+        return self._euler(0.0, -1.0, a0, np.log(a0), self.c)
 
     def exp(self) -> "JetSeries":
-        u = self._nilpotent_part()
-        out = JetSeries.constant(self.ctx, 1.0)
-        term = JetSeries.constant(self.ctx, 1.0)
-        for j in range(1, self.ctx.trunc + 1):
-            term = term * u * (1.0 / j)
-            out = out + term
-        return out * np.exp(complex(self.c[0]))
+        return self._euler(1.0, 0.0, 1.0, np.exp(complex(self.c[0])))
 
     def power(self, e: float) -> "JetSeries":
-        """Real power via exp(e * log(.)); principal branch at the constant term."""
-        return (self.log() * e).exp()
+        """Real power of a series with a nonzero constant term.
+
+        An integer exponent takes any nonzero constant term; otherwise the
+        constant term of the result is the principal value a0 ** e.
+        """
+        a0 = self._nonzero_constant("series power")
+        h0 = a0 ** int(e) if float(e).is_integer() else a0**e
+        return self._euler(e, -1.0, a0, h0)
 
     # -- structural operations ---------------------------------------------
 

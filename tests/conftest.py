@@ -1,7 +1,15 @@
 import os
 import sys
 
+from hypothesis import settings
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+# property tests draw the same examples on every run and leave no database
+settings.register_profile(
+    "jetmod", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("jetmod")
 
 _ACCEPTANCE = []
 

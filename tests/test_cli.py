@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ def kernel_dir(tmp_path):
     (tmp_path / "b123.kernel").write_text("m = 3\nK = bergman(1,2,3)\n")
     (tmp_path / "b132.kernel").write_text("m = 3\nK = bergman(1,3,2)\n")
     (tmp_path / "const.kernel").write_text("m = 2\nK[1][1] = 1\n")
+    (tmp_path / "neg.kernel").write_text("m = 1\nK[1][1] = (z1*wb1 - 2)^-2\n")
     (tmp_path / "bad.kernel").write_text("m = 1\nK[1][1] = (1 - z1*wb1\n")
     (tmp_path / "diag12.kernel").write_text(
         "m = 2\nr = 2\n"
@@ -63,6 +65,11 @@ class TestCurvature:
             "--points", "0.1, 0.2",
         )
         assert res.returncode == 0
+
+    def test_negative_base_kernel(self, kernel_dir):
+        res = run_cli("curvature", "--kernel", str(kernel_dir / "neg.kernel"),
+                      "--points", "0; 0.3")
+        assert res.returncode == 0, res.stderr
 
     def test_malformed_file_is_exit_2(self, kernel_dir):
         res = run_cli("curvature", "--kernel", str(kernel_dir / "bad.kernel"),
@@ -160,6 +167,16 @@ class TestJetKernel:
         )
         assert res.returncode == 0, res.stderr
         assert "rank 0: order (0, 0)" in res.stdout
+
+    def test_oversized_context_refused_at_once(self, kernel_dir, capsys):
+        from jetmod.cli import main
+
+        t0 = time.perf_counter()
+        code = main(["jetkernel", "--kernel", str(kernel_dir / "b123.kernel"),
+                     "--chart", "diagonal-anchored(3)", "-k", "9"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "(6, 16) needs 30421755 product pairs" in capsys.readouterr().err
 
     def test_off_manifold_restriction_rejected(self, kernel_dir):
         res = run_cli(

@@ -73,6 +73,15 @@ class TestCurvature:
             expect = lam / (1 - abs(z[0]) ** 2) ** 2
             assert abs(got - expect) < 1e-9 * abs(expect)
 
+    def test_negative_base_closed_form(self):
+        spec = parse_kernel("(z1*wb1 - 2)^-2")
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            z = rand_point(rng, 1, radius=0.6)
+            got = curvature(spec, z).entries[0, 0, 0, 0]
+            expect = 4 / (2 - abs(z[0]) ** 2) ** 2
+            assert abs(got - expect) < 1e-9 * abs(expect)
+
     def test_constant_kernel_flat(self):
         c = curvature(parse_kernel("1"), [0.0])
         assert np.max(np.abs(c.entries)) < 1e-14

@@ -1,7 +1,11 @@
 """Truncated series arithmetic: ring axioms, analytic ops, matrix inverses."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetmod.jets import (
     JetMatrix,
@@ -231,3 +235,88 @@ def test_matrix_shape_errors():
         a @ b
     with pytest.raises(ValueError, match="square"):
         jet_matrix_inverse(JetMatrix.from_constant(ctx, np.ones((2, 3))))
+
+
+def test_context_size_guard():
+    # d=2, k=9 jet kernels of an m=3 kernel would need this context
+    with pytest.raises(ValueError, match=r"\(6, 16\) needs 30421755 product pairs"):
+        series_context(6, 16)
+    assert len(series_context(6, 8).mul_table[0]) == 125970
+
+
+def _double_loop_table(ctx):
+    """Brute-force product table: every pair of indices that fits, by rank."""
+    triples = set()
+    for i, a in enumerate(ctx.indices):
+        for j, b in enumerate(ctx.indices):
+            if sum(a) + sum(b) <= ctx.trunc:
+                triples.add((i, j, ctx.rank[tuple(x + y for x, y in zip(a, b))]))
+    return triples
+
+
+@pytest.mark.parametrize(
+    "num_vars, trunc",
+    [(n, t) for n in range(1, 5) for t in range(5)] + [(70, 1)],  # (70, 1): keys past int64
+)
+def test_tables_match_loops(num_vars, trunc):
+    ctx = series_context(num_vars, trunc)
+    left, right, out = ctx.mul_table
+    assert len(out) == math.comb(2 * num_vars + trunc, trunc)
+    assert set(zip(left.tolist(), right.tolist(), out.tolist())) == _double_loop_table(ctx)
+    for n in range(trunc + 1):
+        chunk = out[ctx.mul_offsets[n] : ctx.mul_offsets[n + 1]]
+        assert np.all(ctx.degrees[chunk] == n)
+    assert ctx.mul_offsets[-1] == len(out)
+    if trunc == 0:
+        return
+    lower = series_context(num_vars, trunc - 1)
+    for var in range(num_vars):
+        src, fac = ctx.deriv_table(var)
+        for i, beta in enumerate(lower.indices):
+            up = beta[:var] + (beta[var] + 1,) + beta[var + 1 :]
+            assert src[i] == ctx.rank[up] and fac[i] == beta[var] + 1
+
+
+_SMALL = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def units(draw, angles=st.floats(-math.pi, math.pi), negative_axis=False):
+    """Series with a constant term of modulus 1 to 2 and small higher terms."""
+    ctx = series_context(draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+    c = draw(st.lists(_SMALL, min_size=ctx.size, max_size=ctx.size))
+    modulus = draw(st.floats(1.0, 2.0))
+    if negative_axis and draw(st.booleans()):
+        c[0] = -modulus
+    else:
+        c[0] = modulus * np.exp(1j * draw(angles))
+    return JetSeries(ctx, np.array(c))
+
+
+# constant terms off the negative real axis, where the principal log is analytic
+_OFF_CUT = units(angles=st.floats(-3.0, 3.0))
+
+
+@given(units(negative_axis=True))
+def test_recip_property(a):
+    assert close(a * a.recip(), JetSeries.constant(a.ctx, 1.0))
+
+
+@given(_OFF_CUT)
+def test_log_exp_inverse_property(a):
+    assert close(a.log().exp(), a)
+    assert close(a.exp().log(), a)
+
+
+@given(units(negative_axis=True), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_power_exponent_law_property(a, p, q):
+    assert close(a.power(p) * a.power(q), a.power(p + q))
+
+
+@given(units(negative_axis=True), st.integers(-3, 3))
+def test_integer_power_is_repeated_product(a, n):
+    factor = a if n > 0 else a.recip()
+    expect = JetSeries.constant(a.ctx, 1.0)
+    for _ in range(abs(n)):
+        expect = expect * factor
+    assert close(a.power(n), expect)

@@ -193,6 +193,14 @@ class TestEvalJet:
         with pytest.raises(DomainError):
             spec.eval_jet([0.0], [0.0], 1)
 
+    @pytest.mark.parametrize("text", ["(z1*wb1 - 2)^2", "(z1*wb1 - 2)^-2", "(z1*wb1 - 2)^0.5"])
+    def test_negative_base_matches_eval_point(self, text):
+        # integer powers take any nonzero base; others use the principal value
+        spec = parse_kernel(text)
+        for z, w in [([0.0], [0.0]), ([0.3], [0.2 - 0.1j])]:
+            jet = spec.eval_jet(z, w, 2)
+            assert np.allclose(jet.constant_term(), spec.eval_point(z, w), rtol=1e-12)
+
 
 class TestCharts:
     def test_identity_chart_pullback(self):
