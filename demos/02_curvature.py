@@ -2,7 +2,7 @@
 
 The Gram matrix H(z) = K(z, z) of the point-evaluation frame carries the
 bundle metric; its curvature blocks are dbar_j(d_i H . H^{-1}), read off a
-jet of H.  For the weighted disc kernel (1 - z wbar)^(-lam) the curvature
+jet of H built once by ``gram_jet``.  For the weighted disc kernel (1 - z wbar)^(-lam) the curvature
 is lam / (1 - |z|^2)^2, and scaling the kernel by |psi(z)|^2 for a
 non-vanishing holomorphic psi does not move it at all.
 """
@@ -16,7 +16,7 @@ lam = 2.3
 disc = builtin_bergman([lam])
 print(f"weighted disc kernel, weight {lam}")
 for z in (0.0, 0.3, 0.5 + 0.2j):
-    got = curvature(disc, [z]).entries[0, 0, 0, 0].real
+    got = curvature(gram_jet(disc, [z])).entries[0, 0, 0, 0].real
     expect = lam / (1 - abs(z) ** 2) ** 2
     print(f"  curvature at z={z}: {got:.10f}   closed form: {expect:.10f}")
 
@@ -24,8 +24,8 @@ print("\ngauge invariance: K -> psi(z) K conj(psi(w)) with psi = 2 + 0.3 z1")
 psi = BinOp("+", Num(2.0), BinOp("*", Num(0.3), Var("z", 1)))
 scaled = gauge_scale(disc, psi)
 for z in (0.1, 0.4j):
-    a = curvature(disc, [z]).entries[0, 0, 0, 0].real
-    b = curvature(scaled, [z]).entries[0, 0, 0, 0].real
+    a = curvature(gram_jet(disc, [z])).entries[0, 0, 0, 0].real
+    b = curvature(gram_jet(scaled, [z])).entries[0, 0, 0, 0].real
     print(f"  z={z}: plain {a:.12f}  rescaled {b:.12f}  diff {abs(a-b):.2e}")
 
 print("\na rank-2 kernel from the text format:")
@@ -38,13 +38,13 @@ K[2][1] = 0
 K[2][2] = (1 - z1*wb1)^-2
 """
 spec = parse_kernel(text)
-c = curvature(spec, [0.2])
+g = gram_jet(spec, [0.2], trunc=2)
+c = curvature(g)
 print("  curvature block at z=0.2:\n", np.round(c.entries[0, 0], 8))
 print("  self-adjointness defect:", c.selfadjoint_defect())
 
 print("\nthe second-derivative identity of the Gram matrix:")
 print("  dbar d H - H*curv - dbar H . H^-1 . d H should vanish:")
-g = gram_jet(spec, [0.2], trunc=2)
 h = g.extract()
 resid = (
     g.extract(alpha=(1,), beta=(1,))

@@ -27,7 +27,6 @@ The layers, bottom up:
 
 from .multiindex import (
     JetIndexTable,
-    enumerate_jet_indices,
     multi_binom,
     pochhammer,
     theta,
@@ -37,7 +36,6 @@ from .jets import (
     JetMatrix,
     JetSeries,
     affine_substitute,
-    extract_derivative,
     jet_matrix_inverse,
     series_context,
 )
@@ -50,7 +48,6 @@ from .kernels import (
     conjugate_by_unitary,
     diagonal_chart,
     direct_sum,
-    eval_kernel_jet,
     gauge_scale,
     identity_chart,
     matrix_combination,
@@ -75,7 +72,6 @@ from .jet_kernels import (
     ModuleActionMatrix,
     chart_jet_transform,
     jet_column,
-    jet_gram_blocks,
     jet_kernel,
     module_action_matrix,
     restrict_to_Z,
@@ -88,7 +84,6 @@ from .bergman_quotient import (
     closed_forms,
     coeff_c,
     level_measured,
-    monomial_inner,
     quotient_kernel_partial,
 )
 from .equivalence import (

@@ -39,19 +39,6 @@ def coeff_c(lam: float, n: int) -> float:
     return float(pochhammer(lam, n)) / math.factorial(n)
 
 
-@dataclass
-class BergmanWeights:
-    """One coordinate weight and its diagonal coefficient table."""
-
-    lam: float
-
-    def c(self, n: int) -> float:
-        return coeff_c(self.lam, n)
-
-    def monomial_norm_sq(self, n: int) -> float:
-        return 1.0 / self.c(n)
-
-
 class MonomialVector:
     """A finitely supported coefficient table over N^3 with ambient weights."""
 
@@ -112,10 +99,6 @@ class MonomialVector:
             if a2:
                 d2 += v * a2 * z ** (p - 1)
         return np.array([h, d1, d2])
-
-
-def monomial_inner(u: MonomialVector, v: MonomialVector) -> complex:
-    return u.inner(v)
 
 
 @dataclass

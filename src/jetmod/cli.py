@@ -9,8 +9,7 @@
 Human-readable tables go to stdout; ``--out FILE.json`` additionally writes
 a machine-readable report (schema 1).  Exit codes: 0 success (or verdict
 "equivalent"), 2 input/parse/domain errors, 3 "not-equivalent",
-4 "inconclusive".  ``JETMOD_THREADS`` caps the worker threads used for
-independent per-point work.
+4 "inconclusive".
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,24 +44,6 @@ EXIT_INCONCLUSIVE = 4
 
 class CliError(Exception):
     pass
-
-
-def thread_count() -> int:
-    raw = os.environ.get("JETMOD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map preserving order; threads are used only when JETMOD_THREADS > 1."""
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +190,15 @@ def cmd_curvature(args) -> tuple:
     else:
         points = random_points(spec.m, args.num_samples, args.seed)
 
-    def one(point):
-        curv = geometry.curvature(spec, point, trunc=max(2, args.trunc or 2))
-        return {
+    rows = []
+    for point in points:
+        g = geometry.gram_jet(spec, point, trunc=max(2, args.trunc or 2))
+        curv = geometry.curvature(g)
+        rows.append({
             "point": list(point),
             "blocks": curv.entries,
             "selfadjoint_defect": curv.selfadjoint_defect(),
-        }
-
-    rows = _pmap(one, points)
+        })
     print(f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})")
     for row in rows:
         print("point:", ", ".join(_fmt_complex(x) for x in row["point"]))

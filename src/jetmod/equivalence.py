@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import pad_pair
+from .geometry import check_on_submanifold, transverse_blocks
 from .kernels import AffineChart, KernelSpec, diagonal_chart, pullback_affine
 from .multiindex import JetIndexTable
 
-ON_Z_TOL = 1e-10
 NULL_SPACE_RTOL = 1e-8
 UNITARY_TOL = 1e-6
 DEFAULT_TOL = 1e-8
@@ -58,14 +57,12 @@ def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
     return out
 
 
-def _check_on_z(samples, d: int):
+def _samples_on_z(samples, d: int) -> list:
+    """The samples as complex arrays; each must lie on the submanifold."""
+    samples = [np.asarray(q, dtype=complex) for q in samples]
     for q in samples:
-        q = np.asarray(q, dtype=complex)
-        if d and np.max(np.abs(q[:d])) > ON_Z_TOL:
-            raise ValueError(
-                f"sample {q} is off the submanifold (first {d} coordinates "
-                "must vanish)"
-            )
+        check_on_submanifold(q, d, "sample")
+    return samples
 
 
 @dataclass
@@ -92,39 +89,32 @@ def invariant_array(
     """Compute the equivalence invariants of a kernel along a submanifold.
 
     The kernel is pulled back by the chart, normalized at ``base_point``
-    (chart origin by default), and differentiated at each sample.  With
-    ``bundle_data`` off only the derivative tables are filled (enough for
-    the rank-1 and derivative-array criteria).
+    (chart origin by default), and evaluated once per sample into a Gram
+    jet, at the largest truncation the derivative table and the bundle
+    invariants read.  With ``bundle_data`` off only the derivative tables
+    are filled (enough for the rank-1 and derivative-array criteria).
     """
     d = chart.d
     pulled = pullback_affine(spec, chart)
     m, r = pulled.m, pulled.r
     if samples is None:
         samples = default_samples(m, d)
-    samples = [np.asarray(q, dtype=complex) for q in samples]
-    _check_on_z(samples, d)
+    samples = _samples_on_z(samples, d)
     if base_point is None:
         base_point = np.zeros(m, dtype=complex)
     norm = geometry.normalize_at(pulled, base_point)
 
     idx = JetIndexTable(d, k)
-    n = idx.N + 1
     trunc = max(2 * (k - 1), k, 2)
 
     deriv_tables, curvs, covs, transports = [], [], [], []
     for q in samples:
-        jm = norm.eval_jet(q, q, trunc)
-        table = np.empty((n, n, r, r), dtype=complex)
-        for l, alpha in enumerate(idx.indices):
-            for t, beta in enumerate(idx.indices):
-                table[l, t] = jm.extract(pad_pair(m, alpha, beta))
-        deriv_tables.append(table)
-
+        g = geometry.gram_jet(norm, q, trunc)
+        deriv_tables.append(transverse_blocks(g.jet, idx))
         if bundle_data:
-            curv = geometry.curvature(norm, q, trunc=2)
-            curvs.append(curv.entries[:d, :d].copy())
-            covs.append(geometry.curvature_covariant_derivs(norm, q, d, max(k - 2, 0)))
-            transports.append(geometry.transport_maps(norm, q, d, k))
+            curvs.append(geometry.curvature(g).entries[:d, :d].copy())
+            covs.append(geometry.curvature_covariant_derivs(g, d, max(k - 2, 0)))
+            transports.append(geometry.transport_maps(g, d, k))
 
     scale = max(1.0, max(float(np.max(np.abs(t))) for t in deriv_tables))
     return InvariantArray(
@@ -484,8 +474,7 @@ def lemma_em_check(
     m = pulled_a.m
     if samples is None:
         samples = default_samples(m, chart.d)
-    samples = [np.asarray(q, dtype=complex) for q in samples]
-    _check_on_z(samples, chart.d)
+    samples = _samples_on_z(samples, chart.d)
 
     idx = JetIndexTable(2, k)
     psi_specs = [KernelSpec(m, 1, [[p]]) for p in (psi00, psi10, psi01)]
@@ -494,12 +483,8 @@ def lemma_em_check(
     for q in samples:
         ga = geometry.gram_jet(pulled_a, q, trunc=2)
         gb = geometry.gram_jet(pulled_b, q, trunc=2)
-        pa = np.empty((3, 3), dtype=complex)
-        pb = np.empty((3, 3), dtype=complex)
-        for i, alpha in enumerate(idx.indices):
-            for j, beta in enumerate(idx.indices):
-                pa[i, j] = ga.extract(alpha, beta)[0, 0]
-                pb[i, j] = gb.extract(alpha, beta)[0, 0]
+        pa = transverse_blocks(ga.jet, idx)[:, :, 0, 0]
+        pb = transverse_blocks(gb.jet, idx)[:, :, 0, 0]
         p00, p10, p01 = (s.eval_point(q, q)[0, 0] for s in psi_specs)
         psi = np.array(
             [[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex
@@ -509,8 +494,8 @@ def lemma_em_check(
             float(np.max(np.abs(pb - psi @ pa @ psi.conj().T))) / scale
         )
 
-        ka = geometry.curvature(pulled_a, q).entries
-        kb = geometry.curvature(pulled_b, q).entries
+        ka = geometry.curvature(ga).entries
+        kb = geometry.curvature(gb).entries
         cscale = max(1.0, float(np.max(np.abs(ka))), float(np.max(np.abs(kb))))
         curv_residuals.append(float(np.max(np.abs(ka - kb))) / cscale)
 
@@ -542,18 +527,17 @@ def recover_bergman_weights(weights, samples=None, num_samples: int = 3,
         # no diagonal to flatten: the curvature of the disc kernel itself
         spec = builtin_bergman(weights)
         q = np.zeros(1, dtype=complex)
-        kq = geometry.curvature(spec, q).entries[0, 0, 0, 0].real
+        kq = geometry.curvature(geometry.gram_jet(spec, q)).entries[0, 0, 0, 0].real
         return np.array([kq])
     chart = diagonal_chart(m, style="pairwise")
     pulled = pullback_affine(builtin_bergman(weights), chart)
     if samples is None:
         samples = default_samples(m, chart.d, count=num_samples, seed=seed)
-    samples = [np.asarray(q, dtype=complex) for q in samples]
-    _check_on_z(samples, chart.d)
+    samples = _samples_on_z(samples, chart.d)
 
     recovered = np.zeros(m)
     for q in samples:
-        curv = geometry.curvature(pulled, q).entries
+        curv = geometry.curvature(geometry.gram_jet(pulled, q)).entries
         u_m = q[m - 1]
         factor = (1.0 - abs(u_m) ** 2) ** 2
         partial = np.array([curv[i, i, 0, 0].real * factor for i in range(m)])

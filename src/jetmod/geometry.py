@@ -1,9 +1,9 @@
-"""Hermitian bundle geometry read off a reproducing kernel.
+"""Hermitian bundle geometry read off the Gram jet of a reproducing kernel.
 
 The Gram matrix of the canonical frame of the bundle attached to a kernel
 is ``H(z) = K(z, z)``, holomorphic in ``z`` and anti-holomorphic in
-``conj(z)``.  All quantities here are coefficient extractions from jets of
-``H``:
+``conj(z)``.  All quantities here are coefficient extractions from one jet
+of ``H``:
 
 * Chern curvature              K_{i jbar} = dbar_j( d_i H . H^{-1} )
 * covariant derivatives        z-direction adds a commutator with
@@ -16,9 +16,13 @@ is ``H(z) = K(z, z)``, holomorphic in ``z`` and anti-holomorphic in
                                which freezes the gauge freedom so that
                                derivative arrays become honest invariants.
 
-Functions accept any object with ``m``, ``r`` and ``eval_jet(z0, w0,
-trunc, vary_z=..., vary_w=...)`` — a ``KernelSpec`` or the evaluator
-returned by ``normalize_at``.
+``gram_jet`` is the one place a kernel becomes a Gram jet.  It accepts any
+object with ``eval_jet(z0, w0, trunc)`` — a ``KernelSpec`` or the
+evaluator returned by ``normalize_at``.  ``curvature``,
+``curvature_covariant_derivs`` and ``transport_maps`` take the resulting
+``GramJet`` and never evaluate a kernel: each slices the jet to the
+truncation it needs, which is exact because the grading puts lower orders
+first, and refuses a jet computed to a lower truncation.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .jets import JetMatrix
 from .multiindex import JetIndexTable
 
 PD_FLOOR = 1e-12
+# points on the flattened submanifold have transverse coordinates below this
+ON_Z_TOL = 1e-10
 
 
 def hermitian_sqrt(a: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
@@ -48,16 +54,13 @@ def hermitian_sqrt(a: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _check_pd(h0: np.ndarray, what: str):
-    scale = max(1.0, float(np.max(np.abs(h0))))
-    dev = float(np.max(np.abs(h0 - h0.conj().T)))
-    if dev > 1e-8 * scale:
-        raise ValueError(f"{what}: constant term not Hermitian (dev {dev:.3e})")
-    vals = np.linalg.eigvalsh((h0 + h0.conj().T) / 2.0)
-    if np.min(vals) < PD_FLOOR * scale:
+def check_on_submanifold(point, d: int, what: str):
+    """Raise unless the first d (transverse) coordinates of point vanish."""
+    off = float(np.max(np.abs(np.asarray(point, dtype=complex)[:d])))
+    if off > ON_Z_TOL:
         raise ValueError(
-            f"{what}: constant term not positive definite "
-            f"(min eigenvalue {np.min(vals):.3e})"
+            f"{what} is off the submanifold: |first {d} chart coordinates| "
+            f"up to {off:.2e} (tolerance {ON_Z_TOL:.1e})"
         )
 
 
@@ -66,6 +69,21 @@ def pad_pair(m: int, alpha=(), beta=()):
     alpha = tuple(alpha)
     beta = tuple(beta)
     return alpha + (0,) * (m - len(alpha)) + beta + (0,) * (m - len(beta))
+
+
+def transverse_blocks(jm: JetMatrix, idx: JetIndexTable) -> np.ndarray:
+    """The (N+1, N+1, r, r) grid of blocks d^alpha dbar^beta of a kernel jet.
+
+    ``jm`` is a jet in the 2m variables of ``KernelSpec.eval_jet``; alpha
+    and beta run over the theta-ordered transverse orders of ``idx``.
+    """
+    m = jm.ctx.num_vars // 2
+    n = len(idx)
+    out = np.empty((n, n) + jm.shape, dtype=complex)
+    for l, alpha in enumerate(idx.indices):
+        for t, beta in enumerate(idx.indices):
+            out[l, t] = jm.extract(pad_pair(m, alpha, beta))
+    return out
 
 
 def unit(m: int, i: int):
@@ -78,20 +96,38 @@ class GramJet:
 
     point: np.ndarray
     jet: JetMatrix
-    r: int
-    trunc: int
 
     def extract(self, alpha=(), beta=()) -> np.ndarray:
         """The derivative d^alpha dbar^beta H at the base point."""
         m = len(self.point)
         return self.jet.extract(pad_pair(m, alpha, beta))
 
+    def truncated(self, trunc: int, what: str) -> JetMatrix:
+        """The jet sliced to ``trunc``; refuses a jet of lower truncation."""
+        have = self.jet.ctx.trunc
+        if have < trunc:
+            raise ValueError(
+                f"{what} needs a Gram jet of truncation >= {trunc}, got {have}"
+            )
+        return self.jet.truncate(trunc)
+
 
 def gram_jet(kernel, z0, trunc: int = 2) -> GramJet:
+    """The jet of H = K(z, z) at z0; its constant term must be positive definite."""
     z0 = np.asarray(z0, dtype=complex)
     jm = kernel.eval_jet(z0, z0, trunc)
-    _check_pd(jm.constant_term(), "Gram matrix")
-    return GramJet(point=z0, jet=jm, r=kernel.r, trunc=trunc)
+    h0 = jm.constant_term()
+    scale = max(1.0, float(np.max(np.abs(h0))))
+    dev = float(np.max(np.abs(h0 - h0.conj().T)))
+    if dev > 1e-8 * scale:
+        raise ValueError(f"Gram matrix: constant term not Hermitian (dev {dev:.3e})")
+    vals = np.linalg.eigvalsh((h0 + h0.conj().T) / 2.0)
+    if np.min(vals) < PD_FLOOR * scale:
+        raise ValueError(
+            "Gram matrix: constant term not positive definite "
+            f"(min eigenvalue {np.min(vals):.3e})"
+        )
+    return GramJet(point=z0, jet=jm)
 
 
 @dataclass
@@ -109,21 +145,17 @@ class CurvatureTensor:
         return float(np.max(np.abs(self.entries - swapped.transpose(1, 0, 2, 3))))
 
 
-def curvature(kernel, z0, trunc: int = 2) -> CurvatureTensor:
-    """Chern curvature blocks dbar_j(d_i H . H^{-1}) at z0."""
-    if trunc < 2:
-        raise ValueError("curvature needs truncation >= 2")
-    m, r = kernel.m, kernel.r
-    z0 = np.asarray(z0, dtype=complex)
-    h = kernel.eval_jet(z0, z0, trunc)
-    _check_pd(h.constant_term(), "curvature")
-    hinv = h.inverse().truncate(trunc - 1)
-    out = np.empty((m, m, r, r), dtype=complex)
+def curvature(g: GramJet) -> CurvatureTensor:
+    """Chern curvature blocks dbar_j(d_i H . H^{-1}) at the base point of g."""
+    h = g.truncated(2, "curvature")
+    m = len(g.point)
+    hinv = h.inverse().truncate(1)
+    out = np.empty((m, m) + h.shape, dtype=complex)
     for i in range(m):
-        theta_i = h.derivative(i) @ hinv  # d_i H . H^{-1}, trunc-1
+        theta_i = h.derivative(i) @ hinv  # d_i H . H^{-1}, truncation 1
         for j in range(m):
             out[i, j] = theta_i.extract(pad_pair(m, beta=unit(m, j)))
-    return CurvatureTensor(point=z0, entries=out)
+    return CurvatureTensor(point=g.point, entries=out)
 
 
 @dataclass
@@ -146,23 +178,23 @@ class CovariantDerivArray:
 
 
 def curvature_covariant_derivs(
-    kernel, z0, d: int, max_order: int
+    g: GramJet, d: int, max_order: int
 ) -> CovariantDerivArray:
     """Covariant derivatives of the transverse curvature up to a total order.
 
-    Needs jets to order ``max_order + 2``; the commutator correction for
-    each z-derivative uses ``d_i H . H^{-1}`` at the same point.
+    Reads the Gram jet to truncation ``max_order + 2``; the commutator
+    correction for each z-derivative uses ``d_i H . H^{-1}`` at the same
+    point.
     """
-    m, r = kernel.m, kernel.r
+    m = len(g.point)
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
-    z0 = np.asarray(z0, dtype=complex)
     trunc = max_order + 2
-    h = kernel.eval_jet(z0, z0, trunc)
-    _check_pd(h.constant_term(), "covariant derivatives")
+    h = g.truncated(trunc, "covariant derivatives")
     hinv = h.inverse()
 
-    # connection coefficients d_i H . H^{-1} for the z-direction corrections
+    # connection coefficients d_i H . H^{-1}: dbar_j of conn[i] is K_{i jbar},
+    # and they give the commutator of each z-direction correction
     conn = [
         h.derivative(i) @ hinv.truncate(trunc - 1) for i in range(d)
     ]
@@ -177,8 +209,7 @@ def curvature_covariant_derivs(
     idx = JetIndexTable(d, max_order + 1)
     for i in range(d):
         for j in range(d):
-            base = h.derivative(i) @ hinv.truncate(trunc - 1)
-            kij = base.derivative(m + j)  # dbar_j, trunc-2 = max_order
+            kij = conn[i].derivative(m + j)  # dbar_j, trunc-2 = max_order
             for alpha in idx.indices:
                 for beta in idx.indices:
                     if sum(alpha) + sum(beta) > max_order:
@@ -191,7 +222,7 @@ def curvature_covariant_derivs(
                         for _ in range(beta[v]):
                             phi = phi.derivative(m + v)
                     table[(i, j, alpha, beta)] = phi.constant_term()
-    return CovariantDerivArray(point=z0, d=d, max_order=max_order, table=table)
+    return CovariantDerivArray(point=g.point, d=d, max_order=max_order, table=table)
 
 
 @dataclass
@@ -211,19 +242,17 @@ class TransportMaps:
         return self.table[(l, i)]
 
 
-def transport_maps(kernel, z0, d: int, k: int, on_z_tol: float = 1e-10) -> TransportMaps:
-    m, r = kernel.m, kernel.r
+def transport_maps(g: GramJet, d: int, k: int) -> TransportMaps:
+    """Transport maps at a base point on the flattened submanifold.
+
+    Reads the Gram jet to truncation ``max(k, 2)``: transverse order k - 1
+    plus one tangential conj-derivative.
+    """
+    m = len(g.point)
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
-    z0 = np.asarray(z0, dtype=complex)
-    if np.max(np.abs(z0[:d])) > on_z_tol:
-        raise ValueError(
-            "base point is not on the flattened submanifold "
-            f"(|first {d} coords| up to {np.max(np.abs(z0[:d])):.2e})"
-        )
-    trunc = k  # transverse order k-1 plus one tangential conj-derivative
-    h = kernel.eval_jet(z0, z0, max(trunc, 2))
-    _check_pd(h.constant_term(), "transport maps")
+    check_on_submanifold(g.point, d, "base point")
+    h = g.truncated(max(k, 2), "transport maps")
     hinv = h.inverse()
     idx = JetIndexTable(d, k)
     table = {}
@@ -233,10 +262,10 @@ def transport_maps(kernel, z0, d: int, k: int, on_z_tol: float = 1e-10) -> Trans
             for _ in range(alpha[v]):
                 dl_h = dl_h.derivative(v)
         t = dl_h.ctx.trunc
-        g = hinv.truncate(t) @ dl_h  # H^{-1} d^l H
+        hl = hinv.truncate(t) @ dl_h  # H^{-1} d^l H
         for i in range(d, m):
-            table[(l, i)] = g.extract(pad_pair(m, beta=unit(m, i)))
-    return TransportMaps(point=z0, d=d, k=k, table=table)
+            table[(l, i)] = hl.extract(pad_pair(m, beta=unit(m, i)))
+    return TransportMaps(point=g.point, d=d, k=k, table=table)
 
 
 class NormalizedKernel:
@@ -253,10 +282,7 @@ class NormalizedKernel:
         self.p = np.asarray(p, dtype=complex)
         self.m = base.m
         self.r = base.r
-        kpp = base.eval_point(self.p, self.p) if hasattr(base, "eval_point") else (
-            base.eval_jet(self.p, self.p, 0).constant_term()
-        )
-        self.c = hermitian_sqrt(kpp)
+        self.c = hermitian_sqrt(base.eval_point(self.p, self.p))
         self.label = getattr(base, "label", "")
         if self.label:
             self.label += "|normalized"

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pad_pair
+from .geometry import check_on_submanifold, pad_pair, transverse_blocks
 from .jets import JetSeries, series_context
 from .kernels import AffineChart, KernelSpec, uses_wb
 from .multiindex import JetIndexTable, degree_slice, multi_binom
-
-ON_Z_TOL = 1e-10
 
 
 @dataclass
@@ -65,12 +63,7 @@ def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelVa
         raise ValueError(f"truncation {trunc} too small for jet order k={k}")
     z0 = np.asarray(z0, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
-    jm = kernel.eval_jet(z0, w0, trunc)
-    n = idx.N + 1
-    blocks = np.empty((n, n, r, r), dtype=complex)
-    for l, alpha in enumerate(idx.indices):
-        for t, beta in enumerate(idx.indices):
-            blocks[l, t] = jm.extract(pad_pair(m, alpha, beta))
+    blocks = transverse_blocks(kernel.eval_jet(z0, w0, trunc), idx)
     return JetKernelValue(
         z0=z0, w0=w0, d=d, k=k, N=idx.N, r=r, blocks=blocks, index_table=idx
     )
@@ -84,21 +77,11 @@ class QuotientKernelValue:
     chart: AffineChart
 
 
-def restrict_to_Z(jkv: JetKernelValue, chart: AffineChart, tol: float = ON_Z_TOL):
+def restrict_to_Z(jkv: JetKernelValue, chart: AffineChart):
     """Restriction of the jet kernel to the submanifold; points must lie on it."""
-    for name, point in (("z0", jkv.z0), ("w0", jkv.w0)):
-        off = float(np.max(np.abs(point[: jkv.d])))
-        if off > tol:
-            raise ValueError(
-                f"{name} is off the submanifold: |first {jkv.d} chart "
-                f"coordinates| up to {off:.2e} (tolerance {tol:.1e})"
-            )
+    check_on_submanifold(jkv.z0, jkv.d, "z0")
+    check_on_submanifold(jkv.w0, jkv.d, "w0")
     return QuotientKernelValue(value=jkv, chart=chart)
-
-
-def jet_gram_blocks(kernel, z0, d: int, k: int, trunc: int = None) -> JetKernelValue:
-    """The jet Gram blocks d^l dbar^t H at z0 (same layout as jet_kernel)."""
-    return jet_kernel(kernel, d, k, z0, z0, trunc=trunc)
 
 
 @dataclass

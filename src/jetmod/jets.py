@@ -340,11 +340,6 @@ def close(a: JetSeries, b: JetSeries, rtol: float = RTOL, atol: float = ATOL) ->
     return bool(np.allclose(a.c, b.c, rtol=rtol, atol=atol))
 
 
-def extract_derivative(a: JetSeries, alpha) -> complex:
-    """Derivative of the series at its base point: alpha! times the coefficient."""
-    return a.extract(alpha)
-
-
 def affine_substitute(a: JetSeries, linear, offset, num_vars: int = None) -> JetSeries:
     """Compose a series with an affine change of variables.
 

@@ -306,16 +306,12 @@ class KernelSpec:
     # -- evaluation -------------------------------------------------------
 
     def eval_point(self, z, w) -> np.ndarray:
-        """Plain value K(z, w) as an (r, r) complex matrix."""
-        z = np.asarray(z, dtype=complex)
-        wb = np.conj(np.asarray(w, dtype=complex))
-        if z.shape != (self.m,) or wb.shape != (self.m,):
-            raise ValueError(f"points must have length m = {self.m}")
-        out = np.empty((self.r, self.r), dtype=complex)
-        for i in range(self.r):
-            for j in range(self.r):
-                out[i, j] = _eval_scalar(self.entries[i][j], z, wb)
-        return out
+        """Plain value K(z, w) as an (r, r) complex matrix.
+
+        The constant term of the truncation-0 jet, so both evaluations
+        accept and reject the same inputs.
+        """
+        return self.eval_jet(z, w, 0).constant_term()
 
     def eval_jet(
         self, z0, w0, trunc: int, vary_z: bool = True, vary_w: bool = True
@@ -388,39 +384,6 @@ class KernelSpec:
         return f"KernelSpec(m={self.m}, r={self.r}{tag})"
 
 
-def _eval_scalar(node, z: np.ndarray, wb: np.ndarray) -> complex:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        vals = z if node.kind == "z" else wb
-        return complex(vals[node.index - 1])
-    if isinstance(node, BinOp):
-        a = _eval_scalar(node.left, z, wb)
-        b = _eval_scalar(node.right, z, wb)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if abs(b) < 1e-300:
-            raise DomainError("division by zero in kernel expression")
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval_scalar(node.base, z, wb)
-        if abs(base) < 1e-300:
-            raise DomainError("zero base in kernel power")
-        return base ** node.exponent
-    if isinstance(node, Call):
-        arg = _eval_scalar(node.arg, z, wb)
-        if node.func == "exp":
-            return np.exp(arg)
-        if abs(arg) < 1e-300:
-            raise DomainError("log of zero in kernel expression")
-        return np.log(arg)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def _eval_jet_node(node, zs, wbs) -> JetSeries:
     ctx = zs[0].ctx
     if isinstance(node, Num):
@@ -454,13 +417,6 @@ def _eval_jet_node(node, zs, wbs) -> JetSeries:
         except ValueError as exc:
             raise DomainError(f"at {node.pos}: {exc}") from None
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_kernel_jet(
-    spec: KernelSpec, z0, w0, trunc: int, vary_z: bool = True, vary_w: bool = True
-) -> JetMatrix:
-    """Jet of the kernel around (z0, w0); see ``KernelSpec.eval_jet``."""
-    return spec.eval_jet(z0, w0, trunc, vary_z=vary_z, vary_w=vary_w)
 
 
 # --------------------------------------------------------------------------

@@ -145,8 +145,3 @@ class JetIndexTable:
 
     def __repr__(self):
         return f"JetIndexTable(d={self.d}, k={self.k}, N={self.N})"
-
-
-def enumerate_jet_indices(d: int, k: int) -> JetIndexTable:
-    """Table of all transverse-jet multi-indices for codimension d, order k."""
-    return JetIndexTable(d, k)

@@ -159,7 +159,7 @@ def test_criterion_07_curvature_identities():
         for _ in range(20):
             z0 = rand_point(rng, spec.m, radius=0.5)
             grams = gram_jet(spec, z0, trunc=2)
-            curv = curvature(spec, z0)
+            curv = curvature(grams)
             h = grams.extract()
             hinv = np.linalg.inv(h)
             scale = max(1.0, float(np.max(np.abs(h))))
@@ -179,7 +179,7 @@ def test_criterion_07_curvature_identities():
     disc = builtin_bergman([lam])
     for _ in range(5):
         z = rand_point(rng, 1, radius=0.6)
-        got = curvature(disc, z).entries[0, 0, 0, 0]
+        got = curvature(gram_jet(disc, z)).entries[0, 0, 0, 0]
         expect = lam / (1 - abs(z[0]) ** 2) ** 2
         assert abs(got - expect) <= 1e-9 * abs(expect)
 

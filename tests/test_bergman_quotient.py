@@ -9,7 +9,6 @@ from jetmod.bergman_quotient import (
     closed_forms,
     coeff_c,
     level_measured,
-    monomial_inner,
     quotient_kernel_partial,
 )
 
@@ -26,18 +25,18 @@ class TestMonomialInner:
         w = (1.0, 1.0, 1.0)
         u = MonomialVector(w, {(1, 0, 2): 1.0})
         v = MonomialVector(w, {(0, 1, 2): 1.0})
-        assert monomial_inner(u, v) == 0
+        assert u.inner(v) == 0
 
     def test_constant(self):
         w = (2.0, 3.0, 4.0)
         one = MonomialVector(w, {(0, 0, 0): 1.0})
-        assert monomial_inner(one, one) == 1.0
+        assert one.inner(one) == 1.0
 
     def test_weight_mismatch(self):
         u = MonomialVector((1.0, 1.0, 1.0), {(0, 0, 0): 1.0})
         v = MonomialVector((2.0, 1.0, 1.0), {(0, 0, 0): 1.0})
         with pytest.raises(ValueError, match="weighted spaces"):
-            monomial_inner(u, v)
+            u.inner(v)
 
 
 class TestLevels:
@@ -53,7 +52,7 @@ class TestLevels:
             vecs = [e for e in level.e if e is not None]
             for i, u in enumerate(vecs):
                 for j, v in enumerate(vecs):
-                    got = monomial_inner(u, v)
+                    got = u.inner(v)
                     want = 1.0 if i == j else 0.0
                     assert abs(got - want) < 1e-9
 
@@ -64,7 +63,7 @@ class TestLevels:
             for v in lb.e:
                 if u is None or v is None:
                     continue
-                assert abs(monomial_inner(u, v)) < 1e-12
+                assert abs(u.inner(v)) < 1e-12
 
     def test_closed_forms_random_weights(self):
         rng = np.random.default_rng(42)
@@ -83,9 +82,9 @@ class TestLevels:
         level = build_level(4, 1.7, 0.6, 1.1)
         g1 = level.g[0]
         f2, f3 = level.f[1], level.f[2]
-        assert abs(monomial_inner(f2, g1)) < 1e-10 * np.sqrt(f2.norm_sq())
-        assert abs(monomial_inner(f3, g1)) < 1e-9 * np.sqrt(f3.norm_sq())
-        assert abs(monomial_inner(f3, f2)) < 1e-9 * np.sqrt(f3.norm_sq())
+        assert abs(f2.inner(g1)) < 1e-10 * np.sqrt(f2.norm_sq())
+        assert abs(f3.inner(g1)) < 1e-9 * np.sqrt(f3.norm_sq())
+        assert abs(f3.inner(f2)) < 1e-9 * np.sqrt(f3.norm_sq())
 
 
 class TestQuotientKernel:

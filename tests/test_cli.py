@@ -12,11 +12,9 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH", "")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "jetmod.cli", *args],
         capture_output=True, text=True, env=env,
@@ -203,13 +201,6 @@ class TestDeterminism:
             payload.pop("timestamp")
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
-
-    def test_thread_env_var(self, kernel_dir):
-        res = run_cli(
-            "curvature", "--kernel", str(kernel_dir / "b123.kernel"),
-            "--num-samples", "3", env_extra={"JETMOD_THREADS": "2"},
-        )
-        assert res.returncode == 0
 
     def test_no_partial_output_on_error(self, kernel_dir, tmp_path):
         out = tmp_path / "never.json"

@@ -12,6 +12,7 @@ from jetmod.equivalence import (
     rankr_equiv,
     recover_bergman_weights,
 )
+from jetmod.geometry import NormalizedKernel
 from jetmod.kernels import (
     Call,
     Num,
@@ -66,6 +67,22 @@ class TestInvariantArray:
         spec = builtin_bergman([1.0, 1.0])
         with pytest.raises(ValueError, match="off the submanifold"):
             invariant_array(spec, CHART2, 2, samples=[np.array([0.2, 0.0])])
+
+    def test_one_normalized_evaluation_per_sample(self, monkeypatch):
+        # the table and all three bundle invariants read one Gram jet
+        calls = []
+        evaluate = NormalizedKernel.eval_jet
+
+        def counting(self, z0, w0, trunc, **kwargs):
+            calls.append(trunc)
+            return evaluate(self, z0, w0, trunc, **kwargs)
+
+        monkeypatch.setattr(NormalizedKernel, "eval_jet", counting)
+        samples = default_samples(3, 2, count=3)
+        inv = invariant_array(coupled_rank2_kernel(np.random.default_rng(3), m=3),
+                              CHART3, k=3, samples=samples, bundle_data=True)
+        assert len(inv.transport) == 3
+        assert calls == [4, 4, 4]
 
 
 class TestRank1:

@@ -61,6 +61,29 @@ class TestGramJet:
         with pytest.raises(ValueError, match="positive definite"):
             gram_jet(parse_kernel("0 - 1"), [0.0], trunc=1)
 
+    def test_readers_slice_a_higher_truncation(self):
+        # a truncation-4 jet gives what each reader gets from its minimal one
+        chart = diagonal_chart(2, style="pairwise")
+        spec = pullback_affine(coupled_rank2_kernel(np.random.default_rng(13)), chart)
+        q = np.array([0.0, 0.3 - 0.1j])
+        high = gram_jet(spec, q, trunc=4)
+
+        def dev(a, b):
+            return float(np.max(np.abs(a - b)))
+
+        assert dev(curvature(high).entries, curvature(gram_jet(spec, q, trunc=2)).entries) < 1e-13
+        cov_high = curvature_covariant_derivs(high, d=1, max_order=1)
+        cov_low = curvature_covariant_derivs(gram_jet(spec, q, trunc=3), d=1, max_order=1)
+        assert cov_high.table.keys() == cov_low.table.keys()
+        for key, block in cov_low.table.items():
+            assert dev(cov_high.table[key], block) < 1e-13
+        tm_high = transport_maps(high, d=1, k=3)
+        tm_low = transport_maps(gram_jet(spec, q, trunc=3), d=1, k=3)
+        assert tm_high.table.keys() == tm_low.table.keys()
+        assert max(abs(b).max() for b in tm_low.table.values()) > 1e-3  # non-vacuous
+        for key, block in tm_low.table.items():
+            assert dev(tm_high.table[key], block) < 1e-13
+
 
 class TestCurvature:
     def test_disc_closed_form(self):
@@ -69,7 +92,7 @@ class TestCurvature:
         rng = np.random.default_rng(1)
         for _ in range(5):
             z = rand_point(rng, 1, radius=0.6)
-            got = curvature(spec, z).entries[0, 0, 0, 0]
+            got = curvature(gram_jet(spec, z)).entries[0, 0, 0, 0]
             expect = lam / (1 - abs(z[0]) ** 2) ** 2
             assert abs(got - expect) < 1e-9 * abs(expect)
 
@@ -78,12 +101,12 @@ class TestCurvature:
         rng = np.random.default_rng(4)
         for _ in range(3):
             z = rand_point(rng, 1, radius=0.6)
-            got = curvature(spec, z).entries[0, 0, 0, 0]
+            got = curvature(gram_jet(spec, z)).entries[0, 0, 0, 0]
             expect = 4 / (2 - abs(z[0]) ** 2) ** 2
             assert abs(got - expect) < 1e-9 * abs(expect)
 
     def test_constant_kernel_flat(self):
-        c = curvature(parse_kernel("1"), [0.0])
+        c = curvature(gram_jet(parse_kernel("1"), [0.0]))
         assert np.max(np.abs(c.entries)) < 1e-14
 
     def test_product_kernel_diagonal(self):
@@ -91,7 +114,7 @@ class TestCurvature:
         spec = builtin_bergman([a, b])
         rng = np.random.default_rng(2)
         z = rand_point(rng, 2, radius=0.5)
-        c = curvature(spec, z).entries
+        c = curvature(gram_jet(spec, z)).entries
         assert abs(c[0, 0, 0, 0] - a / (1 - abs(z[0]) ** 2) ** 2) < 1e-10
         assert abs(c[1, 1, 0, 0] - b / (1 - abs(z[1]) ** 2) ** 2) < 1e-10
         assert abs(c[0, 1, 0, 0]) < 1e-12 and abs(c[1, 0, 0, 0]) < 1e-12
@@ -101,7 +124,7 @@ class TestCurvature:
         for spec in BUILTINS:
             for _ in range(5):
                 z = rand_point(rng, spec.m, radius=0.5)
-                c = curvature(spec, z)
+                c = curvature(gram_jet(spec, z))
                 scale = max(1.0, float(np.max(np.abs(c.entries))))
                 assert c.selfadjoint_defect() <= 1e-8 * scale
 
@@ -111,7 +134,7 @@ class TestCurvature:
         rng = np.random.default_rng(12)
         for _ in range(4):
             z = rand_point(rng, 1, radius=0.8)
-            got = curvature(spec, z).entries[0, 0, 0, 0]
+            got = curvature(gram_jet(spec, z)).entries[0, 0, 0, 0]
             assert abs(got - 1.0) < 1e-10
 
     def test_gauge_invariance_rank1(self):
@@ -122,8 +145,8 @@ class TestCurvature:
             scaled = gauge_scale(spec, psi)
             for _ in range(3):
                 z = rand_point(rng, 2, radius=0.5)
-                c0 = curvature(spec, z).entries
-                c1 = curvature(scaled, z).entries
+                c0 = curvature(gram_jet(spec, z)).entries
+                c1 = curvature(gram_jet(scaled, z)).entries
                 scale = max(1.0, float(np.max(np.abs(c0))))
                 assert np.max(np.abs(c0 - c1)) <= 1e-8 * scale
 
@@ -166,7 +189,7 @@ class TestCurvature:
         for spec in BUILTINS + perturbed:
             z0 = rand_point(rng, spec.m, radius=0.5)
             g = gram_jet(spec, z0, trunc=2)
-            c = curvature(spec, z0).entries
+            c = curvature(g).entries
             h = g.extract()
             hinv = np.linalg.inv(h)
             scale = max(1.0, float(np.max(np.abs(h))))
@@ -183,8 +206,8 @@ class TestCovariantDerivs:
     def test_zero_order_matches_curvature(self):
         spec = coupled_rank2_kernel(np.random.default_rng(6))
         z0 = rand_point(np.random.default_rng(7), 2, radius=0.4)
-        c = curvature(spec, z0).entries
-        cov = curvature_covariant_derivs(spec, z0, d=2, max_order=0)
+        c = curvature(gram_jet(spec, z0)).entries
+        cov = curvature_covariant_derivs(gram_jet(spec, z0, trunc=2), d=2, max_order=0)
         for i in range(2):
             for j in range(2):
                 got = cov.get(i, j, (0, 0), (0, 0))
@@ -194,10 +217,10 @@ class TestCovariantDerivs:
         # commutators vanish for scalars, so covariant = plain derivatives of K_ij
         spec = builtin_bergman([1.2, 2.2])
         z0 = np.array([0.1 + 0.05j, -0.2j])
-        cov = curvature_covariant_derivs(spec, z0, d=2, max_order=1)
+        cov = curvature_covariant_derivs(gram_jet(spec, z0, trunc=3), d=2, max_order=1)
 
         def k11(z):
-            return curvature(spec, z).entries[0, 0, 0, 0]
+            return curvature(gram_jet(spec, z)).entries[0, 0, 0, 0]
 
         for v in range(2):
             d_v, dbar_v = wirtinger_fd(k11, z0, v, h=1e-4)
@@ -208,32 +231,39 @@ class TestCovariantDerivs:
             assert abs(got_zbar - dbar_v) < 1e-3 * max(1.0, abs(dbar_v))
 
     def test_insufficient_truncation_guard(self):
+        # each reader names the truncation it needs: 2, max_order + 2, max(k, 2)
         spec = builtin_bergman([1.0])
-        with pytest.raises(ValueError):
-            curvature(spec, [0.0], trunc=1)
+        cases = [
+            (1, "truncation >= 2", curvature),
+            (2, "truncation >= 3", lambda g: curvature_covariant_derivs(g, d=1, max_order=1)),
+            (2, "truncation >= 3", lambda g: transport_maps(g, d=1, k=3)),
+        ]
+        for trunc, needs, read in cases:
+            with pytest.raises(ValueError, match=needs):
+                read(gram_jet(spec, [0.0], trunc=trunc))
 
 
 class TestTransportMaps:
     def test_rank_zero_entries(self):
         spec = builtin_bergman([1.0, 1.0])
-        tm = transport_maps(spec, np.array([0.0, 0.2]), d=1, k=2)
+        tm = transport_maps(gram_jet(spec, np.array([0.0, 0.2])), d=1, k=2)
         assert np.max(np.abs(tm.get(0, 1))) < 1e-12
 
     def test_constant_kernel_all_zero(self):
-        tm = transport_maps(parse_kernel("1 + 0*z1*wb1 + 0*z2*wb2"), np.zeros(2), 1, 2)
+        tm = transport_maps(gram_jet(parse_kernel("1 + 0*z1*wb1 + 0*z2*wb2"), np.zeros(2)), 1, 2)
         assert all(np.max(np.abs(v)) < 1e-14 for v in tm.table.values())
 
     def test_off_manifold_rejected(self):
         spec = builtin_bergman([1.0, 1.0])
         with pytest.raises(ValueError, match="submanifold"):
-            transport_maps(spec, np.array([0.1, 0.0]), d=1, k=2)
+            transport_maps(gram_jet(spec, np.array([0.1, 0.0])), d=1, k=2)
 
     def test_finite_difference_cross_check(self):
         # coupled kernel so the transport map is nonzero
         chart = diagonal_chart(2, style="pairwise")
         spec = pullback_affine(builtin_bergman([1.0, 2.0]), chart)
         q = np.array([0.0, 0.3 + 0.1j])
-        tm = transport_maps(spec, q, d=1, k=2)
+        tm = transport_maps(gram_jet(spec, q), d=1, k=2)
 
         def g1(z):
             g = gram_jet(spec, z, trunc=1)

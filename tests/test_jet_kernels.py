@@ -8,7 +8,6 @@ import pytest
 from jetmod.jet_kernels import (
     chart_jet_transform,
     jet_column,
-    jet_gram_blocks,
     jet_kernel,
     module_action_matrix,
     restrict_to_Z,
@@ -94,7 +93,7 @@ class TestJetGramBlocks:
     def test_block_00_is_gram(self):
         spec = builtin_bergman([1.0, 2.0])
         z = np.array([0.1, 0.2j])
-        blocks = jet_gram_blocks(spec, z, d=1, k=2)
+        blocks = jet_kernel(spec, 1, 2, z, z)
         assert np.allclose(blocks.block(0, 0), spec.eval_point(z, z))
 
     def test_disc_jet_gram(self):
@@ -102,7 +101,7 @@ class TestJetGramBlocks:
         lam = 1.5
         spec = builtin_bergman([lam])
         z = np.array([0.3 + 0.1j])
-        blocks = jet_gram_blocks(spec, z, d=1, k=2)
+        blocks = jet_kernel(spec, 1, 2, z, z)
         r2 = abs(z[0]) ** 2
         rho = (1 - r2) ** -lam
         d_rho = lam * np.conj(z[0]) * (1 - r2) ** -(lam + 1)
@@ -115,7 +114,7 @@ class TestJetGramBlocks:
     def test_big_matrix_hermitian(self):
         spec = builtin_bergman([1.0, 2.0, 3.0])
         q = rand_point(np.random.default_rng(1), 3, 0.4)
-        m = jet_gram_blocks(spec, q, d=2, k=2).as_matrix()
+        m = jet_kernel(spec, 2, 2, q, q).as_matrix()
         assert np.max(np.abs(m - m.conj().T)) < 1e-11
 
 

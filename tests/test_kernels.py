@@ -202,6 +202,28 @@ class TestEvalJet:
             assert np.allclose(jet.constant_term(), spec.eval_point(z, w), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("text", [
+        "log(z1*wb1 - 2)", "log(z1*wb1)", "1/(z1*wb1)", "(z1*wb1 - 2)^0.5", "(z1*wb1 - 2)^-2",
+    ])
+    def test_eval_point_and_eval_jet_share_domain(self, text):
+        # both raise DomainError at the origin, or both give the same value
+        spec = parse_kernel(text)
+        outcomes = []
+        for evaluate in (
+            lambda: spec.eval_point([0.0], [0.0]),
+            lambda: spec.eval_jet([0.0], [0.0], 2).constant_term(),
+        ):
+            try:
+                outcomes.append(evaluate())
+            except DomainError:
+                outcomes.append(None)
+        point, jet = outcomes
+        if point is None or jet is None:
+            assert point is None and jet is None
+        else:
+            assert np.allclose(point, jet, rtol=1e-12)
+
+
 class TestCharts:
     def test_identity_chart_pullback(self):
         spec = builtin_bergman([1.0, 2.0])

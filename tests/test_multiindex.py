@@ -6,7 +6,6 @@ import pytest
 
 from jetmod.multiindex import (
     JetIndexTable,
-    enumerate_jet_indices,
     multi_binom,
     pochhammer,
     theta,
@@ -44,7 +43,7 @@ def test_theta_is_the_graded_colex_rank(d):
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3, 4) for k in range(1, 7)])
 def test_bijective_on_tables_and_round_trip(d, k):
-    table = enumerate_jet_indices(d, k)
+    table = JetIndexTable(d, k)
     seen = set()
     for l, alpha in enumerate(table.indices):
         assert theta(alpha) == l
@@ -60,13 +59,13 @@ def test_theta_inv_examples():
 
 
 def test_enumerate_examples():
-    t = enumerate_jet_indices(2, 2)
+    t = JetIndexTable(2, 2)
     assert t.N == 2
     assert t.indices == ((0, 0), (1, 0), (0, 1))
-    t = enumerate_jet_indices(1, 3)
+    t = JetIndexTable(1, 3)
     assert t.N == 2
     assert t.indices == ((0,), (1,), (2,))
-    t = enumerate_jet_indices(3, 2)
+    t = JetIndexTable(3, 2)
     assert t.N == 3
     assert t.indices == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -101,4 +100,4 @@ def test_validation():
     with pytest.raises(ValueError):
         theta_inv(-1, 2)
     with pytest.raises(ValueError):
-        enumerate_jet_indices(0, 2)
+        JetIndexTable(0, 2)
