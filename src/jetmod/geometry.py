@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import JetMatrix
+from .jets import JetMatrix, series_context
 from .multiindex import JetIndexTable
 
 PD_FLOOR = 1e-12
@@ -274,7 +274,8 @@ class NormalizedKernel:
     Implements ``C . K(z,p)^{-1} . K(z,w) . K(p,w)^{-1} . C`` with
     ``C = K(p,p)^{1/2}`` (Hermitian square root), so that the kernel
     against the base point is the identity matrix to every computed
-    order.  Shares the evaluation interface of ``KernelSpec``.
+    order.  ``base`` is a ``KernelSpec``; the normalized kernel shares
+    its ``eval_jet`` and ``eval_point`` interface.
     """
 
     def __init__(self, base, p):
@@ -287,13 +288,24 @@ class NormalizedKernel:
         if self.label:
             self.label += "|normalized"
 
-    def eval_jet(self, z0, w0, trunc: int, vary_z: bool = True, vary_w: bool = True):
-        left = self.base.eval_jet(z0, self.p, trunc, vary_z=vary_z, vary_w=False)
+    def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
+        """The normalized jet; ``vary_z``/``vary_w`` as in ``KernelSpec.eval_jet``.
+
+        K(z, p) and K(p, w) vary in one argument each, so they are
+        evaluated and inverted over those variables only and embedded in
+        the 2m-variable context for the two products.
+        """
+        ctx = series_context(2 * self.m, trunc)
+        left, left_vars = self.base.varying_jet(z0, self.p, trunc, vary_z, False)
         _check_pd_invertible(left.constant_term(), "normalization: K(z, p)")
-        mid = self.base.eval_jet(z0, w0, trunc, vary_z=vary_z, vary_w=vary_w)
-        right = self.base.eval_jet(self.p, w0, trunc, vary_z=False, vary_w=vary_w)
+        mid = self.base.eval_jet(z0, w0, trunc, vary_z, vary_w)
+        right, right_vars = self.base.varying_jet(self.p, w0, trunc, False, vary_w)
         _check_pd_invertible(right.constant_term(), "normalization: K(p, w)")
-        out = left.inverse() @ mid @ right.inverse()
+        out = (
+            left.inverse().embed(ctx, left_vars)
+            @ mid
+            @ right.inverse().embed(ctx, right_vars)
+        )
         return out.left_const(self.c).right_const(self.c)
 
     def eval_point(self, z, w) -> np.ndarray:

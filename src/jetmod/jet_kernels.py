@@ -63,7 +63,9 @@ def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelVa
         raise ValueError(f"truncation {trunc} too small for jet order k={k}")
     z0 = np.asarray(z0, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
-    blocks = transverse_blocks(kernel.eval_jet(z0, w0, trunc), idx)
+    # the blocks read only the 2d transverse variables
+    jm = kernel.eval_jet(z0, w0, trunc, vary_z=d, vary_w=d)
+    blocks = transverse_blocks(jm, idx)
     return JetKernelValue(
         z0=z0, w0=w0, d=d, k=k, N=idx.N, r=r, blocks=blocks, index_table=idx
     )

@@ -16,7 +16,9 @@ at most ``trunc``, ordered by the degree of their product, with the offset
 of each degree kept beside it.  All terms above the truncation degree are
 discarded.  A context whose table would exceed
 :data:`jetmod.multiindex.MAX_TABLE` pairs is refused before anything is
-built.
+built.  A context may have no variables; its series are the constants.
+``JetMatrix.embed`` places a jet computed over some variables into a
+context with more, by the same exponent-key lookup the tables use.
 
 Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
@@ -49,8 +51,8 @@ class SeriesContext:
     """Shared index and convolution tables for one (num_vars, trunc) pair."""
 
     def __init__(self, num_vars: int, trunc: int):
-        if num_vars < 1:
-            raise ValueError("need num_vars >= 1")
+        if num_vars < 0:
+            raise ValueError("need num_vars >= 0")
         if trunc < 0:
             raise ValueError("need trunc >= 0")
         # pairs (alpha, beta) with |alpha| + |beta| <= trunc are the
@@ -63,9 +65,10 @@ class SeriesContext:
             )
         self.num_vars = num_vars
         self.trunc = trunc
-        indices = []
-        for t in range(trunc + 1):
-            indices.extend(degree_slice(num_vars, t))
+        if num_vars:
+            indices = [a for t in range(trunc + 1) for a in degree_slice(num_vars, t)]
+        else:
+            indices = [()]  # without variables the series are the constants
         self.indices = tuple(indices)
         self.size = len(indices)
         self.rank = {alpha: i for i, alpha in enumerate(self.indices)}
@@ -89,6 +92,10 @@ class SeriesContext:
         """Ranks of the monomials with the given exponent keys."""
         pos = np.searchsorted(self._keys[self._key_order], keys)
         return self._key_order[pos]
+
+    def _ranks(self, exponents: np.ndarray) -> np.ndarray:
+        """Ranks of the monomials with the given exponent rows (degree <= trunc)."""
+        return self._lookup((exponents * self._weights).sum(axis=1))
 
     @property
     def mul_table(self):
@@ -120,7 +127,7 @@ class SeriesContext:
             lower = series_context(self.num_vars, self.trunc - 1)
             up = lower.exponents.copy()
             up[:, var] += 1
-            src = self._lookup((up * self._weights).sum(axis=1))
+            src = self._ranks(up)
             self._deriv_tables[var] = (src, up[:, var].astype(float))
         return self._deriv_tables[var]
 
@@ -465,18 +472,38 @@ class JetMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         left, right, out_idx = self.ctx.mul_table
-        A = self.c[:, :, left]
-        B = other.c[:, :, right]
-        prod = np.einsum("ijp,jkp->ikp", A, B)
-        rows, cols = self.shape[0], other.shape[1]
-        out = np.zeros((rows, cols, self.ctx.size), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = (
-                    np.bincount(out_idx, weights=prod[i, j].real, minlength=self.ctx.size)
-                    + 1j * np.bincount(out_idx, weights=prod[i, j].imag, minlength=self.ctx.size)
-                )
-        return JetMatrix(self.ctx, out)
+        prod = np.einsum("ijp,jkp->ikp", self.c[:, :, left], other.c[:, :, right])
+        rows, cols, size = self.shape[0], other.shape[1], self.ctx.size
+        # entry e = i * cols + j owns the bins e * size + out_idx, so one
+        # bincount sums every entry, each bin in the order of the table
+        bins = (np.arange(rows * cols)[:, None] * size + out_idx).ravel()
+        n = rows * cols * size
+        out = (
+            np.bincount(bins, weights=prod.real.ravel(), minlength=n)
+            + 1j * np.bincount(bins, weights=prod.imag.ravel(), minlength=n)
+        )
+        return JetMatrix(self.ctx, out.reshape(rows, cols, size))
+
+    def embed(self, ctx: SeriesContext, variables) -> "JetMatrix":
+        """This matrix in a context with more variables.
+
+        Variable i of this matrix's context becomes variable ``variables[i]``
+        of ``ctx``; coefficients of monomials in the other variables of
+        ``ctx`` are zero.
+        """
+        variables = list(variables)
+        if ctx is self.ctx and variables == list(range(ctx.num_vars)):
+            return self
+        if len(variables) != self.ctx.num_vars or ctx.trunc < self.ctx.trunc:
+            raise ValueError(
+                f"cannot embed context ({self.ctx.num_vars}, {self.ctx.trunc}) "
+                f"into ({ctx.num_vars}, {ctx.trunc}) at variables {variables}"
+            )
+        exponents = np.zeros((self.ctx.size, ctx.num_vars), dtype=np.int64)
+        exponents[:, variables] = self.ctx.exponents
+        c = np.zeros(self.shape + (ctx.size,), dtype=complex)
+        c[:, :, ctx._ranks(exponents)] = self.c
+        return JetMatrix(ctx, c)
 
     def left_const(self, mat) -> "JetMatrix":
         """Constant matrix times self."""

@@ -21,10 +21,19 @@ Kernel file format: header lines ``m = <int>``, optional ``r = <int>``
 Blank lines and ``#`` comments are ignored.  ``parse_kernel`` also accepts
 a bare expression, giving a rank-1 kernel with ``m`` inferred from the
 variables used.
+
+Evaluation: on first use a ``KernelSpec`` compiles its entries into a tape
+(a straight-line program in the manner of Griewank & Walther, *Evaluating
+Derivatives*, ch. 13) with one slot per distinct subtree, so a subtree
+repeated across entries is evaluated once.  ``eval_jet`` runs the tape in
+a series context over only the variables that vary (``vary_z``/``vary_w``
+give all, none or a count of leading coordinates) and embeds the result in
+the 2m-variable context; ``eval_point`` runs it with no varying variable.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -302,48 +311,70 @@ class KernelSpec:
         for row in self.entries:
             for node in row:
                 _validate_entry(node, m)
+        self._tape = None  # compiled on first evaluation
 
     # -- evaluation -------------------------------------------------------
 
     def eval_point(self, z, w) -> np.ndarray:
         """Plain value K(z, w) as an (r, r) complex matrix.
 
-        The constant term of the truncation-0 jet, so both evaluations
-        accept and reject the same inputs.
+        Runs the tape with no varying variable at truncation 0, so it and
+        ``eval_jet`` accept and reject the same inputs.
         """
-        return self.eval_jet(z, w, 0).constant_term()
+        return self.varying_jet(z, w, 0, False, False)[0].constant_term()
 
-    def eval_jet(
-        self, z0, w0, trunc: int, vary_z: bool = True, vary_w: bool = True
-    ) -> JetMatrix:
+    def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True) -> JetMatrix:
         """Jet of K around (z0, w0) as a matrix of series in 2m variables.
 
         Variables 0..m-1 are the holomorphic displacements of z; variables
         m..2m-1 are the displacements of conj(w).  ``extract`` with the
         concatenated index (alpha, beta) yields the mixed derivative taken
-        alpha times in z and beta times in conj(w).  With ``vary_z`` or
-        ``vary_w`` off, the corresponding argument is held fixed.
+        alpha times in z and beta times in conj(w).
+
+        ``vary_z`` and ``vary_w`` say which displacements vary: ``True``
+        (all m), ``False`` (none, the argument is held fixed) or a count n
+        of leading coordinates.  The kernel is evaluated over the varying
+        variables only (``varying_jet``) and scattered into the 2m-variable
+        context; coefficients of the fixed variables are zero.
+        """
+        # refuses an oversized output context before anything is evaluated
+        ctx = series_context(2 * self.m, trunc)
+        jm, variables = self.varying_jet(z0, w0, trunc, vary_z, vary_w)
+        return jm.embed(ctx, variables)
+
+    def varying_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
+        """Jet of K around (z0, w0) in its varying variables only.
+
+        With nz and nw the counts that ``vary_z`` and ``vary_w`` give (see
+        ``eval_jet``), the context has nz + nw variables: the displacements
+        of z_1..z_nz, then those of conj(w_1)..conj(w_nw).  Returns the jet
+        and the indices of its variables among the 2m of ``eval_jet``.
         """
         z0 = np.asarray(z0, dtype=complex)
         w0 = np.asarray(w0, dtype=complex)
         if z0.shape != (self.m,) or w0.shape != (self.m,):
             raise ValueError(f"points must have length m = {self.m}")
-        ctx = series_context(2 * self.m, trunc)
-        zs, wbs = [], []
-        for i in range(self.m):
-            zi = JetSeries.constant(ctx, z0[i])
-            if vary_z:
-                zi = zi + JetSeries.variable(ctx, i)
-            zs.append(zi)
-            wi = JetSeries.constant(ctx, np.conj(w0[i]))
-            if vary_w:
-                wi = wi + JetSeries.variable(ctx, self.m + i)
-            wbs.append(wi)
-        entries = [
-            [_eval_jet_node(self.entries[i][j], zs, wbs) for j in range(self.r)]
-            for i in range(self.r)
-        ]
-        return JetMatrix.from_entries(entries)
+        nz, nw = self._varying(vary_z), self._varying(vary_w)
+        ctx = series_context(nz + nw, trunc)
+        zs = [JetSeries.constant(ctx, v) for v in z0]
+        wbs = [JetSeries.constant(ctx, v) for v in np.conj(w0)]
+        for i in range(nz):
+            zs[i] = zs[i] + JetSeries.variable(ctx, i)
+        for i in range(nw):
+            wbs[i] = wbs[i] + JetSeries.variable(ctx, nz + i)
+        if self._tape is None:
+            self._tape = _Tape(self.entries)
+        variables = [*range(nz), *range(self.m, self.m + nw)]
+        return self._tape.run(ctx, zs, wbs), variables
+
+    def _varying(self, flag) -> int:
+        """Number of leading coordinates that vary: True is m, False is 0."""
+        if isinstance(flag, (bool, np.bool_)):
+            return self.m if flag else 0
+        n = operator.index(flag)
+        if not 0 <= n <= self.m:
+            raise ValueError(f"varying count {n} out of range 0..{self.m}")
+        return n
 
     # -- structure --------------------------------------------------------
 
@@ -384,39 +415,81 @@ class KernelSpec:
         return f"KernelSpec(m={self.m}, r={self.r}{tag})"
 
 
-def _eval_jet_node(node, zs, wbs) -> JetSeries:
-    ctx = zs[0].ctx
-    if isinstance(node, Num):
-        return JetSeries.constant(ctx, node.value)
-    if isinstance(node, Var):
-        vals = zs if node.kind == "z" else wbs
-        return vals[node.index - 1]
-    if isinstance(node, BinOp):
-        a = _eval_jet_node(node.left, zs, wbs)
-        b = _eval_jet_node(node.right, zs, wbs)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        try:
-            return a / b
-        except ValueError as exc:
-            raise DomainError(f"at {node.pos}: {exc}") from None
-    if isinstance(node, Pow):
-        base = _eval_jet_node(node.base, zs, wbs)
-        try:
-            return base.power(node.exponent)
-        except ValueError as exc:
-            raise DomainError(f"at {node.pos}: {exc}") from None
-    if isinstance(node, Call):
-        arg = _eval_jet_node(node.arg, zs, wbs)
-        try:
-            return arg.exp() if node.func == "exp" else arg.log()
-        except ValueError as exc:
-            raise DomainError(f"at {node.pos}: {exc}") from None
-    raise TypeError(f"not an expression node: {node!r}")
+class _Tape:
+    """The entries of a kernel as one straight-line program.
+
+    Subtrees are interned bottom-up by ``(op, child slots)``, so each
+    distinct subtree has one slot, shared by all r^2 entries and evaluated
+    once per ``run``.  ``ops[s]`` is ``("num", value, None)``, a
+    coordinate ``("z" | "wb", index, None)`` (0-based), a binary operator
+    ``("+" | "-" | "*" | "/", slot, slot)``, a power ``("^", slot,
+    exponent)`` or ``("exp" | "log", slot, None)``; operands precede the
+    slots that use them.  ``pos[s]`` is the source position of the first
+    occurrence of the subtree that has one.  ``out[i][j]`` is the slot of
+    entry (i, j).
+    """
+
+    def __init__(self, entries):
+        self.ops, self.pos = [], []
+        slots = {}  # op -> slot
+        seen = {}  # id(node) -> slot: a node object shared by entries is walked once
+
+        def intern(node) -> int:
+            slot = seen.get(id(node))
+            if slot is not None:
+                return slot
+            if isinstance(node, Num):
+                op = ("num", node.value, None)
+            elif isinstance(node, Var):
+                op = (node.kind, node.index - 1, None)
+            elif isinstance(node, BinOp):
+                op = (node.op, intern(node.left), intern(node.right))
+            elif isinstance(node, Pow):
+                op = ("^", intern(node.base), node.exponent)
+            elif isinstance(node, Call):
+                op = (node.func, intern(node.arg), None)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            slot = slots.setdefault(op, len(self.ops))
+            if slot == len(self.ops):
+                self.ops.append(op)
+                self.pos.append(node.pos)
+            elif self.pos[slot] is None:
+                self.pos[slot] = node.pos
+            seen[id(node)] = slot
+            return slot
+
+        self.out = [[intern(node) for node in row] for row in entries]
+
+    def run(self, ctx, zs, wbs) -> JetMatrix:
+        """Evaluate every slot in ``ctx`` with the coordinate series given."""
+        vals = []
+        for (op, x, y), pos in zip(self.ops, self.pos):
+            try:
+                if op == "num":
+                    v = JetSeries.constant(ctx, x)
+                elif op == "z":
+                    v = zs[x]
+                elif op == "wb":
+                    v = wbs[x]
+                elif op == "+":
+                    v = vals[x] + vals[y]
+                elif op == "-":
+                    v = vals[x] - vals[y]
+                elif op == "*":
+                    v = vals[x] * vals[y]
+                elif op == "/":
+                    v = vals[x] / vals[y]
+                elif op == "^":
+                    v = vals[x].power(y)
+                elif op == "exp":
+                    v = vals[x].exp()
+                else:
+                    v = vals[x].log()
+            except ValueError as exc:
+                raise DomainError(f"at {pos}: {exc}") from None
+            vals.append(v)
+        return JetMatrix.from_entries([[vals[s] for s in row] for row in self.out])
 
 
 # --------------------------------------------------------------------------

@@ -298,6 +298,19 @@ class TestNormalization:
         ident = JetMatrix.identity(jet.ctx, 2)
         assert np.max(np.abs(jet.c - ident.c)) < 1e-11
 
+    @pytest.mark.parametrize("vary", [True, 2, 1])
+    def test_identity_against_base_point_in_varying_variables(self, vary):
+        # a pulled-back m=3 kernel at truncation 4, with every varying count
+        spec = pullback_affine(coupled_rank2_kernel(np.random.default_rng(10), m=3),
+                               diagonal_chart(3))
+        p = np.array([0.0, 0.0, 0.2 + 0.1j])
+        norm = normalize_at(spec, p)
+        q = np.array([0.1, -0.05j, 0.15])
+        for jet in (norm.eval_jet(q, p, 4, vary_z=vary, vary_w=False),
+                    norm.eval_jet(p, q, 4, vary_z=False, vary_w=vary)):
+            assert jet.ctx.num_vars == 6 and jet.ctx.trunc == 4
+            assert np.max(np.abs(jet.c - JetMatrix.identity(jet.ctx, 2).c)) < 1e-11
+
     def test_gram_is_identity_at_base(self):
         spec = coupled_rank2_kernel(np.random.default_rng(9))
         norm = normalize_at(spec, np.zeros(2))

@@ -24,7 +24,7 @@ from jetmod.kernels import (
     pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom, theta
-from util import rand_point, rand_poly_ast
+from util import coupled_rank2_kernel, rand_point, rand_poly_ast
 
 
 class TestJetKernel:
@@ -69,6 +69,34 @@ class TestJetKernel:
     def test_truncation_guard(self):
         with pytest.raises(ValueError, match="too small"):
             jet_kernel(builtin_bergman([1.0]), 1, 3, [0.0], [0.0], trunc=2)
+
+
+class TestVaryingVariables:
+    def test_transverse_context_matches_full_jet(self):
+        # jet_kernel evaluates over the 2d transverse variables only
+        from jetmod.geometry import transverse_blocks
+
+        spec = pullback_affine(coupled_rank2_kernel(np.random.default_rng(6), m=3),
+                               diagonal_chart(3, style="anchored"))
+        q = np.array([0.0, 0.0, 0.3 - 0.2j])
+        jk = jet_kernel(spec, d=2, k=3, z0=q, w0=q)
+        full = transverse_blocks(spec.eval_jet(q, q, 4), JetIndexTable(2, 3))
+        assert np.array_equal(jk.blocks, full)
+
+    @pytest.mark.parametrize("vary_z, vary_w", [(True, False), (2, 1), (False, 3), (0, 0)])
+    def test_fixed_variables_have_zero_coefficients(self, vary_z, vary_w):
+        spec = coupled_rank2_kernel(np.random.default_rng(7), m=3)
+        rng = np.random.default_rng(8)
+        z, w = rand_point(rng, 3), rand_point(rng, 3)
+        full = spec.eval_jet(z, w, 3)
+        jm = spec.eval_jet(z, w, 3, vary_z=vary_z, vary_w=vary_w)
+        nz, nw = (3 * f if isinstance(f, bool) else f for f in (vary_z, vary_w))
+        assert jm.ctx is full.ctx
+        for rank, alpha in enumerate(full.ctx.indices):
+            if any(alpha[nz:3]) or any(alpha[3 + nw:]):
+                assert not np.any(jm.c[:, :, rank]), alpha
+            else:
+                assert np.array_equal(jm.c[:, :, rank], full.c[:, :, rank])
 
 
 class TestRestrictToZ:

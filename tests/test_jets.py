@@ -236,6 +236,45 @@ def test_matrix_shape_errors():
         jet_matrix_inverse(JetMatrix.from_constant(ctx, np.ones((2, 3))))
 
 
+def test_matmul_matches_entrywise_bincount():
+    # reference: one bincount pair per output entry, as the product table orders it
+    rng = np.random.default_rng(12)
+    for num_vars, trunc, (rows, inner, cols) in [(2, 3, (2, 3, 2)), (3, 2, (1, 1, 1)), (1, 4, (3, 2, 1))]:
+        ctx = series_context(num_vars, trunc)
+        a = JetMatrix(ctx, rng.random((rows, inner, ctx.size)) - 0.5 + 1j * rng.random((rows, inner, ctx.size)))
+        b = JetMatrix(ctx, rng.random((inner, cols, ctx.size)) - 0.5j + rng.random((inner, cols, ctx.size)))
+        left, right, out_idx = ctx.mul_table
+        prod = np.einsum("ijp,jkp->ikp", a.c[:, :, left], b.c[:, :, right])
+        ref = np.zeros((rows, cols, ctx.size), dtype=complex)
+        for i in range(rows):
+            for j in range(cols):
+                ref[i, j] = (
+                    np.bincount(out_idx, weights=prod[i, j].real, minlength=ctx.size)
+                    + 1j * np.bincount(out_idx, weights=prod[i, j].imag, minlength=ctx.size)
+                )
+        assert np.array_equal((a @ b).c, ref)
+
+
+def test_embed_is_a_ring_map():
+    # variables (0, 1) of a 2-variable jet become variables (1, 3) of a 4-variable one
+    rng = np.random.default_rng(13)
+    small, big = series_context(2, 3), series_context(4, 3)
+    a = JetMatrix(small, rng.random((2, 2, small.size)) + 1j * rng.random((2, 2, small.size)))
+    b = JetMatrix(small, rng.random((2, 2, small.size)) - 1j * rng.random((2, 2, small.size)))
+    ea, eb = a.embed(big, [1, 3]), b.embed(big, [1, 3])
+    assert np.array_equal((a @ b).embed(big, [1, 3]).c, (ea @ eb).c)
+    for rank, alpha in enumerate(big.indices):
+        if alpha[0] or alpha[2]:
+            assert not np.any(ea.c[:, :, rank])
+        else:
+            assert np.array_equal(ea.c[:, :, rank], a.coeff((alpha[1], alpha[3])))
+    # a context without variables holds constants; it embeds at rank 0
+    const = JetMatrix.from_constant(series_context(0, 3), [[2.0 + 1j]])
+    assert np.array_equal(const.embed(big, []).c, JetMatrix.from_constant(big, [[2.0 + 1j]]).c)
+    with pytest.raises(ValueError, match="cannot embed"):
+        a.embed(series_context(4, 2), [1, 3])
+
+
 def test_context_size_guard():
     # d=2, k=9 jet kernels of an m=3 kernel would need this context
     with pytest.raises(ValueError, match=r"\(6, 16\) needs 30421755 product pairs"):

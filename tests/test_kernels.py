@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jetmod.jets import JetSeries
 from jetmod.kernels import (
     AffineChart,
     BinOp,
@@ -222,6 +223,87 @@ class TestEvalJet:
             assert point is None and jet is None
         else:
             assert np.allclose(point, jet, rtol=1e-12)
+
+
+def _pow_occurrences(node) -> int:
+    if isinstance(node, Pow):
+        return 1 + _pow_occurrences(node.base)
+    if isinstance(node, BinOp):
+        return _pow_occurrences(node.left) + _pow_occurrences(node.right)
+    if isinstance(node, Call):
+        return _pow_occurrences(node.arg)
+    return 0
+
+
+class TestTape:
+    def _rank2(self):
+        scalars = [builtin_bergman(w) for w in ([0.6, 1.1, 1.7], [0.8, 1.3, 1.9], [0.7, 1.2, 2.1])]
+        rng = np.random.default_rng(21)
+        mats = []
+        for _ in range(3):
+            g = rng.random((2, 2)) + 1j * rng.random((2, 2))
+            mats.append(g @ g.conj().T + 0.2 * np.eye(2))
+        return matrix_combination(scalars, mats)
+
+    def test_one_power_call_per_distinct_pow(self, monkeypatch):
+        calls = []
+        power = JetSeries.power
+
+        def counting(self, e):
+            calls.append(e)
+            return power(self, e)
+
+        monkeypatch.setattr(JetSeries, "power", counting)
+        spec = self._rank2()
+        conj = conjugate_by_unitary(spec, rand_unitary(np.random.default_rng(4), 2))
+        z, w = [0.1, 0.2j, -0.1], [0.05, 0.1, 0.2]
+        for kernel, occurrences in ((spec, 36), (conj, 144)):
+            assert sum(_pow_occurrences(n) for row in kernel.entries for n in row) == occurrences
+            calls.clear()
+            kernel.eval_jet(z, w, 2)
+            assert len(calls) == 9
+
+    def test_tape_built_once_per_spec(self, monkeypatch):
+        from jetmod import kernels
+
+        built = []
+
+        class Counting(kernels._Tape):
+            def __init__(self, entries):
+                built.append(entries)
+                super().__init__(entries)
+
+        monkeypatch.setattr(kernels, "_Tape", Counting)
+        a, b = builtin_bergman([1.0, 2.0]), builtin_bergman([3.0, 0.5])
+        z, w = [0.1, 0.2], [0.3, -0.1j]
+        a.eval_jet(z, w, 2)
+        a.eval_jet(w, z, 3, vary_w=False)
+        a.eval_point(z, w)
+        assert len(built) == 1
+        b.eval_point(z, w)
+        assert len(built) == 2 and a._tape is not b._tape
+        assert a._tape.ops is not b._tape.ops and a._tape.out is not b._tape.out
+        assert np.allclose(b.eval_point(z, w), builtin_bergman([3.0, 0.5]).eval_point(z, w))
+
+    def test_domain_error_in_repeated_subtree_names_position(self):
+        spec = parse_kernel(
+            "m = 1\nr = 2\n"
+            "K[1][1] = log(z1*wb1 - 2) + 1\n"
+            "K[1][2] = log(z1*wb1 - 2)\n"
+            "K[2][1] = log(z1*wb1 - 2)\n"
+            "K[2][2] = 2 * log(z1*wb1 - 2)\n"
+        )
+        conj = conjugate_by_unitary(spec, rand_unitary(np.random.default_rng(5), 2))
+        for kernel in (spec, conj):
+            with pytest.raises(DomainError, match=r"at \(3, 11\): series log"):
+                kernel.eval_jet([0.0], [0.0], 2)
+            with pytest.raises(DomainError, match=r"at \(3, 11\)"):
+                kernel.eval_point([0.0], [0.0])
+
+    def test_varying_count_out_of_range(self):
+        spec = builtin_bergman([1.0, 2.0])
+        with pytest.raises(ValueError, match="out of range"):
+            spec.eval_jet([0.0, 0.0], [0.0, 0.0], 2, vary_z=3)
 
 
 class TestCharts:
