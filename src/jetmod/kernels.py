@@ -22,13 +22,18 @@ Blank lines and ``#`` comments are ignored.  ``parse_kernel`` also accepts
 a bare expression, giving a rank-1 kernel with ``m`` inferred from the
 variables used.
 
-Evaluation: on first use a ``KernelSpec`` compiles its entries into a tape
-(a straight-line program in the manner of Griewank & Walther, *Evaluating
-Derivatives*, ch. 13) with one slot per distinct subtree, so a subtree
-repeated across entries is evaluated once.  ``eval_jet`` runs the tape in
-a series context over only the variables that vary (``vary_z``/``vary_w``
-give all, none or a count of leading coordinates) and embeds the result in
-the 2m-variable context; ``eval_point`` runs it with no varying variable.
+Literals and exponents must be finite, and parentheses and exp/log calls
+nest at most ``MAX_NESTING`` deep.
+
+A ``KernelSpec`` compiles its entries when built into a tape (a
+straight-line program in the manner of Griewank & Walther, *Evaluating
+Derivatives*, ch. 13) with one slot per distinct subtree.  The compile is
+the only walk over an expression tree, with an explicit stack, so depth
+is unbounded; the range check, ``pretty``, ``uses_wb``, ``pullback_affine``
+and ``gauge_scale`` read the slots in order.  ``eval_jet`` runs the tape
+over only the variables that vary (``vary_z``/``vary_w`` give all, none
+or a count of leading coordinates) and embeds the result in the
+2m-variable context; ``eval_point`` runs it with no varying variable.
 """
 
 from __future__ import annotations
@@ -96,35 +101,18 @@ class Call:
     pos: tuple = field(default=None, compare=False)
 
 
-def max_var_index(node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, BinOp):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    if isinstance(node, Pow):
-        return max_var_index(node.base)
-    if isinstance(node, Call):
-        return max_var_index(node.arg)
-    return 0
+_VARS = ("z", "wb")
 
 
 def uses_wb(node) -> bool:
-    if isinstance(node, Var):
-        return node.kind == "wb"
-    if isinstance(node, BinOp):
-        return uses_wb(node.left) or uses_wb(node.right)
-    if isinstance(node, Pow):
-        return uses_wb(node.base)
-    if isinstance(node, Call):
-        return uses_wb(node.arg)
-    return False
+    return any(op == "wb" for op, _, _ in _Tape([[node]]).ops)
 
 
 def _fmt_number(x) -> str:
     x = complex(x)
     if x.imag == 0:
         r = x.real
-        if r == int(r) and abs(r) < 1e15:
+        if r.is_integer() and abs(r) < 1e15:
             return str(int(r))
         return repr(r)
     # complex literals arise only in programmatically built kernels; this
@@ -134,19 +122,20 @@ def _fmt_number(x) -> str:
 
 def pretty(node) -> str:
     """Render an expression; reparsing the result gives an equal tree."""
-    if isinstance(node, Num):
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return f"{node.kind}{node.index}"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
-    if isinstance(node, Pow):
-        e = node.exponent
-        es = str(int(e)) if e == int(e) else repr(e)
-        return f"({pretty(node.base)})^{es}"
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    tape = _Tape([[node]])
+    text = []  # text[s]: the rendering of slot s
+    for op, x, y in tape.ops:
+        if op == "num":
+            text.append(_fmt_number(x))
+        elif op in _VARS:
+            text.append(f"{op}{x + 1}")
+        elif op == "^":
+            text.append(f"({text[x]})^{_fmt_number(y)}")
+        elif op in ("exp", "log"):
+            text.append(f"{op}({text[x]})")
+        else:
+            text.append(f"({text[x]} {op} {text[y]})")
+    return text[tape.out[0][0]]
 
 
 # --------------------------------------------------------------------------
@@ -194,10 +183,20 @@ class _Tokenizer:
 
 _VAR_RE = re.compile(r"(z|wb)([0-9]+)$")
 
+MAX_NESTING = 100  # deepest nesting of parentheses and exp/log calls
+
+
+def _finite(value: str, pos) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ParseError(f"numeric literal {value!r} is not finite", *pos)
+    return x
+
 
 class _Parser:
     def __init__(self, text: str, line: int = 1, col_offset: int = 0):
         self.toks = _Tokenizer(text, line, col_offset)
+        self.depth = 0
 
     def parse(self):
         node = self.expr()
@@ -244,13 +243,13 @@ class _Parser:
         if kind != "number":
             raise ParseError("expected a numeric exponent", *pos)
         self.toks.advance()
-        return sign * float(value)
+        return sign * _finite(value, pos)
 
     def base(self):
         kind, value, pos = self.toks.current
         if kind == "number":
             self.toks.advance()
-            return Num(complex(float(value)), pos)
+            return Num(complex(_finite(value, pos)), pos)
         if kind == "ident":
             m = _VAR_RE.match(value)
             if m:
@@ -259,17 +258,25 @@ class _Parser:
             if value in ("exp", "log"):
                 self.toks.advance()
                 self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call(value, arg, pos)
+                return Call(value, self.nested(pos), pos)
             raise ParseError(f"unknown identifier {value!r}", *pos)
         if kind == "op" and value == "(":
             self.toks.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.nested(pos)
         shown = value if value else "end of input"
         raise ParseError(f"expected a value, got {shown!r}", *pos)
+
+    def nested(self, pos):
+        """The expression up to the closing parenthesis, one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"parentheses and calls nested deeper than {MAX_NESTING}", *pos
+            )
+        node = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return node
 
     def expect(self, op: str):
         kind, value, pos = self.toks.current
@@ -288,14 +295,6 @@ def parse_expression(text: str, line: int = 1, col_offset: int = 0):
 # Kernel specifications
 
 
-def _validate_entry(node, m: int, line: int = None):
-    idx = max_var_index(node)
-    if idx > m:
-        raise ParseError(
-            f"variable index {idx} out of range for m = {m}", line, 1
-        )
-
-
 class KernelSpec:
     """An r x r matrix of kernel expressions in z1..zm and wb1..wbm."""
 
@@ -308,10 +307,12 @@ class KernelSpec:
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError(f"entries must form an {r}x{r} grid")
         self.label = label
-        for row in self.entries:
-            for node in row:
-                _validate_entry(node, m)
-        self._tape = None  # compiled on first evaluation
+        self._tape = tape = _Tape(self.entries)
+        for (op, x, _), pos in zip(tape.ops, tape.pos):
+            if op in _VARS and not 0 <= x < m:
+                raise ParseError(
+                    f"variable index {x + 1} out of range for m = {m}", *(pos or ())
+                )
 
     # -- evaluation -------------------------------------------------------
 
@@ -362,8 +363,6 @@ class KernelSpec:
             zs[i] = zs[i] + JetSeries.variable(ctx, i)
         for i in range(nw):
             wbs[i] = wbs[i] + JetSeries.variable(ctx, nz + i)
-        if self._tape is None:
-            self._tape = _Tape(self.entries)
         variables = [*range(nz), *range(self.m, self.m + nw)]
         return self._tape.run(ctx, zs, wbs), variables
 
@@ -377,15 +376,6 @@ class KernelSpec:
         return n
 
     # -- structure --------------------------------------------------------
-
-    def pretty(self) -> str:
-        lines = [f"m = {self.m}", f"r = {self.r}"]
-        if self.label:
-            lines.append(f"label = {self.label}")
-        for i in range(self.r):
-            for j in range(self.r):
-                lines.append(f"K[{i + 1}][{j + 1}] = {pretty(self.entries[i][j])}")
-        return "\n".join(lines) + "\n"
 
     def check_hermitian(self, points=None, rng=None, tol: float = 1e-8) -> float:
         """Spot-check K(z, w) == K(w, z)* at sample point pairs.
@@ -433,23 +423,32 @@ class _Tape:
         self.ops, self.pos = [], []
         slots = {}  # op -> slot
         seen = {}  # id(node) -> slot: a node object shared by entries is walked once
-
-        def intern(node) -> int:
-            slot = seen.get(id(node))
-            if slot is not None:
-                return slot
-            if isinstance(node, Num):
-                op = ("num", node.value, None)
-            elif isinstance(node, Var):
-                op = (node.kind, node.index - 1, None)
-            elif isinstance(node, BinOp):
-                op = (node.op, intern(node.left), intern(node.right))
+        # nodes whose slot is pending, the next one last; a node stays below
+        # its operands until they have slots
+        stack = [node for row in entries for node in row][::-1]
+        while stack:
+            node = stack[-1]
+            if id(node) in seen:
+                stack.pop()
+                continue
+            if isinstance(node, BinOp):
+                tag, kids, extra = node.op, (node.left, node.right), ()
             elif isinstance(node, Pow):
-                op = ("^", intern(node.base), node.exponent)
+                tag, kids, extra = "^", (node.base,), (node.exponent,)
             elif isinstance(node, Call):
-                op = (node.func, intern(node.arg), None)
+                tag, kids, extra = node.func, (node.arg,), (None,)
+            elif isinstance(node, Num):
+                tag, kids, extra = "num", (), (node.value, None)
+            elif isinstance(node, Var):
+                tag, kids, extra = node.kind, (), (node.index - 1, None)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
+            todo = [kid for kid in kids if id(kid) not in seen]
+            if todo:
+                stack.extend(reversed(todo))  # the left operand first
+                continue
+            stack.pop()
+            op = (tag, *(seen[id(kid)] for kid in kids), *extra)
             slot = slots.setdefault(op, len(self.ops))
             if slot == len(self.ops):
                 self.ops.append(op)
@@ -457,9 +456,7 @@ class _Tape:
             elif self.pos[slot] is None:
                 self.pos[slot] = node.pos
             seen[id(node)] = slot
-            return slot
-
-        self.out = [[intern(node) for node in row] for row in entries]
+        self.out = [[seen[id(node)] for node in row] for row in entries]
 
     def run(self, ctx, zs, wbs) -> JetMatrix:
         """Evaluate every slot in ``ctx`` with the coordinate series given."""
@@ -507,7 +504,7 @@ def parse_kernel(text: str) -> KernelSpec:
     has_header = any(_HEADER_RE.match(ln) for ln in lines)
     if not has_header:
         node = parse_expression(text)
-        m = max(1, max_var_index(node))
+        m = max([1] + [x + 1 for op, x, _ in _Tape([[node]]).ops if op in _VARS])
         return KernelSpec(m, 1, [[node]])
 
     m = r = None
@@ -577,11 +574,7 @@ def parse_kernel(text: str) -> KernelSpec:
         for j in range(1, r + 1):
             if (i, j) not in entries:
                 raise ParseError(f"missing entry K[{i}][{j}]", len(lines), 1)
-            node = entries[(i, j)]
-            idx = max_var_index(node)
-            if idx > m:
-                raise ParseError(f"variable index {idx} out of range for m = {m}")
-            row.append(node)
+            row.append(entries[(i, j)])
         grid.append(row)
     return KernelSpec(m, r, grid, label=label)
 
@@ -610,39 +603,40 @@ def builtin_bergman(weights) -> KernelSpec:
     return KernelSpec(m, 1, [[node]], label=label)
 
 
-def _linear_combination(kind: str, coeffs, constant) -> object:
-    """AST for constant + sum_j coeffs[j] * <kind>(j+1), skipping zeros."""
+def _linear_combination(variables, coeffs, constant) -> object:
+    """AST for constant + sum_j coeffs[j] * variables[j], skipping zeros."""
     node = None
     if constant != 0:
         node = Num(complex(constant))
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
-        term = Var(kind, j + 1)
+        term = variables[j]
         if c != 1:
             term = BinOp("*", Num(complex(c)), term)
         node = term if node is None else BinOp("+", node, term)
     return node if node is not None else Num(0.0)
 
 
-def _substitute(node, z_subs, wb_subs):
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        table = z_subs if node.kind == "z" else wb_subs
-        return table[node.index - 1]
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.op,
-            _substitute(node.left, z_subs, wb_subs),
-            _substitute(node.right, z_subs, wb_subs),
-            node.pos,
-        )
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, z_subs, wb_subs), node.exponent, node.pos)
-    if isinstance(node, Call):
-        return Call(node.func, _substitute(node.arg, z_subs, wb_subs), node.pos)
-    raise TypeError(f"not an expression node: {node!r}")
+def _rebuild(tape: _Tape, leaf) -> list:
+    """One node per slot of ``tape``, in slot order.
+
+    ``leaf(op, x, pos)`` gives the node of a ``num``/``z``/``wb`` slot;
+    every other slot is rebuilt over the nodes of its operands, so a slot
+    that several entries share becomes one shared node.
+    """
+    nodes = []
+    for (op, x, y), pos in zip(tape.ops, tape.pos):
+        if op == "num" or op in _VARS:
+            node = leaf(op, x, pos)
+        elif op == "^":
+            node = Pow(nodes[x], y, pos)
+        elif op in ("exp", "log"):
+            node = Call(op, nodes[x], pos)
+        else:
+            node = BinOp(op, nodes[x], nodes[y], pos)
+        nodes.append(node)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -738,13 +732,13 @@ def pullback_affine(spec: KernelSpec, chart: AffineChart) -> KernelSpec:
     if chart.m != spec.m:
         raise ValueError(f"chart dimension {chart.m} != kernel dimension {spec.m}")
     A, b = chart.inverse_parts()
-    z_subs = [_linear_combination("z", A[i], b[i]) for i in range(spec.m)]
-    wb_subs = [
-        _linear_combination("wb", np.conj(A[i]), np.conj(b[i])) for i in range(spec.m)
-    ]
-    entries = [
-        [_substitute(node, z_subs, wb_subs) for node in row] for row in spec.entries
-    ]
+    subs = {}  # kind -> the node of each ambient variable, over shared chart variables
+    for kind, lin, off in (("z", A, b), ("wb", A.conj(), b.conj())):
+        us = [Var(kind, j + 1) for j in range(spec.m)]
+        subs[kind] = [_linear_combination(us, lin[i], off[i]) for i in range(spec.m)]
+    tape = spec._tape
+    nodes = _rebuild(tape, lambda op, x, pos: subs[op][x] if op in _VARS else Num(x, pos))
+    entries = [[nodes[s] for s in row] for row in tape.out]
     label = f"{spec.label}|chart" if spec.label else ""
     return KernelSpec(spec.m, spec.r, entries, label=label)
 
@@ -754,11 +748,16 @@ def gauge_scale(spec: KernelSpec, psi) -> KernelSpec:
 
     ``psi`` is an AST in the z variables only.
     """
-    if uses_wb(psi):
+    tape = _Tape([[psi]])
+    if any(op == "wb" for op, _, _ in tape.ops):
         raise ValueError("gauge factor must be holomorphic (z variables only)")
-    if max_var_index(psi) > spec.m:
+    if any(op == "z" and x >= spec.m for op, x, _ in tape.ops):
         raise ValueError("gauge factor uses variables beyond the kernel dimension")
-    psi_bar = _conjugate_to_wb(psi)
+    # conj(psi(w)) as an expression in wb: conjugate literals, z -> wb
+    psi_bar = _rebuild(
+        tape,
+        lambda op, x, pos: Var("wb", x + 1, pos) if op == "z" else Num(np.conj(x), pos),
+    )[tape.out[0][0]]
     entries = [
         [BinOp("*", BinOp("*", psi, node), psi_bar) for node in row]
         for row in spec.entries
@@ -767,23 +766,14 @@ def gauge_scale(spec: KernelSpec, psi) -> KernelSpec:
     return KernelSpec(spec.m, spec.r, entries, label=label)
 
 
-def _conjugate_to_wb(node):
-    """conj(psi(w)) as an expression in wb: conjugate literals, z -> wb."""
-    if isinstance(node, Num):
-        return Num(np.conj(node.value), node.pos)
-    if isinstance(node, Var):
-        if node.kind != "z":
-            raise ValueError("gauge factor must use z variables only")
-        return Var("wb", node.index, node.pos)
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.op, _conjugate_to_wb(node.left), _conjugate_to_wb(node.right), node.pos
-        )
-    if isinstance(node, Pow):
-        return Pow(_conjugate_to_wb(node.base), node.exponent, node.pos)
-    if isinstance(node, Call):
-        return Call(node.func, _conjugate_to_wb(node.arg), node.pos)
-    raise TypeError(f"not an expression node: {node!r}")
+def _weighted_sum(terms) -> object:
+    """AST for sum c * node over the (c, node) pairs with |c| >= 1e-15."""
+    node = None
+    for c, term in terms:
+        if abs(c) >= 1e-15:
+            term = BinOp("*", Num(c), term)
+            node = term if node is None else BinOp("+", node, term)
+    return node if node is not None else Num(0.0)
 
 
 def conjugate_by_unitary(spec: KernelSpec, u) -> KernelSpec:
@@ -792,20 +782,11 @@ def conjugate_by_unitary(spec: KernelSpec, u) -> KernelSpec:
     r = spec.r
     if u.shape != (r, r):
         raise ValueError(f"matrix must be {r}x{r}")
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            node = None
-            for a in range(r):
-                for bidx in range(r):
-                    c = u[i, a] * np.conj(u[j, bidx])
-                    if abs(c) < 1e-15:
-                        continue
-                    term = BinOp("*", Num(c), spec.entries[a][bidx])
-                    node = term if node is None else BinOp("+", node, term)
-            row.append(node if node is not None else Num(0.0))
-        entries.append(row)
+    entries = [[None] * r for _ in range(r)]
+    for i, j in np.ndindex(r, r):
+        entries[i][j] = _weighted_sum(
+            (u[i, a] * np.conj(u[j, b]), spec.entries[a][b]) for a, b in np.ndindex(r, r)
+        )
     label = f"{spec.label}|conj" if spec.label else ""
     return KernelSpec(spec.m, r, entries, label=label)
 
@@ -823,19 +804,12 @@ def matrix_combination(scalar_specs, matrices, label: str = "") -> KernelSpec:
     for s in scalar_specs:
         if s.r != 1 or s.m != m:
             raise ValueError("scalar kernels must be rank 1 with a common m")
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            node = None
-            for s_spec, mat in zip(scalar_specs, matrices):
-                c = complex(np.asarray(mat, dtype=complex)[i, j])
-                if abs(c) < 1e-15:
-                    continue
-                term = BinOp("*", Num(c), s_spec.entries[0][0])
-                node = term if node is None else BinOp("+", node, term)
-            row.append(node if node is not None else Num(0.0))
-        entries.append(row)
+    mats = [np.asarray(mat, dtype=complex) for mat in matrices]
+    entries = [[None] * r for _ in range(r)]
+    for i, j in np.ndindex(r, r):
+        entries[i][j] = _weighted_sum(
+            (complex(mat[i, j]), s.entries[0][0]) for s, mat in zip(scalar_specs, mats)
+        )
     return KernelSpec(m, r, entries, label=label)
 
 

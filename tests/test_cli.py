@@ -80,6 +80,17 @@ class TestCurvature:
                       "--points", "0")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("expr, col", [
+        ("1e400*z1*wb1 + (1-z1*wb1)^-2", 11), ("(1 - z1*wb1)^-1e400", 25),
+    ])
+    def test_non_finite_literal_is_exit_2(self, tmp_path, expr, col):
+        path = tmp_path / "inf.kernel"
+        path.write_text(f"m = 1\nK[1][1] = {expr}\n")
+        res = run_cli("curvature", "--kernel", str(path), "--points", "0.1")
+        assert res.returncode == 2
+        assert f"line 2, col {col}: numeric literal '1e400' is not finite" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestEquiv:
     def test_identical_files_exit_0(self, kernel_dir):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from jetmod import cli
 from jetmod.jets import JetSeries
 from jetmod.kernels import (
+    MAX_NESTING,
     AffineChart,
     BinOp,
     Call,
@@ -99,10 +101,45 @@ class TestParser:
             parse_kernel("K[1][1] = 1\nr = 1\n")
         with pytest.raises(ParseError, match="missing entry"):
             parse_kernel("m = 1\nr = 2\nK[1][1] = 1\n")
-        with pytest.raises(ParseError, match="out of range"):
+        with pytest.raises(ParseError, match="line 2.*out of range"):
             parse_kernel("m = 1\nK[1][1] = z2\n")
         with pytest.raises(ParseError, match="weights"):
             parse_kernel("m = 2\nK = bergman(1)\n")
+
+    def test_out_of_range_variable_names_its_position(self):
+        with pytest.raises(ParseError, match=r"line 3, col 15: variable index 3 out of range"):
+            parse_kernel("m = 2\nr = 1\nK[1][1] = 1 + z3*wb1 + z3\n")
+        with pytest.raises(ParseError, match="variable index 0 out of range"):
+            parse_kernel("z0*wb1")
+
+    @pytest.mark.parametrize("text, col", [
+        ("1e400*z1*wb1 + (1-z1*wb1)^-2", 11),
+        ("(1 - z1*wb1)^-1e400", 25),
+        ("(1 - z1*wb1)^1e999", 24),
+    ])
+    def test_non_finite_literal_refused_at_its_position(self, text, col):
+        with pytest.raises(ParseError, match=f"line 2, col {col}: .*not finite"):
+            parse_kernel(f"m = 1\nK[1][1] = {text}\n")
+
+    def test_pretty_renders_a_non_finite_number(self):
+        inf = Num(complex(float("inf")))
+        assert pretty(BinOp("*", inf, Var("z", 1))) == "(inf * z1)"
+        with pytest.raises(ParseError, match="unknown identifier 'inf'"):
+            parse_expression(pretty(inf))
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("exp(log(", "))")])
+    def test_nesting_limit(self, opening, closing):
+        levels = len(closing)  # nesting levels per wrapping
+
+        def nested(depth):
+            n = depth // levels
+            return opening * n + "2 - z1*wb1" + closing * n
+
+        spec = parse_kernel(nested(MAX_NESTING))
+        assert abs(spec.eval_point([0.5], [0.5])[0, 0] - 1.75) < 1e-14
+        col = len(opening) * (MAX_NESTING // levels) + 1  # the first refused level
+        with pytest.raises(ParseError, match=f"line 1, col {col}: .*deeper than {MAX_NESTING}"):
+            parse_kernel(nested(MAX_NESTING + levels))
 
     def test_round_trip_generated(self):
         rng = np.random.default_rng(7)
@@ -235,6 +272,31 @@ def _pow_occurrences(node) -> int:
     return 0
 
 
+def _distinct_nodes(entries) -> int:
+    seen, stack = set(), [node for row in entries for node in row]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, f) for f in ("left", "right", "base", "arg")
+                         if hasattr(node, f))
+    return len(seen)
+
+
+def test_flat_sum_of_1200_terms(tmp_path, capsys):
+    # the parser builds sums in a loop; nothing after it may recurse per term
+    terms = 1200
+    text = "m = 1\nK[1][1] = " + " + ".join(["z1*wb1"] * terms) + "\n"
+    spec = parse_kernel(text)
+    z, w = 0.3 + 0.1j, 0.2 - 0.4j
+    assert abs(spec.eval_point([z], [w])[0, 0] - terms * z * np.conj(w)) < 1e-10 * terms
+    assert pretty(spec.entries[0][0]).count("z1") == terms
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    assert cli.main(["curvature", "--kernel", str(path), "--points", "0.1"]) == 0
+    assert "self-adjointness defect" in capsys.readouterr().out
+
+
 class TestTape:
     def _rank2(self):
         scalars = [builtin_bergman(w) for w in ([0.6, 1.1, 1.7], [0.8, 1.3, 1.9], [0.7, 1.2, 2.1])]
@@ -274,12 +336,13 @@ class TestTape:
                 super().__init__(entries)
 
         monkeypatch.setattr(kernels, "_Tape", Counting)
-        a, b = builtin_bergman([1.0, 2.0]), builtin_bergman([3.0, 0.5])
+        a = builtin_bergman([1.0, 2.0])
         z, w = [0.1, 0.2], [0.3, -0.1j]
         a.eval_jet(z, w, 2)
         a.eval_jet(w, z, 3, vary_w=False)
         a.eval_point(z, w)
         assert len(built) == 1
+        b = builtin_bergman([3.0, 0.5])
         b.eval_point(z, w)
         assert len(built) == 2 and a._tape is not b._tape
         assert a._tape.ops is not b._tape.ops and a._tape.out is not b._tape.out
@@ -299,6 +362,11 @@ class TestTape:
                 kernel.eval_jet([0.0], [0.0], 2)
             with pytest.raises(DomainError, match=r"at \(3, 11\)"):
                 kernel.eval_point([0.0], [0.0])
+
+    def test_pullback_shares_one_node_per_slot(self):
+        spec = conjugate_by_unitary(self._rank2(), rand_unitary(np.random.default_rng(4), 2))
+        pulled = pullback_affine(spec, diagonal_chart(3))
+        assert _distinct_nodes(pulled.entries) == len(pulled._tape.ops)
 
     def test_varying_count_out_of_range(self):
         spec = builtin_bergman([1.0, 2.0])
