@@ -1,8 +1,9 @@
 """The order-two quotient along the diagonal of the tridisc, two ways.
 
 Way one (brute force): per homogeneous degree, build the three spanning
-vectors of the quotient in the weighted monomial basis, orthonormalize,
-and sum the rank-one contributions of their jet columns on the diagonal.
+vectors of the quotient as arrays over the weighted monomials of that
+degree, and add their jet columns on the diagonal, weighted by the
+inverse of the level's Gram matrix.
 
 Way two (jets): pull the product kernel back by an affine chart that
 flattens the diagonal, and extract the 3 x 3 grid of transverse kernel

@@ -18,8 +18,9 @@ The layers, bottom up:
     jet kernels of order k along a flattened submanifold, module-action
     matrices, and the affine chart transform of jet columns.
 ``bergman_quotient``
-    independent brute-force quotient computation for the weighted
-    Bergman space on the tridisc (the validation oracle).
+    independent brute-force computation of the order-two quotient along
+    the diagonal of the weighted Bergman space on D^m (the validation
+    oracle).
 ``equivalence``
     the equivalence criteria: normalized derivative arrays, unitary
     witness recovery, invariant-by-invariant checks, weight recovery.
@@ -78,8 +79,6 @@ from .jet_kernels import (
     sym_power_matrix,
 )
 from .bergman_quotient import (
-    MonomialVector,
-    QuotientBasisLevel,
     build_level,
     closed_forms,
     coeff_c,

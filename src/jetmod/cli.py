@@ -345,7 +345,7 @@ def cmd_quotient_demo(args) -> tuple:
             print(f"{p:>3} {key:>14} {meas[key]:>24.15e} {forms[key]:>24.15e} {rel:>10.2e}")
 
     oracle = bergman_quotient.quotient_kernel_partial(z, a, b, g, p_max=args.pmax)
-    tail = bergman_quotient.quotient_kernel_tail_estimate(z, a, b, g, args.pmax)
+    tail = bergman_quotient.quotient_kernel_tail_estimate(z, *weights, p_max=args.pmax)
     chart = diagonal_chart(3, style="anchored")
     pulled = pullback_affine(builtin_bergman(weights), chart)
     point = np.array([0, 0, z])
@@ -383,32 +383,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jetmod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kernel=True):
-        if kernel:
-            p.add_argument("--kernel", required=True, help="kernel file")
-        p.add_argument("--chart", help="diagonal(m) | diagonal-anchored(m) | "
-                                       "identity(m,d) | JSON {matrix, offset, d}")
-        p.add_argument("-d", type=int, default=None, help="codimension (identity chart)")
-        p.add_argument("-k", type=int, default=2, help="vanishing order")
-        p.add_argument("--points", help="points 'a,b;c,d' with complex coordinates")
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--num-samples", type=int, default=5)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--out", help="write a JSON report here")
+    flags = {
+        "--kernel": dict(required=True, help="kernel file"),
+        "--chart": dict(help="diagonal(m) | diagonal-anchored(m) | "
+                             "identity(m,d) | JSON {matrix, offset, d}"),
+        "-d": dict(type=int, default=None, help="codimension (identity chart)"),
+        "-k": dict(type=int, default=2, help="vanishing order"),
+        "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
+        "--seed": dict(type=int, default=2024),
+        "--num-samples": dict(type=int, default=5),
+        "--tol": dict(type=float, default=1e-8),
+        "--trunc": dict(type=int, default=None),
+        "--out": dict(help="write a JSON report here"),
+    }
+
+    def add(p, *names):
+        """The shared flags that the command reads, and --out."""
+        for name in (*names, "--out"):
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("curvature", help="curvature blocks at points")
-    common(p)
+    add(p, "--kernel", "--chart", "--points", "--seed", "--num-samples", "--trunc")
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("jetkernel", help="jet kernel blocks at points")
-    common(p)
+    add(p, "--kernel", "--chart", "-d", "-k", "--points", "--trunc")
     p.add_argument("--restrict", action="store_true",
                    help="require the points to lie on the flattened submanifold")
     p.set_defaults(fn=cmd_jetkernel)
 
     p = sub.add_parser("equiv", help="equivalence test for two kernels")
-    common(p)
+    add(p, "--kernel", "--chart", "-d", "-k", "--points", "--seed", "--num-samples", "--tol")
     p.add_argument("--kernel2", required=True, help="second kernel file")
     p.add_argument("--criterion", choices=["arrays", "invariants"], default="arrays",
                    help="derivative-array test or invariant-by-invariant test")
@@ -416,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover-weights", help="recover polydisc kernel weights "
                                                "from diagonal curvature")
-    common(p, kernel=False)
+    add(p, "--points", "--seed", "--num-samples")
     p.add_argument("--weights", required=True, help="comma-separated positive weights")
     p.set_defaults(fn=cmd_recover_weights)
 
     p = sub.add_parser("quotient-demo", help="order-two quotient on the tridisc: "
                                              "brute-force levels vs jet kernel")
-    common(p, kernel=False)
+    add(p)
     p.add_argument("--weights", default="1,1,1")
     p.add_argument("--z", default="0.3", help="diagonal point")
     p.add_argument("--pmax", type=int, default=60)

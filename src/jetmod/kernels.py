@@ -29,10 +29,11 @@ A ``KernelSpec`` compiles its entries when built into a tape (a
 straight-line program in the manner of Griewank & Walther, *Evaluating
 Derivatives*, ch. 13) with one slot per distinct subtree.  The compile is
 the only walk over an expression tree, with an explicit stack, so depth
-is unbounded; the range check, ``pretty``, ``uses_wb``, ``pullback_affine``
-and ``gauge_scale`` read the slots in order.  ``eval_jet`` runs the tape
-over only the variables that vary (``vary_z``/``vary_w`` give all, none
-or a count of leading coordinates) and embeds the result in the
+is unbounded, and it refuses node tags it does not know; the range check,
+node equality, hashing and ``repr``, ``pretty``, ``uses_wb``,
+``pullback_affine`` and ``gauge_scale`` read the slots.  ``eval_jet`` runs
+the tape over only the variables that vary (``vary_z``/``vary_w`` give
+all, none or a count of leading coordinates) and embeds the result in the
 2m-variable context; ``eval_point`` runs it with no varying variable.
 """
 
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,42 +68,74 @@ class DomainError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Equality, hash and repr of an expression tree, without recursion.
+
+    Two trees are equal when their tapes have the same op keys, which
+    leave out source positions; ``repr`` is the ``pretty`` rendering.
+    Each node class lists in ``tags`` the tape tags its nodes may carry.
+    """
+
+    def _key(self) -> tuple:
+        tape = _Tape([[self]])
+        return tuple(tape.ops), tape.out[0][0]
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        try:
+            return f"{type(self).__name__}<{pretty(self)}>"
+        except (TypeError, ValueError):  # not a valid tree: no rendering
+            return object.__repr__(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
+    tags: ClassVar[tuple] = ("num",)
     value: complex
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
-class Var:
-    kind: str  # "z" or "wb"
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
+    tags: ClassVar[tuple] = ("z", "wb")
+    kind: str
     index: int  # 1-based
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
+    tags: ClassVar[tuple] = ("+", "-", "*", "/")
+    op: str
     left: object
     right: object
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Node):
+    tags: ClassVar[tuple] = ("^",)
     base: object
     exponent: float
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = None
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str  # "exp" or "log"
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
+    tags: ClassVar[tuple] = ("exp", "log")
+    func: str
     arg: object
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = None
 
 
-_VARS = ("z", "wb")
+_VARS = Var.tags
 
 
 def uses_wb(node) -> bool:
@@ -443,6 +477,10 @@ class _Tape:
                 tag, kids, extra = node.kind, (), (node.index - 1, None)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
+            if tag not in node.tags:
+                raise ParseError(
+                    f"{type(node).__name__} node with unknown tag {tag!r}", *(node.pos or ())
+                )
             todo = [kid for kid in kids if id(kid) not in seen]
             if todo:
                 stack.extend(reversed(todo))  # the left operand first
@@ -481,8 +519,10 @@ class _Tape:
                     v = vals[x].power(y)
                 elif op == "exp":
                     v = vals[x].exp()
-                else:
+                elif op == "log":
                     v = vals[x].log()
+                else:
+                    raise TypeError(f"unknown tape op {op!r}")
             except ValueError as exc:
                 raise DomainError(f"at {pos}: {exc}") from None
             vals.append(v)

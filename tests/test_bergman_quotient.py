@@ -1,69 +1,58 @@
 """Brute-force quotient levels: inner products, closed forms, kernel sums."""
 
+import time
+
 import numpy as np
 import pytest
 
 from jetmod.bergman_quotient import (
-    MonomialVector,
     build_level,
     closed_forms,
     coeff_c,
+    coeff_table,
     level_measured,
     quotient_kernel_partial,
+    quotient_kernel_tail_estimate,
 )
+from jetmod.jet_kernels import jet_kernel
+from jetmod.kernels import builtin_bergman, diagonal_chart, pullback_affine
 
 
 class TestMonomialInner:
     def test_monomial_norms(self):
+        # the monomial z_i^n has squared norm 1 / c_n(w_i); n = 0 is the constant
         w = (1.5, 0.7, 2.0)
-        for n, lam in [(3, 1.5), (2, 0.7), (4, 2.0)]:
-            key = {0: (n, 0, 0), 1: (0, n, 0), 2: (0, 0, n)}[[1.5, 0.7, 2.0].index(lam)]
-            v = MonomialVector(w, {key: 1.0})
-            assert abs(v.norm_sq() - 1.0 / coeff_c(lam, n)) < 1e-13
-
-    def test_distinct_monomials_orthogonal(self):
-        w = (1.0, 1.0, 1.0)
-        u = MonomialVector(w, {(1, 0, 2): 1.0})
-        v = MonomialVector(w, {(0, 1, 2): 1.0})
-        assert u.inner(v) == 0
+        table = coeff_table(w, 60)
+        for i, lam in enumerate(w):
+            for n in range(61):
+                want = coeff_c(lam, n)
+                assert abs(table[i, n] - want) <= 1e-13 * want, (lam, n)
 
     def test_constant(self):
-        w = (2.0, 3.0, 4.0)
-        one = MonomialVector(w, {(0, 0, 0): 1.0})
-        assert one.inner(one) == 1.0
-
-    def test_weight_mismatch(self):
-        u = MonomialVector((1.0, 1.0, 1.0), {(0, 0, 0): 1.0})
-        v = MonomialVector((2.0, 1.0, 1.0), {(0, 0, 0): 1.0})
-        with pytest.raises(ValueError, match="weighted spaces"):
-            u.inner(v)
+        # level 0 is the constant alone, of weighted norm 1 whatever the weights
+        level = build_level(0, 2.0, 3.0, 4.0)
+        assert level.exponents.tolist() == [[0, 0, 0]]
+        assert level.c.tolist() == [1.0]
+        assert level.gram.tolist() == [[1.0]]
 
 
 class TestLevels:
     def test_level_zero_degenerate(self):
         level = build_level(0, 1.0, 2.0, 3.0)
-        assert level.e[0] is not None
-        assert level.e[1] is None and level.e[2] is None
-        assert level.f[1].is_zero() and level.f[2].is_zero()
+        assert level.g.shape == (1, 1) and level.gram.shape == (1, 1)
+        assert len(build_level(1, 1.0, 2.0, 3.0).g) == 3
 
     def test_orthogonality_within_levels(self):
+        # Cholesky-orthonormalized level vectors, in the weighted inner
+        # product with c(a) taken from coeff_c
+        w = (1.3, 0.8, 2.1)
         for p in range(0, 9):
-            level = build_level(p, 1.3, 0.8, 2.1)
-            vecs = [e for e in level.e if e is not None]
-            for i, u in enumerate(vecs):
-                for j, v in enumerate(vecs):
-                    got = u.inner(v)
-                    want = 1.0 if i == j else 0.0
-                    assert abs(got - want) < 1e-9
-
-    def test_cross_level_orthogonality(self):
-        la = build_level(3, 1.0, 2.0, 0.5)
-        lb = build_level(5, 1.0, 2.0, 0.5)
-        for u in la.e:
-            for v in lb.e:
-                if u is None or v is None:
-                    continue
-                assert abs(u.inner(v)) < 1e-12
+            level = build_level(p, *w)
+            c = np.array([np.prod([coeff_c(*wn) for wn in zip(w, a)]) for a in level.exponents])
+            assert np.allclose(level.c, c, rtol=1e-13, atol=0)
+            e = np.linalg.solve(np.linalg.cholesky(level.gram), level.g)
+            gram = (e / c) @ e.T
+            assert np.max(np.abs(gram - np.eye(len(e)))) < 1e-9
 
     def test_closed_forms_random_weights(self):
         rng = np.random.default_rng(42)
@@ -76,15 +65,6 @@ class TestLevels:
                 for key, want in forms.items():
                     got = meas[key]
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (key, p)
-
-    def test_span_matches_gram_schmidt(self):
-        # f2 is orthogonal to g1, f3 orthogonal to both g1 and f2
-        level = build_level(4, 1.7, 0.6, 1.1)
-        g1 = level.g[0]
-        f2, f3 = level.f[1], level.f[2]
-        assert abs(f2.inner(g1)) < 1e-10 * np.sqrt(f2.norm_sq())
-        assert abs(f3.inner(g1)) < 1e-9 * np.sqrt(f3.norm_sq())
-        assert abs(f3.inner(f2)) < 1e-9 * np.sqrt(f3.norm_sq())
 
 
 class TestQuotientKernel:
@@ -131,3 +111,30 @@ class TestQuotientKernel:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="positive"):
             build_level(2, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="two weights"):
+            build_level(2, 1.0)
+        with pytest.raises(ValueError, match="three weights"):
+            level_measured(build_level(2, 1.0, 1.0))
+
+    def test_oversized_sum_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"degree <= 100000 in m = 3 variables"):
+            quotient_kernel_partial(0.3, 1.0, 1.0, 1.0, p_max=100000)
+        with pytest.raises(ValueError, match=r"degree <= 400 in m = 3 variables"):
+            build_level(400, 1.0, 1.0, 1.0)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_jet_kernel_on_d_m(self, m):
+        # |z| = 0.3 and p_max = 30 leave a tail of about 0.09^30
+        rng = np.random.default_rng(600 + m)
+        weights = 0.5 + 2.5 * rng.random(m)
+        z = 0.3 * np.exp(2j * np.pi * rng.random())
+        oracle = quotient_kernel_partial(z, *weights, p_max=30)
+        assert quotient_kernel_tail_estimate(z, *weights, p_max=30) < 1e-12
+        chart = diagonal_chart(m, style="anchored")
+        pulled = pullback_affine(builtin_bergman(weights), chart)
+        q = np.zeros(m, dtype=complex)
+        q[-1] = z
+        jets = jet_kernel(pulled, m - 1, 2, q, q).as_matrix()
+        assert np.max(np.abs(oracle - jets)) <= 1e-10

@@ -166,6 +166,42 @@ class TestQuotientDemo:
         assert "max |oracle - jet|" in res.stdout
         assert "tail estimate" in res.stdout
 
+    def test_oversized_sum_refused_at_once(self, capsys):
+        from jetmod.cli import main
+
+        t0 = time.perf_counter()
+        code = main(["quotient-demo", "--pmax", "100000", "--plevels", "0"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "degree <= 100000 in m = 3 variables" in capsys.readouterr().err
+
+
+# the shared flags that each command does not read; e.g. quotient-demo -k 3
+# exits 2 instead of running at order 2
+UNREAD_FLAGS = {
+    ("curvature", "--kernel", "K"): ["-d", "-k", "--tol"],
+    ("jetkernel", "--kernel", "K"): ["--seed", "--num-samples", "--tol"],
+    ("equiv", "--kernel", "K", "--kernel2", "K"): ["--trunc"],
+    ("recover-weights", "--weights", "1"): ["--chart", "-d", "-k", "--tol", "--trunc"],
+    ("quotient-demo",): ["--chart", "-d", "-k", "--points", "--seed",
+                         "--num-samples", "--tol", "--trunc"],
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+    for argv, flags in UNREAD_FLAGS.items() for flag in flags
+])
+def test_unread_flags_are_not_registered(argv, flag, capsys):
+    from jetmod.cli import build_parser
+
+    parser = build_parser()
+    parser.parse_args(list(argv))
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
 
 class TestJetKernel:
     def test_legend_and_restriction(self, kernel_dir):

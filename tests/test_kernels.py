@@ -11,6 +11,7 @@ from jetmod.kernels import (
     BinOp,
     Call,
     DomainError,
+    KernelSpec,
     Num,
     ParseError,
     Pow,
@@ -297,6 +298,15 @@ def test_flat_sum_of_1200_terms(tmp_path, capsys):
     assert "self-adjointness defect" in capsys.readouterr().out
 
 
+def test_node_methods_on_1200_term_sum():
+    text = " + ".join(["z1*wb1"] * 1200)
+    node, same = parse_expression(text), parse_expression(" " + text)
+    assert node == same and node.pos != same.pos
+    assert hash(node) == hash(same)
+    assert node != parse_expression(text + " + 1")
+    assert repr(node) == f"BinOp<{pretty(node)}>"
+
+
 class TestTape:
     def _rank2(self):
         scalars = [builtin_bergman(w) for w in ([0.6, 1.1, 1.7], [0.8, 1.3, 1.9], [0.7, 1.2, 2.1])]
@@ -367,6 +377,15 @@ class TestTape:
         spec = conjugate_by_unitary(self._rank2(), rand_unitary(np.random.default_rng(4), 2))
         pulled = pullback_affine(spec, diagonal_chart(3))
         assert _distinct_nodes(pulled.entries) == len(pulled._tape.ops)
+
+    @pytest.mark.parametrize("node, shown", [
+        (BinOp("%", Num(2.0), Var("z", 1)), "BinOp node with unknown tag '%'"),
+        (Var("x", 1), "Var node with unknown tag 'x'"),
+        (Call("sin", Var("z", 1), (2, 7)), "line 2, col 7: Call node with unknown tag 'sin'"),
+    ])
+    def test_unknown_tag_refused_at_compile(self, node, shown):
+        with pytest.raises(ParseError, match=shown):
+            KernelSpec(1, 1, [[BinOp("+", Num(1.0), node)]])
 
     def test_varying_count_out_of_range(self):
         spec = builtin_bergman([1.0, 2.0])
