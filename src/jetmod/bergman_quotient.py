@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +30,14 @@ ORDER = 2  # the quotient is by the functions vanishing to this order
 
 
 def coeff_c(lam: float, n: int) -> float:
-    """The diagonal coefficient c_n = (lam)_n / n! of (1 - x)^(-lam)."""
+    """The diagonal coefficient c_n = (lam)_n / n! of (1 - x)^(-lam).
+
+    Evaluated exactly and rounded once, so it stays finite wherever c_n is:
+    as floats, the rising factorial and n! overflow from about n = 170.
+    """
     if n < 0:
         return 0.0
-    return float(pochhammer(lam, n)) / math.factorial(n)
+    return float(pochhammer(Fraction(lam), n) / math.factorial(n))
 
 
 def coeff_table(weights, n_max: int) -> np.ndarray:

@@ -107,6 +107,13 @@ def random_points(m: int, count: int, seed: int, radius: float = 0.5):
     return out
 
 
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"at least one sample is needed, got {count}")
+    return count
+
+
 def load_kernel(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -254,10 +261,9 @@ def cmd_equiv(args) -> tuple:
     spec_b = load_kernel(args.kernel2)
     chart = parse_chart(args.chart) if args.chart else identity_chart(spec_a.m, args.d or 1)
     k = args.k
-    samples = None
     if args.points:
         samples = parse_points(args.points, spec_a.m)
-    elif args.num_samples:
+    else:
         samples = equivalence.default_samples(
             spec_a.m, chart.d, count=args.num_samples, seed=args.seed
         )
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-k": dict(type=int, default=2, help="vanishing order"),
         "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
         "--seed": dict(type=int, default=2024),
-        "--num-samples": dict(type=int, default=5),
+        "--num-samples": dict(type=_sample_count, default=5),
         "--tol": dict(type=float, default=1e-8),
         "--trunc": dict(type=int, default=None),
         "--out": dict(help="write a JSON report here"),

@@ -7,22 +7,25 @@ matrix of one onto that of the other, at every point of the submanifold:
 
     d^l dbar^t H(q) = D  d^l dbar^t H~(q)  D*        0 <= l, t <= N.
 
-The witness search stacks these linear constraints over all blocks and
-sample points, extracts the near-null space by SVD, and accepts a
-candidate only if it is unitary and its conjugation residual is below
-tolerance.  A missing null space refutes equivalence; a null space of
-dimension above one (reducible kernels) triggers a search for a unitary
-inside the subspace and is otherwise reported as inconclusive.
+Every criterion compares two block stacks of shape (samples, blocks, r, r).
+The witness search turns a pair of stacks into one linear system for D,
+extracts its near-null space by SVD, and accepts a candidate only if it is
+unitary and its conjugation residual is below tolerance.  A missing null
+space refutes equivalence; a null space of dimension above one (reducible
+kernels) triggers a search for a unitary inside the subspace and is
+otherwise reported as inconclusive.  One rule, ``_verdict``, turns a
+residual into a verdict.
 
 The same data feeds the invariant-by-invariant criterion: isometry of the
 restricted Grams, intertwined transverse curvature with its covariant
-derivatives up to order k - 2, and intertwined transport maps
+derivatives up to order k - 2 (the order-0 entries of the covariant table
+are the curvature itself), and intertwined transport maps
 dbar_i(H^{-1} d^l H) along the tangential directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,8 +61,10 @@ def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
 
 
 def _samples_on_z(samples, d: int) -> list:
-    """The samples as complex arrays; each must lie on the submanifold."""
+    """The samples as complex arrays; there must be one, each on the submanifold."""
     samples = [np.asarray(q, dtype=complex) for q in samples]
+    if not samples:
+        raise ValueError("at least one sample point is needed")
     for q in samples:
         check_on_submanifold(q, d, "sample")
     return samples
@@ -67,7 +72,14 @@ def _samples_on_z(samples, d: int) -> list:
 
 @dataclass
 class InvariantArray:
-    """Normalized derivative arrays and bundle invariants at sample points."""
+    """Normalized derivative arrays and bundle invariants, stacked over samples.
+
+    ``curvature`` is the covariant-derivative table of the transverse
+    curvature to order k - 2, in sorted (i, j, alpha, beta) key order (its
+    order-0 entries are the curvature itself); ``transport`` is the
+    transport-map table in sorted (l, i) order.  Both are None without
+    bundle data.
+    """
 
     d: int
     k: int
@@ -75,10 +87,9 @@ class InvariantArray:
     r: int
     m: int
     samples: list
-    deriv_tables: list      # per sample: (N+1, N+1, r, r)
-    transverse_curvature: list  # per sample: (d, d, r, r)
-    covariant: list         # per sample: CovariantDerivArray
-    transport: list         # per sample: TransportMaps
+    deriv_tables: np.ndarray  # (samples, N+1, N+1, r, r)
+    curvature: np.ndarray     # (samples, blocks, r, r)
+    transport: np.ndarray     # (samples, blocks, r, r)
     scale: float = 1.0
 
 
@@ -107,20 +118,22 @@ def invariant_array(
     idx = JetIndexTable(d, k)
     trunc = max(2 * (k - 1), k, 2)
 
-    deriv_tables, curvs, covs, transports = [], [], [], []
+    tables, curvs, transports = [], [], []
     for q in samples:
         g = geometry.gram_jet(norm, q, trunc)
-        deriv_tables.append(transverse_blocks(g.jet, idx))
+        tables.append(transverse_blocks(g.jet, idx))
         if bundle_data:
-            curvs.append(geometry.curvature(g).entries[:d, :d].copy())
-            covs.append(geometry.curvature_covariant_derivs(g, d, max(k - 2, 0)))
-            transports.append(geometry.transport_maps(g, d, k))
+            cov = geometry.curvature_covariant_derivs(g, d, max(k - 2, 0)).table
+            curvs.append([cov[key] for key in sorted(cov)])
+            maps = geometry.transport_maps(g, d, k).table
+            transports.append([maps[key] for key in sorted(maps)])
 
-    scale = max(1.0, max(float(np.max(np.abs(t))) for t in deriv_tables))
+    deriv_tables = np.array(tables)
     return InvariantArray(
-        d=d, k=k, N=idx.N, r=r, m=m, samples=samples,
-        deriv_tables=deriv_tables, transverse_curvature=curvs,
-        covariant=covs, transport=transports, scale=scale,
+        d=d, k=k, N=idx.N, r=r, m=m, samples=samples, deriv_tables=deriv_tables,
+        curvature=np.array(curvs) if bundle_data else None,
+        transport=np.array(transports) if bundle_data else None,
+        scale=_scale(deriv_tables),
     )
 
 
@@ -145,6 +158,20 @@ class EquivalenceReport:
         return f"EquivalenceReport({self.verdict!r}, max_residual={worst:.3e})"
 
 
+def _scale(*stacks) -> float:
+    """The scale residuals are divided by: the largest entry, at least 1."""
+    return max(1.0, *(float(np.max(np.abs(s))) for s in stacks))
+
+
+def _verdict(worst: float, tol: float) -> str:
+    """Equivalent up to tol, not-equivalent beyond the margin, else (and on NaN) inconclusive."""
+    if worst <= tol:
+        return "equivalent"
+    if worst > NOT_EQUIVALENT_MARGIN * tol:
+        return "not-equivalent"
+    return "inconclusive"
+
+
 def _fix_phase(d: np.ndarray) -> np.ndarray:
     flat = np.argmax(np.abs(d))
     pivot = d.flat[flat]
@@ -158,33 +185,30 @@ def _nearest_unitary(d: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _conjugation_residuals(pairs, d: np.ndarray, scale: float):
-    """Per-sample max block residual of B - D A D*.
+def _conjugation_residuals(a: np.ndarray, b: np.ndarray, d: np.ndarray, scale: float):
+    """Per-sample max block residual of B - D A D* over two block stacks.
 
     The witness is oriented from the first kernel to the second: it
     conjugates the first kernel's blocks onto the second's.
     """
-    out = []
-    for blocks_a, blocks_b in pairs:
-        worst = 0.0
-        for a, b in zip(blocks_a, blocks_b):
-            worst = max(worst, float(np.max(np.abs(b - d @ a @ d.conj().T))))
-        out.append(worst / scale)
-    return out
+    return (np.max(np.abs(b - d @ a @ d.conj().T), axis=(1, 2, 3)) / scale).tolist()
 
 
-def _stack_constraints(pairs, r: int):
+def _stack_constraints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows of the homogeneous system (B kron I - I kron A^T) vec(D) = 0.
 
     For unitary D the conjugation B = D A D* is equivalent to the linear
-    intertwining B D = D A, which these rows express on vec(D).
+    intertwining B D = D A, which these rows express on vec(D).  Entry
+    (i, p; j, q) of a block is B[i, j] I[p, q] - I[i, j] A[q, p]; the rows
+    run over samples, then blocks, then (i, p).
     """
-    rows = []
+    r = a.shape[-1]
     eye = np.eye(r, dtype=complex)
-    for blocks_a, blocks_b in pairs:
-        for a, b in zip(blocks_a, blocks_b):
-            rows.append(np.kron(b, eye) - np.kron(eye, a.T))
-    return np.concatenate(rows, axis=0)
+    system = (
+        b[..., :, None, :, None] * eye[:, None, :]
+        - eye[:, None, :, None] * np.swapaxes(a, -1, -2)[..., None, :, None, :]
+    )
+    return system.reshape(-1, r * r)
 
 
 def _search_unitary_in_subspace(basis: np.ndarray, r: int, iters: int = 200):
@@ -221,78 +245,40 @@ def _search_unitary_in_subspace(basis: np.ndarray, r: int, iters: int = 200):
     return _fix_phase(best[1])
 
 
-def _find_witness(pairs, r: int, scale: float, tol: float):
-    """Shared witness-search core.
+def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
+    """Shared witness-search core on two (samples, blocks, r, r) stacks.
 
     Returns (verdict, witness, residuals, notes).
     """
-    notes = []
-    system = _stack_constraints(pairs, r)
-    _, sing, vh = np.linalg.svd(system)
+    r = a.shape[-1]
+    _, sing, vh = np.linalg.svd(_stack_constraints(a, b))
     smax = sing[0] if len(sing) else 0.0
-    if smax < 1e-12:
-        null_dim = r * r
-    else:
-        null_dim = int(np.sum(sing < NULL_SPACE_RTOL * smax))
-    notes.append(f"null space dimension {null_dim}")
+    null_dim = r * r if smax < 1e-12 else int(np.sum(sing < NULL_SPACE_RTOL * smax))
+    notes = [f"null space dimension {null_dim}"]
 
     # right null vectors of the system are the conjugated rows of vh
-    if null_dim == 0:
-        d = _fix_phase(_nearest_unitary(np.conj(vh[-1]).reshape(r, r)))
-        residuals = _conjugation_residuals(pairs, d, scale)
-        witness = UnitaryWitness(d, 0.0, max(residuals), null_dim)
-        verdict = (
-            "not-equivalent"
-            if max(residuals) > NOT_EQUIVALENT_MARGIN * tol
-            else "inconclusive"
-        )
-        return verdict, witness, residuals, notes
-
+    last = np.conj(vh[-1]).reshape(r, r)
+    defect, d = 0.0, None
     if null_dim == 1:
-        raw = np.conj(vh[-1]).reshape(r, r)
-        raw = raw * np.sqrt(r) / np.linalg.norm(raw)
-        defect = float(np.max(np.abs(raw @ raw.conj().T - np.eye(r))))
-        d = _fix_phase(_nearest_unitary(raw))
-        residuals = _conjugation_residuals(pairs, d, scale)
-        worst = max(residuals)
-        witness = UnitaryWitness(d, defect, worst, null_dim)
-        if worst <= tol and defect <= UNITARY_TOL:
-            return "equivalent", witness, residuals, notes
-        if worst > NOT_EQUIVALENT_MARGIN * tol:
-            return "not-equivalent", witness, residuals, notes
-        return "inconclusive", witness, residuals, notes
-
-    # Degenerate (reducible) case: look for a unitary inside the null space.
-    basis = vh[-null_dim:].conj().T  # columns span the null space
-    d = _search_unitary_in_subspace(basis, r)
+        last = last * np.sqrt(r) / np.linalg.norm(last)
+        defect = float(np.max(np.abs(last @ last.conj().T - np.eye(r))))
+    elif null_dim > 1:  # degenerate (reducible) case: a unitary inside the null space
+        d = _search_unitary_in_subspace(vh[-null_dim:].conj().T, r)
+        if d is None:
+            notes.append("no unitary witness found inside the degenerate null space")
+            defect = float("nan")
     if d is None:
-        notes.append("no unitary witness found inside the degenerate null space")
-        best = _fix_phase(_nearest_unitary(np.conj(vh[-1]).reshape(r, r)))
-        residuals = _conjugation_residuals(pairs, best, scale)
-        return "inconclusive", UnitaryWitness(best, float("nan"), max(residuals), null_dim), residuals, notes
-    residuals = _conjugation_residuals(pairs, d, scale)
+        d = _fix_phase(_nearest_unitary(last))
+
+    residuals = _conjugation_residuals(a, b, d, scale)
     worst = max(residuals)
-    witness = UnitaryWitness(d, 0.0, worst, null_dim)
-    if worst <= tol:
+    verdict = _verdict(worst, tol)
+    # no null space, a non-unitary candidate or no candidate at all decides nothing
+    if np.isnan(defect) or (verdict == "equivalent" and (null_dim == 0 or defect > UNITARY_TOL)):
+        verdict = "inconclusive"
+    elif verdict == "equivalent" and null_dim > 1:
         notes.append("witness is not unique (reducible pair)")
-        return "equivalent", witness, residuals, notes
-    if worst > NOT_EQUIVALENT_MARGIN * tol:
-        return "not-equivalent", witness, residuals, notes
-    return "inconclusive", witness, residuals, notes
-
-
-def _table_pairs(inv_a: InvariantArray, inv_b: InvariantArray, blocks="all"):
-    """Per-sample flattened block lists for the constraint system."""
-    pairs = []
-    for ta, tb in zip(inv_a.deriv_tables, inv_b.deriv_tables):
-        if blocks == "all":
-            blocks_a = [ta[l, t] for l in range(ta.shape[0]) for t in range(ta.shape[1])]
-            blocks_b = [tb[l, t] for l in range(tb.shape[0]) for t in range(tb.shape[1])]
-        else:
-            blocks_a = [ta[0, 0]]
-            blocks_b = [tb[0, 0]]
-        pairs.append((blocks_a, blocks_b))
-    return pairs
+    return verdict, UnitaryWitness(d, defect, worst, null_dim), residuals, notes
 
 
 def _compatible(inv_a: InvariantArray, inv_b: InvariantArray):
@@ -315,21 +301,12 @@ def rank1_equiv(
         raise ValueError("rank1_equiv requires rank-1 kernels")
     inv_a = invariant_array(spec_a, chart, k, samples, bundle_data=False)
     inv_b = invariant_array(spec_b, chart, k, samples, bundle_data=False)
-    scale = max(inv_a.scale, inv_b.scale)
-    residuals = [
-        float(np.max(np.abs(ta - tb))) / scale
-        for ta, tb in zip(inv_a.deriv_tables, inv_b.deriv_tables)
-    ]
+    diff = np.abs(inv_a.deriv_tables - inv_b.deriv_tables)
+    residuals = (np.max(diff, axis=(1, 2, 3, 4)) / max(inv_a.scale, inv_b.scale)).tolist()
     worst = max(residuals)
-    if worst <= tol:
-        verdict = "equivalent"
-    elif worst > NOT_EQUIVALENT_MARGIN * tol:
-        verdict = "not-equivalent"
-    else:
-        verdict = "inconclusive"
     witness = UnitaryWitness(np.eye(1, dtype=complex), 0.0, worst, 1)
     return EquivalenceReport(
-        verdict=verdict, witness=witness, residuals=residuals,
+        verdict=_verdict(worst, tol), witness=witness, residuals=residuals,
         params={"d": chart.d, "k": k, "N": inv_a.N, "samples": len(inv_a.samples),
                 "tol": tol},
     )
@@ -344,8 +321,10 @@ def rankr_equiv(
     inv_b = invariant_array(spec_b, chart, k, samples, bundle_data=False)
     _compatible(inv_a, inv_b)
     scale = max(inv_a.scale, inv_b.scale)
-    pairs = _table_pairs(inv_a, inv_b)
-    verdict, witness, residuals, notes = _find_witness(pairs, inv_a.r, scale, tol)
+    shape = (len(inv_a.samples), -1, inv_a.r, inv_a.r)  # blocks in (l, t) order
+    verdict, witness, residuals, notes = _find_witness(
+        inv_a.deriv_tables.reshape(shape), inv_b.deriv_tables.reshape(shape), scale, tol
+    )
     return EquivalenceReport(
         verdict=verdict, witness=witness, residuals=residuals,
         params={"d": chart.d, "k": k, "N": inv_a.N, "r": inv_a.r,
@@ -372,78 +351,43 @@ def mthm_check(
     inv_a = invariant_array(spec_a, chart, k, samples)
     inv_b = invariant_array(spec_b, chart, k, samples)
     _compatible(inv_a, inv_b)
-    r = inv_a.r
     scale = max(inv_a.scale, inv_b.scale)
 
-    gram_pairs = _table_pairs(inv_a, inv_b, blocks="gram")
-    curv_pairs, transport_pairs = [], []
-    for ca, cb, va, vb, ta, tb in zip(
-        inv_a.transverse_curvature, inv_b.transverse_curvature,
-        inv_a.covariant, inv_b.covariant,
-        inv_a.transport, inv_b.transport,
-    ):
-        blocks_a = [ca[i, j] for i in range(inv_a.d) for j in range(inv_a.d)]
-        blocks_b = [cb[i, j] for i in range(inv_b.d) for j in range(inv_b.d)]
-        for key in sorted(va.table):
-            blocks_a.append(va.table[key])
-            blocks_b.append(vb.table[key])
-        curv_pairs.append((blocks_a, blocks_b))
-        keys = sorted(ta.table)
-        transport_pairs.append(
-            ([ta.table[key] for key in keys], [tb.table[key] for key in keys])
-        )
-
-    joint_pairs = [
-        (ga + ca + ta, gb + cb + tb)
-        for (ga, gb), (ca, cb), (ta, tb)
-        in zip(gram_pairs, curv_pairs, transport_pairs)
-    ]
-    _, witness, _, notes = _find_witness(joint_pairs, r, scale, tol)
+    # (stack of the first kernel, of the second, scale of its residuals);
+    # the Grams keep the scale of the derivative tables they are read from
+    gram = (inv_a.deriv_tables[:, :1, 0], inv_b.deriv_tables[:, :1, 0], scale)
+    groups = {
+        "(i) restricted Gram isometry": gram,
+        "(ii) transverse curvature and covariant derivatives":
+            (inv_a.curvature, inv_b.curvature, _scale(inv_a.curvature, inv_b.curvature)),
+        "(iii) transport maps":
+            (inv_a.transport, inv_b.transport, _scale(inv_a.transport, inv_b.transport)),
+    }
+    joint = [np.concatenate([g[side] for g in groups.values()], axis=1) for side in (0, 1)]
+    _, witness, _, notes = _find_witness(*joint, scale, tol)
     if np.isnan(witness.unitarity_defect):
-        gram_residuals = _conjugation_residuals(gram_pairs, witness.matrix, scale)
         return EquivalenceReport(
-            verdict="inconclusive", witness=witness, residuals=gram_residuals,
+            verdict="inconclusive", witness=witness,
+            residuals=_conjugation_residuals(*gram[:2], witness.matrix, scale),
             params={"d": chart.d, "k": k, "tol": tol},
             notes=notes + ["no candidate isometry could be determined"],
         )
-    d_mat = witness.matrix
 
-    curv_scale = max(
-        [1.0]
-        + [float(np.max(np.abs(b))) for pair in curv_pairs for b in pair[0] + pair[1]]
-    )
-    transport_scale = max(
-        [1.0]
-        + [float(np.max(np.abs(b)))
-           for pair in transport_pairs for b in pair[0] + pair[1]]
-    )
     conditions = {
-        "(i) restricted Gram isometry":
-            _conjugation_residuals(gram_pairs, d_mat, scale),
-        "(ii) transverse curvature and covariant derivatives":
-            _conjugation_residuals(curv_pairs, d_mat, curv_scale),
-        "(iii) transport maps":
-            _conjugation_residuals(transport_pairs, d_mat, transport_scale),
+        name: _conjugation_residuals(a, b, witness.matrix, s)
+        for name, (a, b, s) in groups.items()
     }
-
     residuals = [max(vals) for vals in zip(*conditions.values())]
     verdict = "equivalent"
     for name, vals in conditions.items():
-        worst = max(vals)
-        if worst > tol:
-            verdict = (
-                "not-equivalent"
-                if worst > NOT_EQUIVALENT_MARGIN * tol
-                else "inconclusive"
-            )
-            notes.append(f"first failing condition: {name} (residual {worst:.3e})")
+        verdict = _verdict(max(vals), tol)
+        if verdict != "equivalent":
+            notes.append(f"first failing condition: {name} (residual {max(vals):.3e})")
             break
-    witness = UnitaryWitness(
-        d_mat, witness.unitarity_defect, max(residuals), witness.null_dim
-    )
+    witness = replace(witness, max_residual=max(residuals))
     return EquivalenceReport(
         verdict=verdict, witness=witness, residuals=residuals,
-        params={"d": chart.d, "k": k, "r": r, "samples": len(inv_a.samples),
+        params={"d": chart.d, "k": k, "r": inv_a.r, "samples": len(inv_a.samples),
                 "tol": tol},
         notes=notes,
     )
@@ -468,7 +412,6 @@ def lemma_em_check(
         raise ValueError("this check requires codimension d = 2")
     if spec_a.r != 1 or spec_b.r != 1:
         raise ValueError("this check requires rank-1 kernels")
-    k = 2
     pulled_a = pullback_affine(spec_a, chart)
     pulled_b = pullback_affine(spec_b, chart)
     m = pulled_a.m
@@ -476,28 +419,20 @@ def lemma_em_check(
         samples = default_samples(m, chart.d)
     samples = _samples_on_z(samples, chart.d)
 
-    idx = JetIndexTable(2, k)
+    idx = JetIndexTable(2, 2)
     psi_specs = [KernelSpec(m, 1, [[p]]) for p in (psi00, psi10, psi01)]
 
     em_residuals, curv_residuals = [], []
     for q in samples:
-        ga = geometry.gram_jet(pulled_a, q, trunc=2)
-        gb = geometry.gram_jet(pulled_b, q, trunc=2)
-        pa = transverse_blocks(ga.jet, idx)[:, :, 0, 0]
-        pb = transverse_blocks(gb.jet, idx)[:, :, 0, 0]
+        ga, gb = (geometry.gram_jet(s, q, trunc=2) for s in (pulled_a, pulled_b))
+        pa, pb = (transverse_blocks(g.jet, idx)[:, :, 0, 0] for g in (ga, gb))
         p00, p10, p01 = (s.eval_point(q, q)[0, 0] for s in psi_specs)
-        psi = np.array(
-            [[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex
-        )
-        scale = max(1.0, float(np.max(np.abs(pa))), float(np.max(np.abs(pb))))
+        psi = np.array([[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex)
         em_residuals.append(
-            float(np.max(np.abs(pb - psi @ pa @ psi.conj().T))) / scale
+            float(np.max(np.abs(pb - psi @ pa @ psi.conj().T))) / _scale(pa, pb)
         )
-
-        ka = geometry.curvature(ga).entries
-        kb = geometry.curvature(gb).entries
-        cscale = max(1.0, float(np.max(np.abs(ka))), float(np.max(np.abs(kb))))
-        curv_residuals.append(float(np.max(np.abs(ka - kb))) / cscale)
+        ka, kb = (geometry.curvature(g).entries for g in (ga, gb))
+        curv_residuals.append(float(np.max(np.abs(ka - kb))) / _scale(ka, kb))
 
     return {
         "congruence_residuals": em_residuals,

@@ -71,19 +71,11 @@ def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelVa
     )
 
 
-@dataclass
-class QuotientKernelValue:
-    """A jet kernel value tagged as restricted to the flattened submanifold."""
-
-    value: JetKernelValue
-    chart: AffineChart
-
-
-def restrict_to_Z(jkv: JetKernelValue, chart: AffineChart):
+def restrict_to_Z(jkv: JetKernelValue, chart: AffineChart) -> JetKernelValue:
     """Restriction of the jet kernel to the submanifold; points must lie on it."""
     check_on_submanifold(jkv.z0, jkv.d, "z0")
     check_on_submanifold(jkv.w0, jkv.d, "w0")
-    return QuotientKernelValue(value=jkv, chart=chart)
+    return jkv
 
 
 @dataclass

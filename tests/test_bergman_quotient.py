@@ -28,6 +28,15 @@ class TestMonomialInner:
                 want = coeff_c(lam, n)
                 assert abs(table[i, n] - want) <= 1e-13 * want, (lam, n)
 
+    @pytest.mark.parametrize("p", [169, 171, 200])
+    def test_closed_forms_past_float_factorials(self, p):
+        # (3)_p and p! overflow a float from about p = 170; c_p(3) does not
+        assert coeff_c(3.0, p) == (p + 1) * (p + 2) / 2
+        forms = closed_forms(p, 1.0, 1.0, 1.0)
+        meas = level_measured(build_level(p, 1.0, 1.0, 1.0))
+        for key, want in forms.items():
+            assert abs(meas[key] - want) <= 1e-9 * max(1.0, abs(want)), key
+
     def test_constant(self):
         # level 0 is the constant alone, of weighted norm 1 whatever the weights
         level = build_level(0, 2.0, 3.0, 4.0)

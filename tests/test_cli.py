@@ -166,6 +166,15 @@ class TestQuotientDemo:
         assert "max |oracle - jet|" in res.stdout
         assert "tail estimate" in res.stdout
 
+    def test_levels_past_float_factorials(self, tmp_path):
+        # (1)_p and p! overflow a float from p = 171; the closed forms do not
+        out = tmp_path / "q.json"
+        res = run_cli("quotient-demo", "--plevels", "171", "--pmax", "1", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        levels = json.loads(out.read_text())["results"]["levels"]
+        assert len(levels) == 172 * 6
+        assert all(row["rel_err"] < 1e-9 for row in levels)
+
     def test_oversized_sum_refused_at_once(self, capsys):
         from jetmod.cli import main
 
@@ -174,6 +183,21 @@ class TestQuotientDemo:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2
         assert "degree <= 100000 in m = 3 variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--kernel", "K"],
+    ["equiv", "--kernel", "K", "--kernel2", "K"],
+    ["recover-weights", "--weights", "1,2,3"],
+])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_empty_sample_set_refused(argv, count, capsys):
+    from jetmod.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--num-samples", count])
+    assert exc.value.code == 2
+    assert f"at least one sample is needed, got {count}" in capsys.readouterr().err
 
 
 # the shared flags that each command does not read; e.g. quotient-demo -k 3

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from jetmod.equivalence import (
+    NOT_EQUIVALENT_MARGIN,
+    UNITARY_TOL,
+    _conjugation_residuals,
+    _find_witness,
+    _stack_constraints,
+    _verdict,
     default_samples,
     invariant_array,
     lemma_em_check,
@@ -12,7 +18,13 @@ from jetmod.equivalence import (
     rankr_equiv,
     recover_bergman_weights,
 )
-from jetmod.geometry import NormalizedKernel
+from jetmod.geometry import (
+    NormalizedKernel,
+    curvature,
+    curvature_covariant_derivs,
+    gram_jet,
+    normalize_at,
+)
 from jetmod.kernels import (
     Call,
     Num,
@@ -24,6 +36,7 @@ from jetmod.kernels import (
     gauge_scale,
     identity_chart,
     parse_kernel,
+    pullback_affine,
 )
 from util import (
     coupled_rank2_kernel,
@@ -83,6 +96,31 @@ class TestInvariantArray:
                               CHART3, k=3, samples=samples, bundle_data=True)
         assert len(inv.transport) == 3
         assert calls == [4, 4, 4]
+
+    def test_stacks_and_curvature_at_order_zero(self):
+        # the curvature stack is the covariant table in sorted key order; its
+        # order-0 entries are the transverse curvature of the same Gram jet
+        spec = coupled_rank2_kernel(np.random.default_rng(5), m=3)
+        samples = default_samples(3, 2, count=2)
+        inv = invariant_array(spec, CHART3, k=3, samples=samples)
+        assert inv.deriv_tables.shape == (2, 6, 6, 2, 2)
+        assert inv.transport.shape == (2, 6, 2, 2)  # 6 transverse orders, 1 direction
+        norm = normalize_at(pullback_affine(spec, CHART3), np.zeros(3))
+        for s, q in enumerate(samples):
+            g = gram_jet(norm, q, trunc=4)
+            keys = sorted(curvature_covariant_derivs(g, 2, 1).table)
+            assert inv.curvature.shape == (2, len(keys), 2, 2)
+            entries = curvature(g).entries
+            order0 = [n for n, key in enumerate(keys) if not any(key[2] + key[3])]
+            assert [keys[n][:2] for n in order0] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            for n in order0:
+                i, j = keys[n][:2]
+                assert np.max(np.abs(inv.curvature[s, n] - entries[i, j])) < 1e-12
+
+    def test_no_bundle_data(self):
+        inv = invariant_array(builtin_bergman([1.0, 2.0]), CHART2, k=2, bundle_data=False)
+        assert inv.curvature is None and inv.transport is None
+        assert inv.deriv_tables.shape == (5, 2, 2, 1, 1)
 
 
 class TestRank1:
@@ -272,6 +310,19 @@ class TestWeightRecovery:
 
 
 class TestSamples:
+    def test_empty_sample_set_refused(self):
+        spec = builtin_bergman([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="at least one sample"):
+            invariant_array(spec, CHART3, 2, samples=[])
+        with pytest.raises(ValueError, match="at least one sample"):
+            rankr_equiv(spec, spec, CHART3, 2, samples=[])
+        with pytest.raises(ValueError, match="at least one sample"):
+            lemma_em_check(spec, spec, CHART3, Num(1.0), Num(0.0), Num(0.0), samples=[])
+        with pytest.raises(ValueError, match="at least one sample"):
+            recover_bergman_weights([1.0, 2.0, 3.0], samples=[])
+        with pytest.raises(ValueError, match="at least one sample"):
+            recover_bergman_weights([1.0, 2.0, 3.0], num_samples=0)
+
     def test_default_samples_deterministic(self):
         a = default_samples(3, 2)
         b = default_samples(3, 2)
@@ -297,3 +348,114 @@ class TestSamples:
                 assert rankr_equiv(a, b, CHART2, 2, tol=tol).verdict == "equivalent"
             for a, b in bad_pairs:
                 assert rankr_equiv(a, b, CHART2, 2, tol=tol).verdict == "not-equivalent"
+
+
+def _kron_constraints(a, b):
+    """The constraint system built one block pair at a time, as a reference."""
+    eye = np.eye(a.shape[-1], dtype=complex)
+    return np.concatenate([
+        np.kron(bb, eye) - np.kron(eye, aa.T)
+        for sa, sb in zip(a, b) for aa, bb in zip(sa, sb)
+    ], axis=0)
+
+
+def _stack(blocks):
+    """One sample of the given r x r blocks, as a (1, blocks, r, r) stack."""
+    return np.array([blocks], dtype=complex)
+
+
+class TestWitnessCore:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("samples, blocks", [(1, 1), (2, 3), (5, 4)])
+    def test_stack_constraints_match_kron(self, r, samples, blocks):
+        rng = np.random.default_rng(r * 100 + samples * 10 + blocks)
+        shape = (samples, blocks, r, r)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a[0, 0, 0, 0] = -0.0  # signed zeros travel the same way
+        assert np.array_equal(_stack_constraints(a, b), _kron_constraints(a, b))
+
+    def test_conjugation_residuals_per_sample(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+        b = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+        d = rand_unitary(rng, 2)
+        want = [
+            max(float(np.max(np.abs(bb - d @ aa @ d.conj().T))) for aa, bb in zip(sa, sb)) / 2.0
+            for sa, sb in zip(a, b)
+        ]
+        assert _conjugation_residuals(a, b, d, 2.0) == pytest.approx(want, rel=1e-15)
+
+    def test_verdict_boundaries(self):
+        tol = 1e-8
+        margin = NOT_EQUIVALENT_MARGIN * tol
+        assert _verdict(0.0, tol) == "equivalent"
+        assert _verdict(tol, tol) == "equivalent"
+        assert _verdict(np.nextafter(tol, 1.0), tol) == "inconclusive"
+        assert _verdict(margin, tol) == "inconclusive"
+        assert _verdict(np.nextafter(margin, 1.0), tol) == "not-equivalent"
+        assert _verdict(float("nan"), tol) == "inconclusive"
+
+    def test_no_null_space_is_never_equivalent(self):
+        # the residual 1e-9 is below tolerance, but no intertwiner exists
+        verdict, witness, residuals, notes = _find_witness(
+            _stack([[[1.0]]]), _stack([[[1.0 + 1e-9]]]), 1.0, 1e-8
+        )
+        assert witness.null_dim == 0 and notes == ["null space dimension 0"]
+        assert residuals[0] <= 1e-8
+        assert verdict == "inconclusive"
+
+    def test_no_null_space_far_apart(self):
+        verdict, witness, residuals, _ = _find_witness(
+            _stack([[[1.0]]]), _stack([[[2.0]]]), 1.0, 1e-8
+        )
+        assert witness.null_dim == 0 and residuals == [1.0]
+        assert verdict == "not-equivalent"
+
+    def test_one_dimensional_null_space_recovers_unitary(self):
+        rng = np.random.default_rng(9)
+        u = rand_unitary(rng, 2)
+        x = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+        a = x + np.conj(np.swapaxes(x, -1, -2))
+        b = u @ a @ u.conj().T
+        verdict, witness, residuals, notes = _find_witness(a, b, 1.0, 1e-8)
+        assert verdict == "equivalent" and notes == ["null space dimension 1"]
+        assert witness.null_dim == 1 and witness.unitarity_defect < 1e-12
+        assert np.max(np.abs(phase_align(witness.matrix, u) - u)) < 1e-12
+        assert max(residuals) < 1e-13
+
+    @pytest.mark.parametrize("eps, tol, verdict", [
+        (1e-4, 1e-3, "inconclusive"),  # residual within tol, candidate not unitary
+        (1e-4, 1e-8, "not-equivalent"),
+        (0.0, 1e-8, "equivalent"),
+    ])
+    def test_non_unitary_intertwiner(self, eps, tol, verdict):
+        # B = S A S^-1 with S = diag(1, 1 + eps): the null space is spanned by S
+        s = np.diag([1.0, 1.0 + eps])
+        a = _stack([np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]]])
+        b = s @ a @ np.linalg.inv(s)
+        got, witness, residuals, _ = _find_witness(a, b, 1.0, tol)
+        assert witness.null_dim == 1
+        assert (witness.unitarity_defect > UNITARY_TOL) == (eps > 0)
+        assert got == verdict
+
+    def test_reducible_pair_with_unitary_in_null_space(self):
+        a = _stack([np.diag([1.0, 2.0])])
+        verdict, witness, residuals, notes = _find_witness(a, a.copy(), 1.0, 1e-8)
+        assert witness.null_dim == 2 and witness.unitarity_defect == 0.0
+        assert verdict == "equivalent"
+        assert notes == ["null space dimension 2", "witness is not unique (reducible pair)"]
+
+    def test_reducible_pair_without_unitary_in_null_space(self):
+        # B D = D A forces the second row of D to vanish: no unitary is left
+        verdict, witness, _, notes = _find_witness(
+            _stack([np.eye(2)]), _stack([np.diag([1.0, 3.0])]), 1.0, 1e-8
+        )
+        assert witness.null_dim == 2 and np.isnan(witness.unitarity_defect)
+        assert verdict == "inconclusive"
+        assert notes[1] == "no unitary witness found inside the degenerate null space"
+
+    def test_zero_system(self):
+        zero = np.zeros((2, 3, 2, 2), dtype=complex)
+        verdict, witness, _, _ = _find_witness(zero, zero, 1.0, 1e-8)
+        assert witness.null_dim == 4 and verdict == "equivalent"
