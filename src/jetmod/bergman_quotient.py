@@ -34,10 +34,14 @@ def coeff_c(lam: float, n: int) -> float:
 
     Evaluated exactly and rounded once, so it stays finite wherever c_n is:
     as floats, the rising factorial and n! overflow from about n = 170.
+    A c_n beyond the float range rounds to inf.
     """
     if n < 0:
         return 0.0
-    return float(pochhammer(Fraction(lam), n) / math.factorial(n))
+    try:
+        return float(pochhammer(Fraction(lam), n) / math.factorial(n))
+    except OverflowError:
+        return math.inf
 
 
 def coeff_table(weights, n_max: int) -> np.ndarray:
@@ -109,19 +113,19 @@ def _level_kernel(level: QuotientLevel, t: complex) -> np.ndarray:
 
 
 def closed_forms(p: int, alpha: float, beta: float, gamma: float) -> dict:
-    """The m = 3 level quantities in closed form, via c_n(lam), lam = sum."""
+    """The m = 3 level quantities in closed form, via c_n(lam), lam = sum.
+    Products are taken with float multiplication, so an overflow gives inf."""
     lam = alpha + beta + gamma
+    c0, c2 = coeff_c(lam, p), coeff_c(lam + 2, p - 1)
     return {
-        "norm_f1_sq": coeff_c(lam, p),
+        "norm_f1_sq": c0,
         "inner_g1_g2": beta * coeff_c(lam + 1, p - 1),
         "inner_g1_g3": gamma * coeff_c(lam + 1, p - 1),
         "inner_g2_g3": beta * gamma * coeff_c(lam + 2, p - 2),
-        "norm_f2_sq": (
-            beta * (alpha + gamma) / lam * coeff_c(lam, p) ** 2 * coeff_c(lam + 2, p - 1)
-        ),
+        "norm_f2_sq": beta * (alpha + gamma) / lam * c0 * c0 * c2,
         "norm_f3_sq": (
             alpha * beta ** 2 * gamma * (alpha + gamma) / lam ** 2
-            * coeff_c(lam, p) ** 6 * coeff_c(lam + 2, p - 1) ** 3
+            * math.prod([c0] * 6 + [c2] * 3)
         ),
     }
 
@@ -135,15 +139,16 @@ def level_measured(level: QuotientLevel) -> dict:
     gram = np.zeros((3, 3))
     n = len(level.gram)
     gram[:n, :n] = level.gram
-    det2 = np.linalg.det(gram[:2, :2])
-    out = {
-        "norm_f1_sq": gram[0, 0],
-        "inner_g1_g2": gram[0, 1],
-        "inner_g1_g3": gram[0, 2],
-        "inner_g2_g3": gram[1, 2],
-        "norm_f2_sq": gram[0, 0] * det2,
-        "norm_f3_sq": gram[0, 0] ** 4 * det2 * np.linalg.det(gram),
-    }
+    with np.errstate(over="ignore"):  # past the float range a norm is inf
+        det2 = np.linalg.det(gram[:2, :2])
+        out = {
+            "norm_f1_sq": gram[0, 0],
+            "inner_g1_g2": gram[0, 1],
+            "inner_g1_g3": gram[0, 2],
+            "inner_g2_g3": gram[1, 2],
+            "norm_f2_sq": gram[0, 0] * det2,
+            "norm_f3_sq": gram[0, 0] ** 4 * det2 * np.linalg.det(gram),
+        }
     return {key: float(value) for key, value in out.items()}
 
 

@@ -341,6 +341,10 @@ def cmd_quotient_demo(args) -> tuple:
         level = bergman_quotient.build_level(p, a, b, g)
         meas = bergman_quotient.level_measured(level)
         forms = bergman_quotient.closed_forms(p, a, b, g)
+        if not np.all(np.isfinite([*meas.values(), *forms.values()])):
+            raise CliError(
+                f"level {p} quantities overflow a float: lower --plevels or the weights"
+            )
         for key in forms:
             denom = max(1.0, abs(forms[key]))
             rel = abs(meas[key] - forms[key]) / denom

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import check_on_submanifold, transverse_blocks
-from .kernels import AffineChart, KernelSpec, diagonal_chart, pullback_affine
+from .kernels import AffineChart, KernelSpec, diagonal_chart, identity_chart, pullback_affine
 from .multiindex import JetIndexTable
 
 NULL_SPACE_RTOL = 1e-8
@@ -77,8 +77,8 @@ class InvariantArray:
     ``curvature`` is the covariant-derivative table of the transverse
     curvature to order k - 2, in sorted (i, j, alpha, beta) key order (its
     order-0 entries are the curvature itself); ``transport`` is the
-    transport-map table in sorted (l, i) order.  Both are None without
-    bundle data.
+    transport-map table in sorted (l, i) order, with no blocks when d == m
+    (no tangential directions).  Both are None without bundle data.
     """
 
     d: int
@@ -129,10 +129,11 @@ def invariant_array(
             transports.append([maps[key] for key in sorted(maps)])
 
     deriv_tables = np.array(tables)
+    shape = (len(samples), -1, r, r)  # the transport table is empty when d == m
     return InvariantArray(
         d=d, k=k, N=idx.N, r=r, m=m, samples=samples, deriv_tables=deriv_tables,
-        curvature=np.array(curvs) if bundle_data else None,
-        transport=np.array(transports) if bundle_data else None,
+        curvature=np.array(curvs).reshape(shape) if bundle_data else None,
+        transport=np.array(transports).reshape(shape) if bundle_data else None,
         scale=_scale(deriv_tables),
     )
 
@@ -154,13 +155,13 @@ class EquivalenceReport:
     notes: list = field(default_factory=list)
 
     def __repr__(self):
-        worst = max(self.residuals) if self.residuals else float("nan")
+        worst = float(np.max(self.residuals)) if self.residuals else float("nan")
         return f"EquivalenceReport({self.verdict!r}, max_residual={worst:.3e})"
 
 
 def _scale(*stacks) -> float:
     """The scale residuals are divided by: the largest entry, at least 1."""
-    return max(1.0, *(float(np.max(np.abs(s))) for s in stacks))
+    return max(1.0, *(float(np.max(np.abs(s), initial=0.0)) for s in stacks))
 
 
 def _verdict(worst: float, tol: float) -> str:
@@ -189,9 +190,11 @@ def _conjugation_residuals(a: np.ndarray, b: np.ndarray, d: np.ndarray, scale: f
     """Per-sample max block residual of B - D A D* over two block stacks.
 
     The witness is oriented from the first kernel to the second: it
-    conjugates the first kernel's blocks onto the second's.
+    conjugates the first kernel's blocks onto the second's.  A sample with
+    no blocks has residual 0; a NaN block makes its sample's residual NaN.
     """
-    return (np.max(np.abs(b - d @ a @ d.conj().T), axis=(1, 2, 3)) / scale).tolist()
+    diff = np.abs(b - d @ a @ d.conj().T)
+    return (np.max(diff, axis=(1, 2, 3), initial=0.0) / scale).tolist()
 
 
 def _stack_constraints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,7 +256,10 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
     r = a.shape[-1]
     _, sing, vh = np.linalg.svd(_stack_constraints(a, b))
     smax = sing[0] if len(sing) else 0.0
-    null_dim = r * r if smax < 1e-12 else int(np.sum(sing < NULL_SPACE_RTOL * smax))
+    if smax < 1e-12:
+        null_dim = r * r
+    else:
+        null_dim = int(np.sum(sing < NULL_SPACE_RTOL * smax))
     notes = [f"null space dimension {null_dim}"]
 
     # right null vectors of the system are the conjugated rows of vh
@@ -271,7 +277,7 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
         d = _fix_phase(_nearest_unitary(last))
 
     residuals = _conjugation_residuals(a, b, d, scale)
-    worst = max(residuals)
+    worst = float(np.max(residuals))  # numpy's max keeps a NaN wherever it sits
     verdict = _verdict(worst, tol)
     # no null space, a non-unitary candidate or no candidate at all decides nothing
     if np.isnan(defect) or (verdict == "equivalent" and (null_dim == 0 or defect > UNITARY_TOL)):
@@ -303,7 +309,7 @@ def rank1_equiv(
     inv_b = invariant_array(spec_b, chart, k, samples, bundle_data=False)
     diff = np.abs(inv_a.deriv_tables - inv_b.deriv_tables)
     residuals = (np.max(diff, axis=(1, 2, 3, 4)) / max(inv_a.scale, inv_b.scale)).tolist()
-    worst = max(residuals)
+    worst = float(np.max(residuals))
     witness = UnitaryWitness(np.eye(1, dtype=complex), 0.0, worst, 1)
     return EquivalenceReport(
         verdict=_verdict(worst, tol), witness=witness, residuals=residuals,
@@ -377,14 +383,15 @@ def mthm_check(
         name: _conjugation_residuals(a, b, witness.matrix, s)
         for name, (a, b, s) in groups.items()
     }
-    residuals = [max(vals) for vals in zip(*conditions.values())]
+    residuals = np.max(list(conditions.values()), axis=0).tolist()
     verdict = "equivalent"
     for name, vals in conditions.items():
-        verdict = _verdict(max(vals), tol)
+        worst = float(np.max(vals))
+        verdict = _verdict(worst, tol)
         if verdict != "equivalent":
-            notes.append(f"first failing condition: {name} (residual {max(vals):.3e})")
+            notes.append(f"first failing condition: {name} (residual {worst:.3e})")
             break
-    witness = replace(witness, max_residual=max(residuals))
+    witness = replace(witness, max_residual=float(np.max(residuals)))
     return EquivalenceReport(
         verdict=verdict, witness=witness, residuals=residuals,
         params={"d": chart.d, "k": k, "r": inv_a.r, "samples": len(inv_a.samples),
@@ -412,6 +419,7 @@ def lemma_em_check(
         raise ValueError("this check requires codimension d = 2")
     if spec_a.r != 1 or spec_b.r != 1:
         raise ValueError("this check requires rank-1 kernels")
+    k = 2
     pulled_a = pullback_affine(spec_a, chart)
     pulled_b = pullback_affine(spec_b, chart)
     m = pulled_a.m
@@ -419,26 +427,32 @@ def lemma_em_check(
         samples = default_samples(m, chart.d)
     samples = _samples_on_z(samples, chart.d)
 
-    idx = JetIndexTable(2, 2)
+    idx = JetIndexTable(2, k)
     psi_specs = [KernelSpec(m, 1, [[p]]) for p in (psi00, psi10, psi01)]
 
     em_residuals, curv_residuals = [], []
     for q in samples:
-        ga, gb = (geometry.gram_jet(s, q, trunc=2) for s in (pulled_a, pulled_b))
-        pa, pb = (transverse_blocks(g.jet, idx)[:, :, 0, 0] for g in (ga, gb))
+        ga = geometry.gram_jet(pulled_a, q, trunc=2)
+        gb = geometry.gram_jet(pulled_b, q, trunc=2)
+        pa = transverse_blocks(ga.jet, idx)[:, :, 0, 0]
+        pb = transverse_blocks(gb.jet, idx)[:, :, 0, 0]
         p00, p10, p01 = (s.eval_point(q, q)[0, 0] for s in psi_specs)
-        psi = np.array([[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex)
+        psi = np.array(
+            [[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex
+        )
         em_residuals.append(
             float(np.max(np.abs(pb - psi @ pa @ psi.conj().T))) / _scale(pa, pb)
         )
-        ka, kb = (geometry.curvature(g).entries for g in (ga, gb))
+
+        ka = geometry.curvature(ga).entries
+        kb = geometry.curvature(gb).entries
         curv_residuals.append(float(np.max(np.abs(ka - kb))) / _scale(ka, kb))
 
     return {
         "congruence_residuals": em_residuals,
         "curvature_residuals": curv_residuals,
-        "congruence_ok": max(em_residuals) <= tol,
-        "curvature_ok": max(curv_residuals) <= tol,
+        "congruence_ok": float(np.max(em_residuals)) <= tol,
+        "curvature_ok": float(np.max(curv_residuals)) <= tol,
     }
 
 
@@ -446,7 +460,8 @@ def recover_bergman_weights(weights, samples=None, num_samples: int = 3,
                             seed: int = 11) -> np.ndarray:
     """Read polydisc kernel weights off the diagonal curvature.
 
-    Pulls the product kernel back by the pairwise diagonal chart; on the
+    Pulls the product kernel back by the pairwise diagonal chart (with one
+    weight, by the identity chart, whose submanifold is the origin); on the
     flattened diagonal the i-th diagonal curvature block equals
     (w_1 + ... + w_i) / (1 - |u_m|^2)^2, so scaling by (1 - |u_m|^2)^2
     yields the cumulative sums of the weights, and differencing recovers
@@ -458,13 +473,7 @@ def recover_bergman_weights(weights, samples=None, num_samples: int = 3,
     if np.any(weights <= 0):
         raise ValueError("weights must be positive for recovery")
     m = len(weights)
-    if m == 1:
-        # no diagonal to flatten: the curvature of the disc kernel itself
-        spec = builtin_bergman(weights)
-        q = np.zeros(1, dtype=complex)
-        kq = geometry.curvature(geometry.gram_jet(spec, q)).entries[0, 0, 0, 0].real
-        return np.array([kq])
-    chart = diagonal_chart(m, style="pairwise")
+    chart = diagonal_chart(m, style="pairwise") if m > 1 else identity_chart(1, 1)
     pulled = pullback_affine(builtin_bergman(weights), chart)
     if samples is None:
         samples = default_samples(m, chart.d, count=num_samples, seed=seed)

@@ -37,6 +37,14 @@ class TestMonomialInner:
         for key, want in forms.items():
             assert abs(meas[key] - want) <= 1e-9 * max(1.0, abs(want)), key
 
+    def test_overflow_gives_inf(self):
+        # c_200(3000) = C(3199, 200) is past the float range
+        assert coeff_c(3000.0, 200) == float("inf")
+        forms = closed_forms(100, 20.0, 20.0, 20.0)
+        assert forms["norm_f3_sq"] == float("inf")
+        assert np.isfinite(forms["norm_f2_sq"])
+        assert level_measured(build_level(100, 20.0, 20.0, 20.0))["norm_f3_sq"] == float("inf")
+
     def test_constant(self):
         # level 0 is the constant alone, of weighted norm 1 whatever the weights
         level = build_level(0, 2.0, 3.0, 4.0)

@@ -128,6 +128,15 @@ class TestEquiv:
         )
         assert res.returncode == 3
 
+    def test_invariant_criterion_in_one_variable(self, kernel_dir):
+        # the default chart of an m = 1 kernel is identity(1, 1): no tangential directions
+        res = run_cli(
+            "equiv", "--kernel", str(kernel_dir / "b2.kernel"),
+            "--kernel2", str(kernel_dir / "b2.kernel"), "--criterion", "invariants",
+        )
+        assert res.returncode == 0, res.stderr
+        assert "verdict: equivalent" in res.stdout
+
 
 class TestRecoverWeights:
     def test_round_trip(self, kernel_dir, tmp_path):
@@ -141,6 +150,11 @@ class TestRecoverWeights:
     def test_single_weight(self):
         res = run_cli("recover-weights", "--weights", "1.5")
         assert res.returncode == 0
+
+    def test_single_weight_off_the_origin(self):
+        res = run_cli("recover-weights", "--weights", "1.5", "--points", "5")
+        assert res.returncode == 2
+        assert "off the submanifold" in res.stderr
 
     def test_off_manifold_sample(self):
         res = run_cli("recover-weights", "--weights", "1,2,3",
@@ -174,6 +188,14 @@ class TestQuotientDemo:
         levels = json.loads(out.read_text())["results"]["levels"]
         assert len(levels) == 172 * 6
         assert all(row["rel_err"] < 1e-9 for row in levels)
+
+    @pytest.mark.parametrize("weights, level", [("20,20,20", 58), ("1000,1000,1000", 13)])
+    def test_level_table_past_float_range_refused(self, weights, level, capsys):
+        from jetmod.cli import main
+
+        code = main(["quotient-demo", "--weights", weights, "--plevels", "200", "--pmax", "1"])
+        assert code == 2
+        assert f"level {level} quantities overflow a float" in capsys.readouterr().err
 
     def test_oversized_sum_refused_at_once(self, capsys):
         from jetmod.cli import main

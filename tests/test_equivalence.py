@@ -124,6 +124,25 @@ class TestInvariantArray:
 
 
 class TestRank1:
+    def test_nan_in_a_later_sample_is_inconclusive(self, monkeypatch):
+        import jetmod.equivalence as equivalence
+
+        built = []
+
+        def with_nan(spec, *args, **kwargs):
+            inv = invariant_array(spec, *args, **kwargs)
+            if built:  # the second kernel: a NaN block in its second sample
+                inv.deriv_tables[1, 0, 0] = np.nan
+            built.append(inv)
+            return inv
+
+        monkeypatch.setattr(equivalence, "invariant_array", with_nan)
+        spec = builtin_bergman([1.0, 2.0])
+        report = rank1_equiv(spec, spec, CHART2, 2)
+        assert report.residuals[0] == 0.0 and np.isnan(report.residuals[1])
+        assert np.isnan(report.witness.max_residual)
+        assert report.verdict == "inconclusive"
+
     def test_reflexive(self):
         spec = builtin_bergman([1.0, 2.0, 3.0])
         report = rank1_equiv(spec, spec, CHART3, k=2)
@@ -250,6 +269,26 @@ class TestMthm:
         assert report.verdict == "not-equivalent"
         assert any("(ii)" in note for note in report.notes)
 
+    @pytest.mark.parametrize("weights_a, weights_b, verdict, residual", [
+        ([2.0], [2.0], "equivalent", 0.0),
+        ([2.0], [3.0], "not-equivalent", 1 / 3),
+        ([1.0, 2.0], [1.0, 2.0], "equivalent", 0.0),
+        ([1.0, 2.0], [2.0, 1.0], "not-equivalent", 0.5),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_tangential_directions(self, weights_a, weights_b, verdict, residual, k):
+        # d == m: the only sample is the origin and there are no transport maps
+        m = len(weights_a)
+        inv = invariant_array(builtin_bergman(weights_a), identity_chart(m, m), k)
+        assert inv.transport.shape == (1, 0, 1, 1)
+        report = mthm_check(
+            builtin_bergman(weights_a), builtin_bergman(weights_b), identity_chart(m, m), k
+        )
+        assert report.verdict == verdict
+        assert report.residuals == pytest.approx([residual], abs=1e-15)
+        if verdict != "equivalent":
+            assert "first failing condition: (ii)" in report.notes[-1]
+
 
 class TestLemmaEm:
     def test_identity_pair(self):
@@ -290,6 +329,12 @@ class TestWeightRecovery:
 
     def test_single_weight(self):
         assert abs(recover_bergman_weights([1.8])[0] - 1.8) < 1e-12
+
+    def test_single_weight_reads_its_samples(self):
+        # one weight: the submanifold is the origin, so other samples are refused
+        assert recover_bergman_weights([1.8], samples=[[0.0]])[0] == pytest.approx(1.8)
+        with pytest.raises(ValueError, match="off the submanifold"):
+            recover_bergman_weights([1.8], samples=[[0.3]])
 
     def test_random_triples(self):
         rng = np.random.default_rng(6)
@@ -374,6 +419,15 @@ class TestWitnessCore:
         b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         a[0, 0, 0, 0] = -0.0  # signed zeros travel the same way
         assert np.array_equal(_stack_constraints(a, b), _kron_constraints(a, b))
+
+    def test_conjugation_residuals_keep_nan_and_empty_samples(self):
+        a = np.ones((3, 1, 1, 1), dtype=complex)
+        b = a.copy()
+        b[1, 0, 0, 0] = np.nan
+        got = _conjugation_residuals(a, b, np.eye(1), 1.0)
+        assert got[0] == 0.0 and np.isnan(got[1]) and got[2] == 0.0
+        empty = np.zeros((2, 0, 2, 2), dtype=complex)
+        assert _conjugation_residuals(empty, empty, np.eye(2), 1.0) == [0.0, 0.0]
 
     def test_conjugation_residuals_per_sample(self):
         rng = np.random.default_rng(8)
