@@ -157,8 +157,8 @@ def quotient_kernel_partial(z: complex, *weights, p_max: int = 60) -> np.ndarray
     and columns in the theta order of the derivatives along z_1..z_{m-1}.
     The tail decays geometrically in |z|^2."""
     z = complex(z)
-    if abs(z) >= 1:
-        raise ValueError(f"|z| = {abs(z):.3f} is outside the unit disc")
+    if not abs(z) < 1:
+        raise ValueError(f"|z| = {abs(z):.3f} is outside the unit disc (z = {z})")
     if p_max < 1:
         raise ValueError("need p_max >= 1")
     _check_size(p_max, len(weights))

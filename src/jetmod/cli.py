@@ -97,16 +97,6 @@ def parse_points(text: str, m: int):
     return points
 
 
-def random_points(m: int, count: int, seed: int, radius: float = 0.5):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        rad = radius * np.sqrt(rng.random(m))
-        ang = 2 * np.pi * rng.random(m)
-        out.append(rad * np.exp(1j * ang))
-    return out
-
-
 def _sample_count(text: str) -> int:
     count = int(text)
     if count < 1:
@@ -195,7 +185,7 @@ def cmd_curvature(args) -> tuple:
     if args.points:
         points = parse_points(args.points, spec.m)
     else:
-        points = random_points(spec.m, args.num_samples, args.seed)
+        points = equivalence.default_samples(spec.m, 0, args.num_samples, args.seed)
 
     rows = []
     for point in points:
@@ -331,8 +321,8 @@ def cmd_quotient_demo(args) -> tuple:
         raise CliError("the quotient demo runs on three weights a,b,g")
     a, b, g = weights
     z = complex(args.z.replace(" ", ""))
-    if abs(z) >= 1:
-        raise CliError(f"|z| = {abs(z):.3f} must be < 1")
+    if not abs(z) < 1:
+        raise CliError(f"|z| = {abs(z):.3f} must be < 1 (z = {z})")
 
     level_rows = []
     print("level table: measured vs closed-form quantities")

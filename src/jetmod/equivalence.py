@@ -44,8 +44,8 @@ def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
     """Deterministic sample points on the flattened submanifold.
 
     Tangential coordinates are drawn with modulus at most 0.5; the first d
-    coordinates are zero.  With no tangential directions the only sample
-    is the origin.
+    coordinates are zero, so d = 0 samples every coordinate.  With no
+    tangential directions the only sample is the origin.
     """
     if m == d:
         return [np.zeros(m, dtype=complex)]
@@ -77,8 +77,8 @@ class InvariantArray:
     ``curvature`` is the covariant-derivative table of the transverse
     curvature to order k - 2, in sorted (i, j, alpha, beta) key order (its
     order-0 entries are the curvature itself); ``transport`` is the
-    transport-map table in sorted (l, i) order, with no blocks when d == m
-    (no tangential directions).  Both are None without bundle data.
+    transport-map array flattened in (l, i) order, with no blocks when
+    d == m (no tangential directions).  Both are None without bundle data.
     """
 
     d: int
@@ -123,10 +123,8 @@ def invariant_array(
         g = geometry.gram_jet(norm, q, trunc)
         tables.append(transverse_blocks(g.jet, idx))
         if bundle_data:
-            cov = geometry.curvature_covariant_derivs(g, d, max(k - 2, 0)).table
-            curvs.append([cov[key] for key in sorted(cov)])
-            maps = geometry.transport_maps(g, d, k).table
-            transports.append([maps[key] for key in sorted(maps)])
+            curvs.append(geometry.curvature_covariant_derivs(g, d, max(k - 2, 0))[1])
+            transports.append(geometry.transport_maps(g, d, k))
 
     deriv_tables = np.array(tables)
     shape = (len(samples), -1, r, r)  # the transport table is empty when d == m

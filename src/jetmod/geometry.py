@@ -22,7 +22,13 @@ evaluator returned by ``normalize_at``.  ``curvature``,
 ``curvature_covariant_derivs`` and ``transport_maps`` take the resulting
 ``GramJet`` and never evaluate a kernel: each slices the jet to the
 truncation it needs, which is exact because the grading puts lower orders
-first, and refuses a jet computed to a lower truncation.
+first, and refuses a jet computed to a lower truncation.  Derivative values
+are read with ``JetMatrix.derivatives`` and returned as stacks of (r, r)
+blocks: ``transverse_blocks`` (N+1, N+1, r, r) in theta order (l, t);
+``curvature_covariant_derivs`` sorted (i, j, alpha, beta) keys and their
+(keys, r, r) blocks, whose d = m, order-0 case is ``curvature`` (entries
+(m, m, r, r)); ``transport_maps`` (N+1, m - d, r, r), theta rank l, then
+tangential direction i - d.
 """
 
 from __future__ import annotations
@@ -79,15 +85,8 @@ def transverse_blocks(jm: JetMatrix, idx: JetIndexTable) -> np.ndarray:
     """
     m = jm.ctx.num_vars // 2
     n = len(idx)
-    out = np.empty((n, n) + jm.shape, dtype=complex)
-    for l, alpha in enumerate(idx.indices):
-        for t, beta in enumerate(idx.indices):
-            out[l, t] = jm.extract(pad_pair(m, alpha, beta))
-    return out
-
-
-def unit(m: int, i: int):
-    return tuple(1 if j == i else 0 for j in range(m))
+    rows = [pad_pair(m, alpha, beta) for alpha in idx.indices for beta in idx.indices]
+    return jm.derivatives(rows).reshape((n, n) + jm.shape)
 
 
 @dataclass
@@ -146,41 +145,22 @@ class CurvatureTensor:
 
 
 def curvature(g: GramJet) -> CurvatureTensor:
-    """Chern curvature blocks dbar_j(d_i H . H^{-1}) at the base point of g."""
-    h = g.truncated(2, "curvature")
+    """Chern curvature blocks dbar_j(d_i H . H^{-1}) at the base point of g: the
+    covariant-derivative reader at d = m and order 0, whose keys run over (i, j)."""
     m = len(g.point)
-    hinv = h.inverse().truncate(1)
-    out = np.empty((m, m) + h.shape, dtype=complex)
-    for i in range(m):
-        theta_i = h.derivative(i) @ hinv  # d_i H . H^{-1}, truncation 1
-        for j in range(m):
-            out[i, j] = theta_i.extract(pad_pair(m, beta=unit(m, j)))
-    return CurvatureTensor(point=g.point, entries=out)
+    _, blocks = curvature_covariant_derivs(g, m, 0)
+    return CurvatureTensor(point=g.point, entries=blocks.reshape((m, m) + blocks.shape[1:]))
 
 
-@dataclass
-class CovariantDerivArray:
-    """Covariant derivatives of curvature blocks along the first d directions.
-
-    ``get(i, j, alpha, beta)`` is K_{i jbar} differentiated covariantly
-    ``alpha`` times in z (ascending coordinate order, innermost first) and
-    ``beta`` times plainly in conj(z); ``alpha`` and ``beta`` are
-    d-variable multi-indices.
-    """
-
-    point: np.ndarray
-    d: int
-    max_order: int
-    table: dict
-
-    def get(self, i: int, j: int, alpha, beta) -> np.ndarray:
-        return self.table[(i, j, tuple(alpha), tuple(beta))]
-
-
-def curvature_covariant_derivs(
-    g: GramJet, d: int, max_order: int
-) -> CovariantDerivArray:
+def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
     """Covariant derivatives of the transverse curvature up to a total order.
+
+    Returns ``(keys, blocks)``: key (i, j, alpha, beta), for transverse
+    directions i, j and d-variable multi-indices alpha, beta with
+    |alpha| + |beta| <= max_order, names K_{i jbar} differentiated
+    covariantly ``alpha`` times in z (ascending coordinate order, innermost
+    first) and then ``beta`` times plainly in conj(z).  The keys are sorted;
+    ``blocks`` is the (keys, r, r) array in the same order.
 
     Reads the Gram jet to truncation ``max_order + 2``; the commutator
     correction for each z-derivative uses ``d_i H . H^{-1}`` at the same
@@ -190,7 +170,7 @@ def curvature_covariant_derivs(
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     trunc = max_order + 2
-    h = g.truncated(trunc, "covariant derivatives")
+    h = g.truncated(trunc, "curvature")
     hinv = h.inverse()
 
     # connection coefficients d_i H . H^{-1}: dbar_j of conn[i] is K_{i jbar},
@@ -205,48 +185,36 @@ def curvature_covariant_derivs(
         p = phi.truncate(t - 1)
         return phi.derivative(i) - (a @ p - p @ a)
 
-    table = {}
-    idx = JetIndexTable(d, max_order + 1)
+    orders = sorted(JetIndexTable(d, max_order + 1).indices)  # orders[0] is 0
+    conj = np.array([pad_pair(m, beta=b) for b in orders])
+    # K_{i jbar} = dbar_j conn[i]: its plain conj-derivatives dbar^beta are read
+    # off conn[i] at the rows beta + e_j, ordered by j, then beta
+    plain_rows = (conj + np.eye(2 * m, dtype=np.int64)[m : m + d, None]).reshape(-1, 2 * m)
+    keys, blocks = [], []
     for i in range(d):
+        plain = conn[i].derivatives(plain_rows).reshape((d, len(orders)) + h.shape)
         for j in range(d):
-            kij = conn[i].derivative(m + j)  # dbar_j, trunc-2 = max_order
-            for alpha in idx.indices:
-                for beta in idx.indices:
-                    if sum(alpha) + sum(beta) > max_order:
-                        continue
-                    phi = kij
-                    for v in range(d):  # z-covariant, ascending, innermost first
-                        for _ in range(alpha[v]):
-                            phi = z_cov(phi, v)
-                    for v in range(d):  # plain conj-derivatives
-                        for _ in range(beta[v]):
-                            phi = phi.derivative(m + v)
-                    table[(i, j, alpha, beta)] = phi.constant_term()
-    return CovariantDerivArray(point=g.point, d=d, max_order=max_order, table=table)
+            keys += [(i, j, orders[0], beta) for beta in orders]
+            blocks += list(plain[j])
+            for alpha in orders[1:]:
+                phi = conn[i].derivative(m + j)  # K_{i jbar}, trunc-2 = max_order
+                for v in range(d):  # z-covariant, ascending, innermost first
+                    for _ in range(alpha[v]):
+                        phi = z_cov(phi, v)
+                betas = [b for b in orders if sum(alpha) + sum(b) <= max_order]
+                keys += [(i, j, alpha, beta) for beta in betas]
+                blocks += list(phi.derivatives([pad_pair(m, beta=b) for b in betas]))
+    return keys, np.array(blocks)
 
 
-@dataclass
-class TransportMaps:
-    """The maps dbar_i(H^{-1} d^l H) on the flattened submanifold.
-
-    ``get(l, i)`` uses the theta rank l of the transverse derivative order
-    and an ambient tangential direction index i in d..m-1 (0-based).
-    """
-
-    point: np.ndarray
-    d: int
-    k: int
-    table: dict
-
-    def get(self, l: int, i: int) -> np.ndarray:
-        return self.table[(l, i)]
-
-
-def transport_maps(g: GramJet, d: int, k: int) -> TransportMaps:
+def transport_maps(g: GramJet, d: int, k: int) -> np.ndarray:
     """Transport maps at a base point on the flattened submanifold.
 
-    Reads the Gram jet to truncation ``max(k, 2)``: transverse order k - 1
-    plus one tangential conj-derivative.
+    Returns the (N+1, m - d, r, r) array whose entry [l, i - d] is
+    dbar_i(H^{-1} d^l H), for the theta rank l of the transverse derivative
+    order and the tangential directions i in d..m-1 (0-based); with d == m
+    it has no directions.  Reads the Gram jet to truncation ``max(k, 2)``:
+    transverse order k - 1 plus one tangential conj-derivative.
     """
     m = len(g.point)
     if not 1 <= d <= m:
@@ -254,18 +222,17 @@ def transport_maps(g: GramJet, d: int, k: int) -> TransportMaps:
     check_on_submanifold(g.point, d, "base point")
     h = g.truncated(max(k, 2), "transport maps")
     hinv = h.inverse()
-    idx = JetIndexTable(d, k)
-    table = {}
-    for l, alpha in enumerate(idx.indices):
+    tangential = np.eye(2 * m, dtype=np.int64)[m + d :]  # dbar_i, i = d..m-1
+    maps = []
+    for alpha in JetIndexTable(d, k).indices:
         dl_h = h
         for v in range(d):
             for _ in range(alpha[v]):
                 dl_h = dl_h.derivative(v)
         t = dl_h.ctx.trunc
         hl = hinv.truncate(t) @ dl_h  # H^{-1} d^l H
-        for i in range(d, m):
-            table[(l, i)] = hl.extract(pad_pair(m, beta=unit(m, i)))
-    return TransportMaps(point=g.point, d=d, k=k, table=table)
+        maps.append(hl.derivatives(tangential))
+    return np.array(maps)
 
 
 class NormalizedKernel:
@@ -297,10 +264,8 @@ class NormalizedKernel:
         """
         ctx = series_context(2 * self.m, trunc)
         left, left_vars = self.base.varying_jet(z0, self.p, trunc, vary_z, False)
-        _check_pd_invertible(left.constant_term(), "normalization: K(z, p)")
         mid = self.base.eval_jet(z0, w0, trunc, vary_z, vary_w)
         right, right_vars = self.base.varying_jet(self.p, w0, trunc, False, vary_w)
-        _check_pd_invertible(right.constant_term(), "normalization: K(p, w)")
         out = (
             left.inverse().embed(ctx, left_vars)
             @ mid
@@ -316,12 +281,6 @@ class NormalizedKernel:
 
     def __repr__(self):
         return f"NormalizedKernel(m={self.m}, r={self.r}, p={self.p})"
-
-
-def _check_pd_invertible(a: np.ndarray, what: str, cond_limit: float = 1e12):
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ValueError(f"{what} is numerically singular (cond ~ {cond:.3e})")
 
 
 def normalize_at(kernel, p) -> NormalizedKernel:

@@ -108,14 +108,11 @@ def module_action_matrix(f, z0, d: int, k: int, m: int = None) -> ModuleActionMa
     wrapper = KernelSpec(m, 1, [[f]])
     jm = wrapper.eval_jet(z0, np.zeros(m), k - 1, vary_w=False)
     n = idx.N + 1
-    out = np.zeros((n, n), dtype=complex)
-    for l, alpha in enumerate(idx.indices):
-        for t, beta in enumerate(idx.indices):
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            deriv = jm.extract(pad_pair(m, diff))[0, 0]
-            out[l, t] = multi_binom(alpha, beta) * deriv
+    # rows with beta > alpha are clipped to 0; binom masks their entries
+    rows = [pad_pair(m, np.maximum(np.subtract(a, b), 0)) for a in idx.indices for b in idx.indices]
+    derivs = jm.derivatives(rows)[:, 0, 0].reshape(n, n)
+    binom = np.array([[multi_binom(a, b) for b in idx.indices] for a in idx.indices])
+    out = np.where(binom != 0, binom * derivs, 0)
     return ModuleActionMatrix(point=z0, d=d, k=k, matrix=out)
 
 
@@ -137,6 +134,7 @@ def sym_power_matrix(j: np.ndarray, t: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     slice_t = degree_slice(d, t)
     ctx = series_context(d, t)
+    ranks = [ctx.rank[beta] for beta in slice_t]
     forms = []
     for v in range(d):
         s = JetSeries.constant(ctx, 0.0)
@@ -150,8 +148,7 @@ def sym_power_matrix(j: np.ndarray, t: int) -> np.ndarray:
         for v in range(d):
             for _ in range(alpha[v]):
                 poly = poly * forms[v]
-        for col, beta in enumerate(slice_t):
-            out[row, col] = poly.coeff(beta)
+        out[row] = poly.c[ranks]
     return out
 
 
@@ -206,15 +203,6 @@ def jet_column(kernel_like, z0, d: int, k: int) -> np.ndarray:
     """Theta-ordered transverse jet column of a scalar holomorphic expression.
 
     Helper used to exercise the chart transform and the module action:
-    returns (f(z0), d^1 f(z0), ..., d^N f(z0)).
+    returns (f(z0), d^1 f(z0), ..., d^N f(z0)), column 0 of the module action.
     """
-    if uses_wb(kernel_like):
-        raise ValueError("jet columns are defined for holomorphic expressions")
-    z0 = np.asarray(z0, dtype=complex)
-    m = len(z0)
-    idx = JetIndexTable(d, k)
-    wrapper = KernelSpec(m, 1, [[kernel_like]])
-    jm = wrapper.eval_jet(z0, np.zeros(m), k - 1, vary_w=False)
-    return np.array(
-        [jm.extract(pad_pair(m, alpha))[0, 0] for alpha in idx.indices]
-    )
+    return module_action_matrix(kernel_like, z0, d, k).matrix[:, 0]

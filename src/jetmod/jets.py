@@ -327,11 +327,7 @@ class JetSeries:
 
     def extract(self, alpha) -> complex:
         """Partial derivative value at the base point: alpha! * coeff(alpha)."""
-        alpha = tuple(alpha)
-        fac = 1
-        for a in alpha:
-            fac *= math.factorial(a)
-        return fac * self.coeff(alpha)
+        return complex(JetMatrix(self.ctx, self.c[None, None]).derivatives([alpha])[0, 0, 0])
 
     def __repr__(self):
         nz = int(np.count_nonzero(self.c))
@@ -537,11 +533,29 @@ class JetMatrix:
 
     def extract(self, alpha) -> np.ndarray:
         """Matrix of derivative values at the base point (alpha! * coefficient)."""
-        alpha = tuple(alpha)
-        fac = 1
-        for a in alpha:
-            fac *= math.factorial(a)
-        return fac * self.coeff(alpha)
+        return self.derivatives([alpha])[0]
+
+    def derivatives(self, exponents) -> np.ndarray:
+        """Derivative values e! * [x^e] at the base point, one matrix per row e.
+
+        ``exponents`` holds one exponent row per derivative, each of width
+        ``num_vars``; the result has shape (rows of exponents, rows, cols).
+        Negative entries, rows of degree above the truncation and rows of
+        another width are refused: the rank lookup would misread them.
+        """
+        e = np.asarray(exponents, dtype=np.int64)
+        ctx = self.ctx
+        if e.ndim != 2 or e.shape[1] != ctx.num_vars:
+            raise ValueError(
+                f"exponent rows must have width {ctx.num_vars}, got shape {e.shape}"
+            )
+        if e.min(initial=0) < 0:
+            raise ValueError("exponent rows must have non-negative entries")
+        if e.sum(axis=1).max(initial=0) > ctx.trunc:
+            raise ValueError(f"an exponent row exceeds truncation {ctx.trunc}")
+        fac = [math.prod(map(math.factorial, row)) for row in e.tolist()]
+        values = self.c[:, :, ctx._ranks(e)].transpose(2, 0, 1)
+        return np.array(fac, dtype=float)[:, None, None] * values
 
     def inverse(self) -> "JetMatrix":
         """Multiplicative inverse as a series, via Newton iteration.

@@ -389,6 +389,9 @@ class KernelSpec:
         w0 = np.asarray(w0, dtype=complex)
         if z0.shape != (self.m,) or w0.shape != (self.m,):
             raise ValueError(f"points must have length m = {self.m}")
+        for point in (z0, w0):
+            if not np.isfinite(point).all():
+                raise ValueError(f"point {point} has a non-finite coordinate")
         nz, nw = self._varying(vary_z), self._varying(vary_w)
         ctx = series_context(nz + nw, trunc)
         zs = [JetSeries.constant(ctx, v) for v in z0]

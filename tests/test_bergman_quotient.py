@@ -120,8 +120,9 @@ class TestQuotientKernel:
         assert abs(coarse - exact) > 1e-2
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError, match="unit disc"):
-            quotient_kernel_partial(1.0, 1.0, 1.0, 1.0)
+        for z in (1.0, float("nan"), complex(0.0, float("inf"))):
+            with pytest.raises(ValueError, match="unit disc"):
+                quotient_kernel_partial(z, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="p_max"):
             quotient_kernel_partial(0.3, 1.0, 1.0, 1.0, p_max=0)
 

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -247,6 +248,34 @@ def test_unread_flags_are_not_registered(argv, flag, capsys):
         parser.parse_args([*argv, flag, "3"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient-demo", "--z", "nan"],
+    ["curvature", "--kernel", "b123.kernel", "--points", "0.1,nan,0"],
+    ["equiv", "--kernel", "b123.kernel", "--kernel2", "b132.kernel", "--chart", "diagonal(3)",
+     "--points", "0,0,nan"],
+    ["recover-weights", "--weights", "1,2", "--points", "0,nan"],
+])
+def test_non_finite_point_refused(argv, kernel_dir, capsys, monkeypatch):
+    from jetmod.cli import main
+
+    monkeypatch.chdir(kernel_dir)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "nan" in err and ("non-finite coordinate" in err or "must be < 1" in err)
+
+
+def test_curvature_samples_are_default_samples(kernel_dir, tmp_path):
+    from jetmod.equivalence import default_samples
+
+    out = tmp_path / "c.json"
+    res = run_cli("curvature", "--kernel", str(kernel_dir / "b123.kernel"),
+                  "--seed", "7", "--num-samples", "3", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    points = [[complex(*x) for x in row["point"]]
+              for row in json.loads(out.read_text())["results"]["points"]]
+    assert np.array_equal(points, default_samples(3, 0, 3, 7))
 
 
 class TestJetKernel:

@@ -108,7 +108,8 @@ class TestInvariantArray:
         norm = normalize_at(pullback_affine(spec, CHART3), np.zeros(3))
         for s, q in enumerate(samples):
             g = gram_jet(norm, q, trunc=4)
-            keys = sorted(curvature_covariant_derivs(g, 2, 1).table)
+            keys, _ = curvature_covariant_derivs(g, 2, 1)
+            assert keys == sorted(keys)
             assert inv.curvature.shape == (2, len(keys), 2, 2)
             entries = curvature(g).entries
             order0 = [n for n, key in enumerate(keys) if not any(key[2] + key[3])]
@@ -116,6 +117,14 @@ class TestInvariantArray:
             for n in order0:
                 i, j = keys[n][:2]
                 assert np.max(np.abs(inv.curvature[s, n] - entries[i, j])) < 1e-12
+
+    def test_singular_normalization_refused(self):
+        # K(q, p) = 1 + 4 * (-0.5) * 0.5 = 0, so the normalization has no inverse
+        spec = parse_kernel("1 + 4*z2*wb2")
+        p, q = np.array([0.0, 0.5]), np.array([0.0, -0.5])
+        assert spec.eval_point(q, p)[0, 0] == 0
+        with pytest.raises(ValueError, match="numerically singular"):
+            invariant_array(spec, identity_chart(2, 1), 2, samples=[q], base_point=p)
 
     def test_no_bundle_data(self):
         inv = invariant_array(builtin_bergman([1.0, 2.0]), CHART2, k=2, bundle_data=False)

@@ -72,17 +72,17 @@ class TestGramJet:
             return float(np.max(np.abs(a - b)))
 
         assert dev(curvature(high).entries, curvature(gram_jet(spec, q, trunc=2)).entries) < 1e-13
-        cov_high = curvature_covariant_derivs(high, d=1, max_order=1)
-        cov_low = curvature_covariant_derivs(gram_jet(spec, q, trunc=3), d=1, max_order=1)
-        assert cov_high.table.keys() == cov_low.table.keys()
-        for key, block in cov_low.table.items():
-            assert dev(cov_high.table[key], block) < 1e-13
+        keys_high, cov_high = curvature_covariant_derivs(high, d=1, max_order=1)
+        keys_low, cov_low = curvature_covariant_derivs(gram_jet(spec, q, trunc=3), d=1, max_order=1)
+        assert keys_high == keys_low
+        for n, block in enumerate(cov_low):
+            assert dev(cov_high[n], block) < 1e-13
         tm_high = transport_maps(high, d=1, k=3)
         tm_low = transport_maps(gram_jet(spec, q, trunc=3), d=1, k=3)
-        assert tm_high.table.keys() == tm_low.table.keys()
-        assert max(abs(b).max() for b in tm_low.table.values()) > 1e-3  # non-vacuous
-        for key, block in tm_low.table.items():
-            assert dev(tm_high.table[key], block) < 1e-13
+        assert tm_high.shape == tm_low.shape
+        assert max(abs(b).max() for b in tm_low.reshape(-1, 2, 2)) > 1e-3  # non-vacuous
+        for key in np.ndindex(tm_low.shape[:2]):
+            assert dev(tm_high[key], tm_low[key]) < 1e-13
 
 
 class TestCurvature:
@@ -207,17 +207,17 @@ class TestCovariantDerivs:
         spec = coupled_rank2_kernel(np.random.default_rng(6))
         z0 = rand_point(np.random.default_rng(7), 2, radius=0.4)
         c = curvature(gram_jet(spec, z0)).entries
-        cov = curvature_covariant_derivs(gram_jet(spec, z0, trunc=2), d=2, max_order=0)
+        cov = dict(zip(*curvature_covariant_derivs(gram_jet(spec, z0, trunc=2), d=2, max_order=0)))
         for i in range(2):
             for j in range(2):
-                got = cov.get(i, j, (0, 0), (0, 0))
+                got = cov[(i, j, (0, 0), (0, 0))]
                 assert np.max(np.abs(got - c[i, j])) < 1e-10
 
     def test_rank1_reduces_to_plain_partials(self):
         # commutators vanish for scalars, so covariant = plain derivatives of K_ij
         spec = builtin_bergman([1.2, 2.2])
         z0 = np.array([0.1 + 0.05j, -0.2j])
-        cov = curvature_covariant_derivs(gram_jet(spec, z0, trunc=3), d=2, max_order=1)
+        cov = dict(zip(*curvature_covariant_derivs(gram_jet(spec, z0, trunc=3), d=2, max_order=1)))
 
         def k11(z):
             return curvature(gram_jet(spec, z)).entries[0, 0, 0, 0]
@@ -225,8 +225,8 @@ class TestCovariantDerivs:
         for v in range(2):
             d_v, dbar_v = wirtinger_fd(k11, z0, v, h=1e-4)
             alpha = tuple(1 if i == v else 0 for i in range(2))
-            got_z = cov.get(0, 0, alpha, (0, 0))[0, 0]
-            got_zbar = cov.get(0, 0, (0, 0), alpha)[0, 0]
+            got_z = cov[(0, 0, alpha, (0, 0))][0, 0]
+            got_zbar = cov[(0, 0, (0, 0), alpha)][0, 0]
             assert abs(got_z - d_v) < 1e-3 * max(1.0, abs(d_v))
             assert abs(got_zbar - dbar_v) < 1e-3 * max(1.0, abs(dbar_v))
 
@@ -247,11 +247,11 @@ class TestTransportMaps:
     def test_rank_zero_entries(self):
         spec = builtin_bergman([1.0, 1.0])
         tm = transport_maps(gram_jet(spec, np.array([0.0, 0.2])), d=1, k=2)
-        assert np.max(np.abs(tm.get(0, 1))) < 1e-12
+        assert np.max(np.abs(tm[0, 1 - 1])) < 1e-12  # rank 0, direction i = 1
 
     def test_constant_kernel_all_zero(self):
         tm = transport_maps(gram_jet(parse_kernel("1 + 0*z1*wb1 + 0*z2*wb2"), np.zeros(2)), 1, 2)
-        assert all(np.max(np.abs(v)) < 1e-14 for v in tm.table.values())
+        assert all(np.max(np.abs(v)) < 1e-14 for v in tm.reshape(-1, 1, 1))
 
     def test_off_manifold_rejected(self):
         spec = builtin_bergman([1.0, 1.0])
@@ -270,7 +270,7 @@ class TestTransportMaps:
             return (np.linalg.inv(g.extract()) @ g.extract(alpha=(1, 0)))[0, 0]
 
         _, dbar2 = wirtinger_fd(g1, q, 1, h=1e-4)
-        got = tm.get(1, 1)[0, 0]
+        got = tm[1, 1 - 1][0, 0]  # rank 1, direction i = 1
         assert abs(got) > 1e-3  # the check is non-vacuous
         assert abs(got - dbar2) < 1e-4 * max(1.0, abs(dbar2))
 

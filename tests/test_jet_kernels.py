@@ -231,6 +231,12 @@ class TestModuleAction:
                         else:
                             assert abs(v) < 1e-12, (gamma, alpha, t)
 
+    def test_jet_column_is_column_zero(self):
+        rng = np.random.default_rng(21)
+        for d, k in [(1, 3), (2, 3), (3, 2)]:
+            f, z0 = rand_poly_ast(rng, 3), rand_point(rng, 3)
+            assert np.array_equal(jet_column(f, z0, d, k), module_action_matrix(f, z0, d, k).matrix[:, 0])
+
     def test_tensor(self):
         mam = module_action_matrix(Var("z", 1), np.zeros(1), 1, 2)
         big = mam.tensor(2)

@@ -255,6 +255,43 @@ def test_matmul_matches_entrywise_bincount():
         assert np.array_equal((a @ b).c, ref)
 
 
+def _extract_loop(jm, exponents):
+    """Reference: the per-index read, alpha! times the coefficient, one row at a time."""
+    out = []
+    for alpha in exponents:
+        fac = 1
+        for a in alpha:
+            fac *= math.factorial(a)
+        out.append(fac * jm.coeff(alpha))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("num_vars, trunc", [(n, t) for n in range(5) for t in range(5)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_derivatives_match_extract_loop(num_vars, trunc, r):
+    rng = np.random.default_rng(num_vars * 10 + trunc)
+    ctx = series_context(num_vars, trunc)
+    jm = JetMatrix(ctx, rng.random((r, r, ctx.size)) - 0.5 + 1j * (rng.random((r, r, ctx.size)) - 0.5))
+    # every monomial in shuffled order, and some twice
+    rows = [ctx.indices[i] for i in rng.permutation(ctx.size)] + list(ctx.indices[::3])
+    got = jm.derivatives(rows)
+    assert got.shape == (len(rows), r, r)
+    assert got.tobytes() == _extract_loop(jm, rows).tobytes()
+    assert got[0].tobytes() == jm.extract(rows[0]).tobytes()
+
+
+def test_derivatives_refuse_malformed_rows():
+    jm = JetMatrix.identity(series_context(2, 3), 2)
+    for rows, match in [
+        ([(1, 0), (1, -1)], "non-negative"),  # its key would read the rank of (0, 0)
+        ([(0, 0), (2, 2)], "exceeds truncation 3"),
+        ([(1, 0, 0)], "width 2"),
+        ([1, 0], "width 2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            jm.derivatives(rows)
+
+
 def test_embed_is_a_ring_map():
     # variables (0, 1) of a 2-variable jet become variables (1, 3) of a 4-variable one
     rng = np.random.default_rng(13)

@@ -227,6 +227,17 @@ class TestEvalJet:
             right = b.extract(beta + alpha)
             assert np.max(np.abs(left - right.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_points_refused(self, bad):
+        # the one way into the tape refuses them, for eval_point and eval_jet alike
+        spec = builtin_bergman([1.0, 2.0])
+        good = np.array([0.1, 0.2])
+        for z, w in [([0.1, bad], good), (good, [bad, 0.0])]:
+            with pytest.raises(ValueError, match="non-finite coordinate"):
+                spec.eval_point(z, w)
+            with pytest.raises(ValueError, match="non-finite coordinate"):
+                spec.eval_jet(z, w, 2, vary_w=False)
+
     def test_domain_error(self):
         spec = parse_kernel("log(z1*wb1)")
         with pytest.raises(DomainError):
