@@ -187,15 +187,11 @@ def cmd_curvature(args) -> tuple:
     else:
         points = equivalence.default_samples(spec.m, 0, args.num_samples, args.seed)
 
-    rows = []
-    for point in points:
-        g = geometry.gram_jet(spec, point, trunc=max(2, args.trunc or 2))
-        curv = geometry.curvature(g)
-        rows.append({
-            "point": list(point),
-            "blocks": curv.entries,
-            "selfadjoint_defect": curv.selfadjoint_defect(),
-        })
+    curv = geometry.curvature(geometry.gram_jet(spec, np.array(points)))
+    rows = [
+        {"point": list(point), "blocks": blocks, "selfadjoint_defect": defect}
+        for point, blocks, defect in zip(points, curv.entries, curv.selfadjoint_defect())
+    ]
     print(f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})")
     for row in rows:
         print("point:", ", ".join(_fmt_complex(x) for x in row["point"]))
@@ -207,7 +203,7 @@ def cmd_curvature(args) -> tuple:
     results = {"points": rows}
     config = {
         "kernel": args.kernel, "chart": args.chart, "points": args.points,
-        "seed": args.seed, "num_samples": args.num_samples, "trunc": args.trunc,
+        "seed": args.seed, "num_samples": args.num_samples,
     }
     return make_report("curvature", config, results), EXIT_OK
 
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **flags[name])
 
     p = sub.add_parser("curvature", help="curvature blocks at points")
-    add(p, "--kernel", "--chart", "--points", "--seed", "--num-samples", "--trunc")
+    add(p, "--kernel", "--chart", "--points", "--seed", "--num-samples")
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("jetkernel", help="jet kernel blocks at points")

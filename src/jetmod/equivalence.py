@@ -60,14 +60,17 @@ def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
     return out
 
 
-def _samples_on_z(samples, d: int) -> list:
-    """The samples as complex arrays; there must be one, each on the submanifold."""
+def _samples_on_z(samples, m: int, d: int) -> np.ndarray:
+    """The samples as one (samples, m) stack; there must be one, each of
+    length m and on the submanifold."""
     samples = [np.asarray(q, dtype=complex) for q in samples]
     if not samples:
         raise ValueError("at least one sample point is needed")
-    for q in samples:
-        check_on_submanifold(q, d, "sample")
-    return samples
+    if any(q.shape != (m,) for q in samples):
+        raise ValueError(f"sample points must have length m = {m}")
+    stack = np.array(samples)
+    check_on_submanifold(stack, d, "sample")
+    return stack
 
 
 @dataclass
@@ -86,7 +89,7 @@ class InvariantArray:
     N: int
     r: int
     m: int
-    samples: list
+    samples: np.ndarray       # (samples, m)
     deriv_tables: np.ndarray  # (samples, N+1, N+1, r, r)
     curvature: np.ndarray     # (samples, blocks, r, r)
     transport: np.ndarray     # (samples, blocks, r, r)
@@ -100,39 +103,33 @@ def invariant_array(
     """Compute the equivalence invariants of a kernel along a submanifold.
 
     The kernel is pulled back by the chart, normalized at ``base_point``
-    (chart origin by default), and evaluated once per sample into a Gram
-    jet, at the largest truncation the derivative table and the bundle
-    invariants read.  With ``bundle_data`` off only the derivative tables
-    are filled (enough for the rank-1 and derivative-array criteria).
+    (chart origin by default), and evaluated at all samples at once into
+    one batched Gram jet, at the largest truncation the derivative table
+    and the bundle invariants read.  With ``bundle_data`` off only the
+    derivative tables are filled (enough for the rank-1 and
+    derivative-array criteria).
     """
     d = chart.d
     pulled = pullback_affine(spec, chart)
     m, r = pulled.m, pulled.r
     if samples is None:
         samples = default_samples(m, d)
-    samples = _samples_on_z(samples, d)
+    samples = _samples_on_z(samples, m, d)
     if base_point is None:
         base_point = np.zeros(m, dtype=complex)
     norm = geometry.normalize_at(pulled, base_point)
 
     idx = JetIndexTable(d, k)
-    trunc = max(2 * (k - 1), k, 2)
-
-    tables, curvs, transports = [], [], []
-    for q in samples:
-        g = geometry.gram_jet(norm, q, trunc)
-        tables.append(transverse_blocks(g.jet, idx))
-        if bundle_data:
-            curvs.append(geometry.curvature_covariant_derivs(g, d, max(k - 2, 0))[1])
-            transports.append(geometry.transport_maps(g, d, k))
-
-    deriv_tables = np.array(tables)
-    shape = (len(samples), -1, r, r)  # the transport table is empty when d == m
+    g = geometry.gram_jet(norm, samples, max(2 * (k - 1), k, 2))
+    deriv_tables = transverse_blocks(g.jet, idx)
+    curvature = transport = None
+    if bundle_data:
+        curvature = geometry.curvature_covariant_derivs(g, d, max(k - 2, 0))[1]
+        # the transport table is empty when d == m
+        transport = geometry.transport_maps(g, d, k).reshape(len(samples), -1, r, r)
     return InvariantArray(
         d=d, k=k, N=idx.N, r=r, m=m, samples=samples, deriv_tables=deriv_tables,
-        curvature=np.array(curvs).reshape(shape) if bundle_data else None,
-        transport=np.array(transports).reshape(shape) if bundle_data else None,
-        scale=_scale(deriv_tables),
+        curvature=curvature, transport=transport, scale=_scale(deriv_tables),
     )
 
 
@@ -160,6 +157,14 @@ class EquivalenceReport:
 def _scale(*stacks) -> float:
     """The scale residuals are divided by: the largest entry, at least 1."""
     return max(1.0, *(float(np.max(np.abs(s), initial=0.0)) for s in stacks))
+
+
+def _sample_residuals(diff, a, b) -> list:
+    """Per-sample largest |diff|, over the scale of that sample's a and b."""
+    def worst(x):
+        return np.max(np.abs(x).reshape(len(x), -1), axis=1, initial=0.0)
+
+    return (worst(diff) / np.maximum(1.0, np.maximum(worst(a), worst(b)))).tolist()
 
 
 def _verdict(worst: float, tol: float) -> str:
@@ -417,35 +422,30 @@ def lemma_em_check(
         raise ValueError("this check requires codimension d = 2")
     if spec_a.r != 1 or spec_b.r != 1:
         raise ValueError("this check requires rank-1 kernels")
-    k = 2
     pulled_a = pullback_affine(spec_a, chart)
     pulled_b = pullback_affine(spec_b, chart)
     m = pulled_a.m
     if samples is None:
         samples = default_samples(m, chart.d)
-    samples = _samples_on_z(samples, chart.d)
+    samples = _samples_on_z(samples, m, chart.d)
 
-    idx = JetIndexTable(2, k)
-    psi_specs = [KernelSpec(m, 1, [[p]]) for p in (psi00, psi10, psi01)]
+    p00, p10, p01 = (
+        KernelSpec(m, 1, [[p]]).eval_point(samples, samples)[:, 0, 0]
+        for p in (psi00, psi10, psi01)
+    )
+    psi = np.zeros((len(samples), 3, 3), dtype=complex)
+    psi[:, [0, 1, 2], [0, 1, 2]] = p00[:, None]
+    psi[:, 1, 0], psi[:, 2, 0] = p10, p01
 
-    em_residuals, curv_residuals = [], []
-    for q in samples:
-        ga = geometry.gram_jet(pulled_a, q, trunc=2)
-        gb = geometry.gram_jet(pulled_b, q, trunc=2)
-        pa = transverse_blocks(ga.jet, idx)[:, :, 0, 0]
-        pb = transverse_blocks(gb.jet, idx)[:, :, 0, 0]
-        p00, p10, p01 = (s.eval_point(q, q)[0, 0] for s in psi_specs)
-        psi = np.array(
-            [[p00, 0, 0], [p10, p00, 0], [p01, 0, p00]], dtype=complex
-        )
-        em_residuals.append(
-            float(np.max(np.abs(pb - psi @ pa @ psi.conj().T))) / _scale(pa, pb)
-        )
-
-        ka = geometry.curvature(ga).entries
-        kb = geometry.curvature(gb).entries
-        curv_residuals.append(float(np.max(np.abs(ka - kb))) / _scale(ka, kb))
-
+    ga = geometry.gram_jet(pulled_a, samples, trunc=2)
+    gb = geometry.gram_jet(pulled_b, samples, trunc=2)
+    idx = JetIndexTable(2, 2)
+    pa = transverse_blocks(ga.jet, idx)[..., 0, 0]
+    pb = transverse_blocks(gb.jet, idx)[..., 0, 0]
+    em_residuals = _sample_residuals(pb - psi @ pa @ np.conj(np.swapaxes(psi, 1, 2)), pa, pb)
+    ka = geometry.curvature(ga).entries
+    kb = geometry.curvature(gb).entries
+    curv_residuals = _sample_residuals(ka - kb, ka, kb)
     return {
         "congruence_residuals": em_residuals,
         "curvature_residuals": curv_residuals,
@@ -475,13 +475,9 @@ def recover_bergman_weights(weights, samples=None, num_samples: int = 3,
     pulled = pullback_affine(builtin_bergman(weights), chart)
     if samples is None:
         samples = default_samples(m, chart.d, count=num_samples, seed=seed)
-    samples = _samples_on_z(samples, chart.d)
+    samples = _samples_on_z(samples, m, chart.d)
 
-    recovered = np.zeros(m)
-    for q in samples:
-        curv = geometry.curvature(geometry.gram_jet(pulled, q)).entries
-        u_m = q[m - 1]
-        factor = (1.0 - abs(u_m) ** 2) ** 2
-        partial = np.array([curv[i, i, 0, 0].real * factor for i in range(m)])
-        recovered += np.diff(partial, prepend=0.0)
-    return recovered / len(samples)
+    curv = geometry.curvature(geometry.gram_jet(pulled, samples)).entries
+    factor = (1.0 - np.abs(samples[:, m - 1]) ** 2) ** 2
+    partial = curv[:, range(m), range(m), 0, 0].real * factor[:, None]
+    return np.diff(partial, axis=1, prepend=0.0).sum(axis=0) / len(samples)

@@ -18,26 +18,30 @@ of ``H``:
 
 ``gram_jet`` is the one place a kernel becomes a Gram jet.  It accepts any
 object with ``eval_jet(z0, w0, trunc)`` — a ``KernelSpec`` or the
-evaluator returned by ``normalize_at``.  ``curvature``,
+evaluator returned by ``normalize_at`` — and a point or a (B, m) stack of
+sample points, evaluated in one batched pass.  ``curvature``,
 ``curvature_covariant_derivs`` and ``transport_maps`` take the resulting
 ``GramJet`` and never evaluate a kernel: each slices the jet to the
 truncation it needs, which is exact because the grading puts lower orders
-first, and refuses a jet computed to a lower truncation.  Derivative values
-are read with ``JetMatrix.derivatives`` and returned as stacks of (r, r)
-blocks: ``transverse_blocks`` (N+1, N+1, r, r) in theta order (l, t);
-``curvature_covariant_derivs`` sorted (i, j, alpha, beta) keys and their
-(keys, r, r) blocks, whose d = m, order-0 case is ``curvature`` (entries
-(m, m, r, r)); ``transport_maps`` (N+1, m - d, r, r), theta rank l, then
-tangential direction i - d.
+first, and refuses a jet computed to a lower truncation.  The inverse of
+the sliced jet is computed once per truncation and shared by the readers.
+Derivative values are read with ``JetMatrix.derivatives`` and returned as
+stacks of (r, r) blocks: ``transverse_blocks`` (N+1, N+1, r, r) in theta
+order (l, t); ``curvature_covariant_derivs`` sorted (i, j, alpha, beta)
+keys and their (keys, r, r) blocks, whose d = m, order-0 case is
+``curvature`` (entries (m, m, r, r)); ``transport_maps`` (N+1, m - d, r, r),
+theta rank l, then tangential direction i - d.  A jet of a (B, m) stack
+of points puts B in front of each shape, and a failed check names the
+first failing sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import JetMatrix, series_context
+from .jets import JetMatrix, refuse, series_context
 from .multiindex import JetIndexTable
 
 PD_FLOOR = 1e-12
@@ -61,13 +65,12 @@ def hermitian_sqrt(a: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
 
 
 def check_on_submanifold(point, d: int, what: str):
-    """Raise unless the first d (transverse) coordinates of point vanish."""
-    off = float(np.max(np.abs(np.asarray(point, dtype=complex)[:d])))
-    if off > ON_Z_TOL:
-        raise ValueError(
-            f"{what} is off the submanifold: |first {d} chart coordinates| "
-            f"up to {off:.2e} (tolerance {ON_Z_TOL:.1e})"
-        )
+    """Raise unless the first d (transverse) coordinates of point (or of
+    each point of a stack) vanish."""
+    off = np.max(np.abs(np.asarray(point, dtype=complex)[..., :d]), axis=-1, initial=0.0)
+    refuse(off > ON_Z_TOL, lambda i: (
+        f"{what} is off the submanifold: |first {d} chart coordinates| "
+        f"up to {off.flat[i]:.2e} (tolerance {ON_Z_TOL:.1e})"))
 
 
 def pad_pair(m: int, alpha=(), beta=()):
@@ -86,20 +89,20 @@ def transverse_blocks(jm: JetMatrix, idx: JetIndexTable) -> np.ndarray:
     m = jm.ctx.num_vars // 2
     n = len(idx)
     rows = [pad_pair(m, alpha, beta) for alpha in idx.indices for beta in idx.indices]
-    return jm.derivatives(rows).reshape((n, n) + jm.shape)
+    return jm.derivatives(rows).reshape(jm.batch + (n, n) + jm.shape)
 
 
 @dataclass
 class GramJet:
-    """Jet of H = K(z, z) around a base point."""
+    """Jet of H = K(z, z) around a base point, or around each of a stack."""
 
     point: np.ndarray
     jet: JetMatrix
+    _inverses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def extract(self, alpha=(), beta=()) -> np.ndarray:
         """The derivative d^alpha dbar^beta H at the base point."""
-        m = len(self.point)
-        return self.jet.extract(pad_pair(m, alpha, beta))
+        return self.jet.extract(pad_pair(self.point.shape[-1], alpha, beta))
 
     def truncated(self, trunc: int, what: str) -> JetMatrix:
         """The jet sliced to ``trunc``; refuses a jet of lower truncation."""
@@ -110,46 +113,54 @@ class GramJet:
             )
         return self.jet.truncate(trunc)
 
+    def inverse(self, trunc: int, what: str) -> JetMatrix:
+        """The inverse of the jet sliced to ``trunc``, computed once per truncation."""
+        if trunc not in self._inverses:
+            self._inverses[trunc] = self.truncated(trunc, what).inverse()
+        return self._inverses[trunc]
+
 
 def gram_jet(kernel, z0, trunc: int = 2) -> GramJet:
-    """The jet of H = K(z, z) at z0; its constant term must be positive definite."""
+    """Jet of H = K(z, z) at z0 (or each point of a stack); H(z0) must be positive definite."""
     z0 = np.asarray(z0, dtype=complex)
     jm = kernel.eval_jet(z0, z0, trunc)
     h0 = jm.constant_term()
-    scale = max(1.0, float(np.max(np.abs(h0))))
-    dev = float(np.max(np.abs(h0 - h0.conj().T)))
-    if dev > 1e-8 * scale:
-        raise ValueError(f"Gram matrix: constant term not Hermitian (dev {dev:.3e})")
-    vals = np.linalg.eigvalsh((h0 + h0.conj().T) / 2.0)
-    if np.min(vals) < PD_FLOOR * scale:
-        raise ValueError(
-            "Gram matrix: constant term not positive definite "
-            f"(min eigenvalue {np.min(vals):.3e})"
-        )
+    h0_adj = np.conj(np.swapaxes(h0, -1, -2))
+    scale = np.maximum(1.0, np.max(np.abs(h0), axis=(-2, -1)))
+    dev = np.max(np.abs(h0 - h0_adj), axis=(-2, -1))
+    refuse(dev > 1e-8 * scale, lambda i: (
+        f"Gram matrix: constant term not Hermitian (dev {dev.flat[i]:.3e})"))
+    low = np.linalg.eigvalsh((h0 + h0_adj) / 2.0)[..., 0]
+    refuse(low < PD_FLOOR * scale, lambda i: (
+        f"Gram matrix: constant term not positive definite (min eigenvalue {low.flat[i]:.3e})"))
     return GramJet(point=z0, jet=jm)
 
 
 @dataclass
 class CurvatureTensor:
-    """All m x m curvature blocks at one point; entries[i, j] is K_{i jbar}."""
+    """All m x m curvature blocks at one point (or per sample of a batch);
+    entries[..., i, j, :, :] is K_{i jbar}."""
 
     point: np.ndarray
-    entries: np.ndarray  # (m, m, r, r)
+    entries: np.ndarray  # (*batch, m, m, r, r)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return self.entries[i, j]
+        return self.entries[..., i, j, :, :]
 
-    def selfadjoint_defect(self) -> float:
-        swapped = np.conj(np.swapaxes(self.entries, 2, 3))  # blockwise adjoint
-        return float(np.max(np.abs(self.entries - swapped.transpose(1, 0, 2, 3))))
+    def selfadjoint_defect(self):
+        """Largest entry of K_{i jbar} - K_{j ibar}*, per sample of a batch."""
+        swapped = np.conj(np.swapaxes(self.entries, -1, -2))  # blockwise adjoint
+        diff = np.abs(self.entries - np.swapaxes(swapped, -4, -3))
+        return np.max(diff, axis=(-4, -3, -2, -1))
 
 
 def curvature(g: GramJet) -> CurvatureTensor:
     """Chern curvature blocks dbar_j(d_i H . H^{-1}) at the base point of g: the
     covariant-derivative reader at d = m and order 0, whose keys run over (i, j)."""
-    m = len(g.point)
+    m = g.point.shape[-1]
     _, blocks = curvature_covariant_derivs(g, m, 0)
-    return CurvatureTensor(point=g.point, entries=blocks.reshape((m, m) + blocks.shape[1:]))
+    shape = blocks.shape[:-3] + (m, m) + blocks.shape[-2:]
+    return CurvatureTensor(point=g.point, entries=blocks.reshape(shape))
 
 
 def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
@@ -166,12 +177,12 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
     correction for each z-derivative uses ``d_i H . H^{-1}`` at the same
     point.
     """
-    m = len(g.point)
+    m = g.point.shape[-1]
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     trunc = max_order + 2
     h = g.truncated(trunc, "curvature")
-    hinv = h.inverse()
+    hinv = g.inverse(trunc, "curvature")
 
     # connection coefficients d_i H . H^{-1}: dbar_j of conn[i] is K_{i jbar},
     # and they give the commutator of each z-direction correction
@@ -192,10 +203,10 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
     plain_rows = (conj + np.eye(2 * m, dtype=np.int64)[m : m + d, None]).reshape(-1, 2 * m)
     keys, blocks = [], []
     for i in range(d):
-        plain = conn[i].derivatives(plain_rows).reshape((d, len(orders)) + h.shape)
+        plain = conn[i].derivatives(plain_rows).reshape(h.batch + (d, len(orders)) + h.shape)
         for j in range(d):
             keys += [(i, j, orders[0], beta) for beta in orders]
-            blocks += list(plain[j])
+            blocks.append(plain[..., j, :, :, :])
             for alpha in orders[1:]:
                 phi = conn[i].derivative(m + j)  # K_{i jbar}, trunc-2 = max_order
                 for v in range(d):  # z-covariant, ascending, innermost first
@@ -203,8 +214,8 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
                         phi = z_cov(phi, v)
                 betas = [b for b in orders if sum(alpha) + sum(b) <= max_order]
                 keys += [(i, j, alpha, beta) for beta in betas]
-                blocks += list(phi.derivatives([pad_pair(m, beta=b) for b in betas]))
-    return keys, np.array(blocks)
+                blocks.append(phi.derivatives([pad_pair(m, beta=b) for b in betas]))
+    return keys, np.concatenate(blocks, axis=-3)
 
 
 def transport_maps(g: GramJet, d: int, k: int) -> np.ndarray:
@@ -216,12 +227,12 @@ def transport_maps(g: GramJet, d: int, k: int) -> np.ndarray:
     it has no directions.  Reads the Gram jet to truncation ``max(k, 2)``:
     transverse order k - 1 plus one tangential conj-derivative.
     """
-    m = len(g.point)
+    m = g.point.shape[-1]
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     check_on_submanifold(g.point, d, "base point")
     h = g.truncated(max(k, 2), "transport maps")
-    hinv = h.inverse()
+    hinv = g.inverse(max(k, 2), "transport maps")
     tangential = np.eye(2 * m, dtype=np.int64)[m + d :]  # dbar_i, i = d..m-1
     maps = []
     for alpha in JetIndexTable(d, k).indices:
@@ -232,7 +243,7 @@ def transport_maps(g: GramJet, d: int, k: int) -> np.ndarray:
         t = dl_h.ctx.trunc
         hl = hinv.truncate(t) @ dl_h  # H^{-1} d^l H
         maps.append(hl.derivatives(tangential))
-    return np.array(maps)
+    return np.stack(maps, axis=-4)
 
 
 class NormalizedKernel:
@@ -256,7 +267,8 @@ class NormalizedKernel:
             self.label += "|normalized"
 
     def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
-        """The normalized jet; ``vary_z``/``vary_w`` as in ``KernelSpec.eval_jet``.
+        """The normalized jet; points, stacks of them and ``vary_z``/``vary_w``
+        as in ``KernelSpec.eval_jet``.
 
         K(z, p) and K(p, w) vary in one argument each, so they are
         evaluated and inverted over those variables only and embedded in

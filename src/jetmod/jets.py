@@ -20,6 +20,14 @@ built.  A context may have no variables; its series are the constants.
 ``JetMatrix.embed`` places a jet computed over some variables into a
 context with more, by the same exponent-key lookup the tables use.
 
+Coefficient arrays may carry leading batch axes, one jet per sample
+point: ``(*batch, size)`` for a ``JetSeries``, ``(*batch, rows, cols,
+size)`` for a ``JetMatrix``.  Every operation acts on the last axis.  A
+product sums the pairs of every entry of every sample with one
+``bincount``, each in its own bins, so each bin adds its pairs in table
+order as it would alone.  Constant terms are computed per sample with the
+scalar operations, and a failed check names the first failing sample.
+
 Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
 (Neidinger, Math. Comp. 74, 2005): degree ``n`` of the result is one pass
@@ -87,6 +95,7 @@ class SeriesContext:
         self._mul_table = None
         self.mul_offsets = None
         self._deriv_tables = {}
+        self.pair_bins = {}  # (entries, degree) -> bins of _sum_pairs
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Ranks of the monomials with the given exponent keys."""
@@ -96,6 +105,24 @@ class SeriesContext:
     def _ranks(self, exponents: np.ndarray) -> np.ndarray:
         """Ranks of the monomials with the given exponent rows (degree <= trunc)."""
         return self._lookup((exponents * self._weights).sum(axis=1))
+
+    def checked_ranks(self, exponents):
+        """The exponent rows as an int array, and their ranks.
+
+        Negative entries, rows of degree above the truncation and rows of
+        another width than ``num_vars`` are refused: the rank lookup would
+        misread them.
+        """
+        e = np.asarray(exponents, dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != self.num_vars:
+            raise ValueError(
+                f"exponent rows must have width {self.num_vars}, got shape {e.shape}"
+            )
+        if e.min(initial=0) < 0:
+            raise ValueError("exponent rows must have non-negative entries")
+        if e.sum(axis=1).max(initial=0) > self.trunc:
+            raise ValueError(f"an exponent row exceeds truncation {self.trunc}")
+        return e, self._ranks(e)
 
     @property
     def mul_table(self):
@@ -137,30 +164,54 @@ def series_context(num_vars: int, trunc: int) -> SeriesContext:
     return SeriesContext(num_vars, trunc)
 
 
-def _convolve(ctx: SeriesContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    left, right, out = ctx.mul_table
-    prod = a[left] * b[right]
-    return (
-        np.bincount(out, weights=prod.real, minlength=ctx.size)
-        + 1j * np.bincount(out, weights=prod.imag, minlength=ctx.size)
-    )
+def _sum_pairs(ctx: SeriesContext, prod: np.ndarray, degree: int = None) -> np.ndarray:
+    """Sum (*lead, pairs) products of the table, or of its degree slice,
+    into the (*lead, hi - lo) output coefficients of those pairs.
+
+    Pairs land in ranks lo:hi; entry e of the flattened lead owns the bins
+    e * hi + out, so one bincount sums them all, each bin in table order.
+    """
+    lead = prod.shape[:-1]
+    count = math.prod(lead)
+    if (count, degree) not in ctx.pair_bins:
+        out, lo, hi = ctx.mul_table[2], 0, ctx.size
+        if degree is not None:
+            out = out[ctx.mul_offsets[degree] : ctx.mul_offsets[degree + 1]]
+            lo, hi = ctx.degree_starts[degree : degree + 2]
+        ctx.pair_bins[count, degree] = ((np.arange(count)[:, None] * hi + out).ravel(), lo, hi)
+    bins, lo, hi = ctx.pair_bins[count, degree]
+    flat = prod.ravel()
+    sums = np.bincount(bins, flat.real, count * hi) + 1j * np.bincount(bins, flat.imag, count * hi)
+    return sums.reshape(*lead, hi)[..., lo:]
+
+
+def refuse(bad, message):
+    """Raise ValueError(message(i)) at the first flat index i where ``bad``
+    holds; a batch-shaped ``bad`` names that sample."""
+    if np.count_nonzero(bad):
+        i, batch = np.flatnonzero(bad)[0], np.shape(bad)
+        where = f" at sample {', '.join(map(str, np.unravel_index(i, batch)))}" if batch else ""
+        raise ValueError(message(i) + where)
 
 
 class JetSeries:
-    """One truncated power series.  Immutable; operations return new series."""
+    """One truncated power series, or a batch of them (coefficients
+    ``(*batch, size)``).  Immutable; operations return new series."""
 
     __slots__ = ("ctx", "c")
 
     def __init__(self, ctx: SeriesContext, coeffs: np.ndarray):
         self.ctx = ctx
         self.c = np.asarray(coeffs, dtype=complex)
-        if self.c.shape != (ctx.size,):
+        if self.c.shape[-1:] != (ctx.size,):
             raise ValueError("coefficient vector does not match context size")
 
     @classmethod
     def constant(cls, ctx: SeriesContext, value) -> "JetSeries":
-        c = np.zeros(ctx.size, dtype=complex)
-        c[0] = value
+        """The constant ``value``; an array of values gives a batch."""
+        value = np.asarray(value)
+        c = np.zeros(value.shape + (ctx.size,), dtype=complex)
+        c[..., 0] = value
         return cls(ctx, c)
 
     @classmethod
@@ -172,16 +223,6 @@ class JetSeries:
         if ctx.trunc >= 1:
             e = tuple(1 if i == var else 0 for i in range(ctx.num_vars))
             c[ctx.rank[e]] = 1.0
-        return cls(ctx, c)
-
-    @classmethod
-    def from_coeffs(cls, ctx: SeriesContext, table: dict) -> "JetSeries":
-        c = np.zeros(ctx.size, dtype=complex)
-        for alpha, value in table.items():
-            alpha = tuple(alpha)
-            if sum(alpha) > ctx.trunc:
-                raise ValueError(f"index {alpha} exceeds truncation {ctx.trunc}")
-            c[ctx.rank[alpha]] = value
         return cls(ctx, c)
 
     # -- ring operations -------------------------------------------------
@@ -214,7 +255,9 @@ class JetSeries:
     def __mul__(self, other):
         if isinstance(other, JetSeries):
             self._check_same(other)
-            return JetSeries(self.ctx, _convolve(self.ctx, self.c, other.c))
+            left, right, _ = self.ctx.mul_table
+            prod = self.c.take(left, axis=-1) * other.c.take(right, axis=-1)
+            return JetSeries(self.ctx, _sum_pairs(self.ctx, prod))
         return JetSeries(self.ctx, self.c * complex(other))
 
     __rmul__ = __mul__
@@ -229,13 +272,14 @@ class JetSeries:
 
     # -- analytic operations ----------------------------------------------
 
-    def _nonzero_constant(self, what: str) -> complex:
-        a0 = complex(self.c[0])
-        if abs(a0) < SINGULAR_TOL:
-            raise ValueError(
-                f"{what} requires a constant term away from 0 (|a0|={abs(a0):.2e})"
-            )
-        return a0
+    def _constants(self, what: str = None) -> list:
+        """The constant term of each sample as a Python complex; given
+        ``what``, refuses one closer to 0 than ``SINGULAR_TOL``."""
+        if what is not None:
+            size = np.abs(self.c[..., 0])
+            refuse(size < SINGULAR_TOL, lambda i: (
+                f"{what} requires a constant term away from 0 (|a0|={size.flat[i]:.2e})"))
+        return [complex(v) for v in self.c[..., 0].ravel()]
 
     def _euler(self, alpha, beta, c, h0, a=None) -> "JetSeries":
         """Solve for h = F(self) degree by degree from an Euler identity.
@@ -248,46 +292,46 @@ class JetSeries:
             h_n = (n a_n + sum (alpha deg_l + beta (n - deg_l)) g_l h_r) / (n c)
 
         where ``a`` is g for log and absent otherwise.  The pairs with r in
-        degree n read h_n while it is still zero, so they add nothing.
+        degree n read h_n while it is still zero, so they add nothing.  The
+        per-sample ``c`` and ``h0`` are lists in the flattened batch order.
         """
         ctx = self.ctx
-        left, right, out = ctx.mul_table
-        offsets, starts = ctx.mul_offsets, ctx.degree_starts
+        left, right, _ = ctx.mul_table
+        offsets = ctx.mul_offsets
         g = self.c
+        batch = g.shape[:-1]
+        c = np.reshape(c, batch + (1,))
         eg = (alpha - beta) * ctx.degrees * g
-        h = np.zeros(ctx.size, dtype=complex)
-        h[0] = h0
+        h = np.zeros(g.shape, dtype=complex)
+        h[..., 0] = np.reshape(h0, batch)
         for n in range(1, ctx.trunc + 1):
             pairs = slice(offsets[n], offsets[n + 1])
-            lo, hi = starts[n], starts[n + 1]
-            prod = (eg + beta * n * g)[left[pairs]] * h[right[pairs]]
-            o = out[pairs]
-            acc = (
-                np.bincount(o, weights=prod.real, minlength=hi)[lo:]
-                + 1j * np.bincount(o, weights=prod.imag, minlength=hi)[lo:]
+            prod = (eg + beta * n * g).take(left[pairs], axis=-1) * h.take(
+                right[pairs], axis=-1
             )
+            acc = _sum_pairs(ctx, prod, n)
+            lo, hi = ctx.degree_starts[n], ctx.degree_starts[n + 1]
             if a is not None:
-                acc += n * a[lo:hi]
-            h[lo:hi] = acc / (n * c)
+                acc += n * a[..., lo:hi]
+            h[..., lo:hi] = acc / (n * c)
         return JetSeries(ctx, h)
 
     def recip(self) -> "JetSeries":
         """Multiplicative inverse up to the truncation order."""
-        a0 = self._nonzero_constant("series reciprocal")
-        return self._euler(-1.0, -1.0, a0, 1.0 / a0)
+        a0 = self._constants("series reciprocal")
+        return self._euler(-1.0, -1.0, a0, [1.0 / v for v in a0])
 
     def log(self) -> "JetSeries":
         """Principal-branch logarithm; rejects constant terms on (-inf, 0]."""
-        a0 = self._nonzero_constant("series log")
-        if a0.real < 0 and abs(a0.imag) <= 1e-12 * abs(a0):
-            raise ValueError(
-                "series log: constant term on the negative real axis "
-                "(principal branch undefined)"
-            )
-        return self._euler(0.0, -1.0, a0, np.log(a0), self.c)
+        a0 = self._constants("series log")
+        c0 = self.c[..., 0]
+        refuse((c0.real < 0) & (np.abs(c0.imag) <= 1e-12 * np.abs(c0)), lambda i: (
+            "series log: constant term on the negative real axis (principal branch undefined)"))
+        return self._euler(0.0, -1.0, a0, [np.log(v) for v in a0], self.c)
 
     def exp(self) -> "JetSeries":
-        return self._euler(1.0, 0.0, 1.0, np.exp(complex(self.c[0])))
+        h0 = [np.exp(v) for v in self._constants()]
+        return self._euler(1.0, 0.0, [1.0] * len(h0), h0)
 
     def power(self, e: float) -> "JetSeries":
         """Real power of a series with a nonzero constant term.
@@ -295,9 +339,9 @@ class JetSeries:
         An integer exponent takes any nonzero constant term; otherwise the
         constant term of the result is the principal value a0 ** e.
         """
-        a0 = self._nonzero_constant("series power")
-        h0 = a0 ** int(e) if float(e).is_integer() else a0**e
-        return self._euler(e, -1.0, a0, h0)
+        a0 = self._constants("series power")
+        e_int = int(e) if float(e).is_integer() else e
+        return self._euler(e, -1.0, a0, [v**e_int for v in a0])
 
     # -- structural operations ---------------------------------------------
 
@@ -307,27 +351,21 @@ class JetSeries:
             raise ValueError("cannot differentiate a series truncated at order 0")
         src, fac = self.ctx.deriv_table(var)
         lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
-        return JetSeries(lower, self.c[src] * fac)
+        return JetSeries(lower, self.c.take(src, axis=-1) * fac)
 
     def truncate(self, trunc: int) -> "JetSeries":
         if trunc > self.ctx.trunc:
             raise ValueError("cannot raise the truncation order of a series")
         lower = series_context(self.ctx.num_vars, trunc)
-        return JetSeries(lower, self.c[: lower.size])
+        return JetSeries(lower, self.c[..., : lower.size])
 
     def coeff(self, alpha) -> complex:
-        """Taylor coefficient of the monomial x^alpha."""
-        alpha = tuple(alpha)
-        if sum(alpha) > self.ctx.trunc:
-            raise ValueError(
-                f"index {alpha} of degree {sum(alpha)} exceeds truncation "
-                f"{self.ctx.trunc}"
-            )
-        return complex(self.c[self.ctx.rank[alpha]])
+        """Taylor coefficient of the monomial x^alpha (an array for a batch)."""
+        return JetMatrix(self.ctx, self.c[..., None, None, :]).coeff(alpha)[..., 0, 0][()]
 
     def extract(self, alpha) -> complex:
         """Partial derivative value at the base point: alpha! * coeff(alpha)."""
-        return complex(JetMatrix(self.ctx, self.c[None, None]).derivatives([alpha])[0, 0, 0])
+        return JetMatrix(self.ctx, self.c[..., None, None, :]).extract(alpha)[..., 0, 0][()]
 
     def __repr__(self):
         nz = int(np.count_nonzero(self.c))
@@ -398,7 +436,7 @@ def affine_substitute(a: JetSeries, linear, offset, num_vars: int = None) -> Jet
 class JetMatrix:
     """A rows x cols matrix of series sharing one context.
 
-    Stored as one complex array of shape (rows, cols, context size).
+    Stored as one complex array of shape (*batch, rows, cols, context size).
     """
 
     __slots__ = ("ctx", "c")
@@ -406,12 +444,17 @@ class JetMatrix:
     def __init__(self, ctx: SeriesContext, coeffs: np.ndarray):
         self.ctx = ctx
         self.c = np.asarray(coeffs, dtype=complex)
-        if self.c.ndim != 3 or self.c.shape[2] != ctx.size:
-            raise ValueError("coefficient array must be (rows, cols, ctx.size)")
+        if self.c.ndim < 3 or self.c.shape[-1] != ctx.size:
+            raise ValueError("coefficient array must be (*batch, rows, cols, ctx.size)")
 
     @property
     def shape(self):
-        return self.c.shape[:2]
+        """(rows, cols), without the batch axes."""
+        return self.c.shape[-3:-1]
+
+    @property
+    def batch(self):
+        return self.c.shape[:-3]
 
     @classmethod
     def identity(cls, ctx: SeriesContext, n: int) -> "JetMatrix":
@@ -422,28 +465,28 @@ class JetMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "JetMatrix":
-        """Build from a nested list of JetSeries (all sharing one context)."""
+        """Build from a nested list of JetSeries (all sharing one context and batch)."""
         rows = len(entries)
         cols = len(entries[0])
         ctx = entries[0][0].ctx
-        c = np.zeros((rows, cols, ctx.size), dtype=complex)
+        c = np.zeros((*entries[0][0].c.shape[:-1], rows, cols, ctx.size), dtype=complex)
         for i in range(rows):
             for j in range(cols):
                 e = entries[i][j]
                 if e.ctx is not ctx:
                     raise ValueError("matrix entries use different contexts")
-                c[i, j] = e.c
+                c[..., i, j, :] = e.c
         return cls(ctx, c)
 
     @classmethod
     def from_constant(cls, ctx: SeriesContext, mat) -> "JetMatrix":
         mat = np.asarray(mat, dtype=complex)
         c = np.zeros((*mat.shape, ctx.size), dtype=complex)
-        c[:, :, 0] = mat
+        c[..., 0] = mat
         return cls(ctx, c)
 
     def entry(self, i: int, j: int) -> JetSeries:
-        return JetSeries(self.ctx, self.c[i, j].copy())
+        return JetSeries(self.ctx, self.c[..., i, j, :].copy())
 
     def _check_same(self, other: "JetMatrix"):
         if self.ctx is not other.ctx:
@@ -460,25 +503,15 @@ class JetMatrix:
     def __neg__(self):
         return JetMatrix(self.ctx, -self.c)
 
-    def scale(self, s) -> "JetMatrix":
-        return JetMatrix(self.ctx, self.c * complex(s))
-
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         self._check_same(other)
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        left, right, out_idx = self.ctx.mul_table
-        prod = np.einsum("ijp,jkp->ikp", self.c[:, :, left], other.c[:, :, right])
-        rows, cols, size = self.shape[0], other.shape[1], self.ctx.size
-        # entry e = i * cols + j owns the bins e * size + out_idx, so one
-        # bincount sums every entry, each bin in the order of the table
-        bins = (np.arange(rows * cols)[:, None] * size + out_idx).ravel()
-        n = rows * cols * size
-        out = (
-            np.bincount(bins, weights=prod.real.ravel(), minlength=n)
-            + 1j * np.bincount(bins, weights=prod.imag.ravel(), minlength=n)
+        left, right, _ = self.ctx.mul_table
+        prod = np.einsum(
+            "...ijp,...jkp->...ikp", self.c.take(left, axis=-1), other.c.take(right, axis=-1)
         )
-        return JetMatrix(self.ctx, out.reshape(rows, cols, size))
+        return JetMatrix(self.ctx, _sum_pairs(self.ctx, prod))
 
     def embed(self, ctx: SeriesContext, variables) -> "JetMatrix":
         """This matrix in a context with more variables.
@@ -497,64 +530,53 @@ class JetMatrix:
             )
         exponents = np.zeros((self.ctx.size, ctx.num_vars), dtype=np.int64)
         exponents[:, variables] = self.ctx.exponents
-        c = np.zeros(self.shape + (ctx.size,), dtype=complex)
-        c[:, :, ctx._ranks(exponents)] = self.c
+        c = np.zeros(self.c.shape[:-1] + (ctx.size,), dtype=complex)
+        c[..., ctx._ranks(exponents)] = self.c
         return JetMatrix(ctx, c)
 
     def left_const(self, mat) -> "JetMatrix":
         """Constant matrix times self."""
         mat = np.asarray(mat, dtype=complex)
-        return JetMatrix(self.ctx, np.einsum("ij,jkp->ikp", mat, self.c))
+        return JetMatrix(self.ctx, np.einsum("ij,...jkp->...ikp", mat, self.c))
 
     def right_const(self, mat) -> "JetMatrix":
         """Self times constant matrix."""
         mat = np.asarray(mat, dtype=complex)
-        return JetMatrix(self.ctx, np.einsum("ijp,jk->ikp", self.c, mat))
+        return JetMatrix(self.ctx, np.einsum("...ijp,jk->...ikp", self.c, mat))
 
     def derivative(self, var: int) -> "JetMatrix":
         src, fac = self.ctx.deriv_table(var)
         lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
-        return JetMatrix(lower, self.c[:, :, src] * fac)
+        return JetMatrix(lower, self.c.take(src, axis=-1) * fac)
 
     def truncate(self, trunc: int) -> "JetMatrix":
         if trunc > self.ctx.trunc:
             raise ValueError("cannot raise the truncation order of a matrix")
         lower = series_context(self.ctx.num_vars, trunc)
-        return JetMatrix(lower, self.c[:, :, : lower.size])
+        return JetMatrix(lower, self.c[..., : lower.size])
 
     def constant_term(self) -> np.ndarray:
-        return self.c[:, :, 0].copy()
+        return self.c[..., 0].copy()
 
     def coeff(self, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        if sum(alpha) > self.ctx.trunc:
-            raise ValueError(f"index {alpha} exceeds truncation {self.ctx.trunc}")
-        return self.c[:, :, self.ctx.rank[alpha]].copy()
+        """Taylor coefficients of x^alpha, (*batch, rows, cols)."""
+        _, ranks = self.ctx.checked_ranks([alpha])
+        return self.c[..., ranks[0]].copy()
 
     def extract(self, alpha) -> np.ndarray:
         """Matrix of derivative values at the base point (alpha! * coefficient)."""
-        return self.derivatives([alpha])[0]
+        return self.derivatives([alpha])[..., 0, :, :]
 
     def derivatives(self, exponents) -> np.ndarray:
         """Derivative values e! * [x^e] at the base point, one matrix per row e.
 
         ``exponents`` holds one exponent row per derivative, each of width
-        ``num_vars``; the result has shape (rows of exponents, rows, cols).
-        Negative entries, rows of degree above the truncation and rows of
-        another width are refused: the rank lookup would misread them.
+        ``num_vars``; the result has shape (*batch, rows of exponents, rows,
+        cols).  Malformed rows are refused (``SeriesContext.checked_ranks``).
         """
-        e = np.asarray(exponents, dtype=np.int64)
-        ctx = self.ctx
-        if e.ndim != 2 or e.shape[1] != ctx.num_vars:
-            raise ValueError(
-                f"exponent rows must have width {ctx.num_vars}, got shape {e.shape}"
-            )
-        if e.min(initial=0) < 0:
-            raise ValueError("exponent rows must have non-negative entries")
-        if e.sum(axis=1).max(initial=0) > ctx.trunc:
-            raise ValueError(f"an exponent row exceeds truncation {ctx.trunc}")
+        e, ranks = self.ctx.checked_ranks(exponents)
         fac = [math.prod(map(math.factorial, row)) for row in e.tolist()]
-        values = self.c[:, :, ctx._ranks(e)].transpose(2, 0, 1)
+        values = np.moveaxis(self.c.take(ranks, axis=-1), -1, -3)
         return np.array(fac, dtype=float)[:, None, None] * values
 
     def inverse(self) -> "JetMatrix":
@@ -566,22 +588,22 @@ class JetMatrix:
         return jet_matrix_inverse(self)
 
     def __repr__(self):
+        batch = f", batch={self.batch}" if self.batch else ""
         return (
-            f"JetMatrix(shape={self.shape}, vars={self.ctx.num_vars}, "
+            f"JetMatrix(shape={self.shape}{batch}, vars={self.ctx.num_vars}, "
             f"trunc={self.ctx.trunc})"
         )
 
 
 def jet_matrix_inverse(m: JetMatrix, cond_limit: float = 1e12) -> JetMatrix:
+    """Newton inverse of every sample; one stacked cond check and inverse seed."""
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"matrix is {rows}x{cols}, not square")
     a0 = m.constant_term()
     cond = np.linalg.cond(a0)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ValueError(
-            f"constant-term matrix is numerically singular (cond ~ {cond:.3e})"
-        )
+    refuse(~(cond <= cond_limit), lambda i: (  # NaN counts as singular
+        f"constant-term matrix is numerically singular (cond ~ {cond.flat[i]:.3e})"))
     x = JetMatrix.from_constant(m.ctx, np.linalg.inv(a0))
     ident = JetMatrix.identity(m.ctx, rows)
     steps = max(1, math.ceil(math.log2(m.ctx.trunc + 1)))

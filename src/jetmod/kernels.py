@@ -35,6 +35,8 @@ node equality, hashing and ``repr``, ``pretty``, ``uses_wb``,
 the tape over only the variables that vary (``vary_z``/``vary_w`` give
 all, none or a count of leading coordinates) and embeds the result in the
 2m-variable context; ``eval_point`` runs it with no varying variable.
+Given a (B, m) stack of points, one run evaluates all B samples over
+batched coordinate series (see :mod:`jetmod.jets`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import JetMatrix, JetSeries, series_context
+from .jets import JetMatrix, JetSeries, refuse, series_context
 
 
 class ParseError(ValueError):
@@ -361,10 +363,13 @@ class KernelSpec:
     def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True) -> JetMatrix:
         """Jet of K around (z0, w0) as a matrix of series in 2m variables.
 
-        Variables 0..m-1 are the holomorphic displacements of z; variables
-        m..2m-1 are the displacements of conj(w).  ``extract`` with the
-        concatenated index (alpha, beta) yields the mixed derivative taken
-        alpha times in z and beta times in conj(w).
+        ``z0`` and ``w0`` are points of length m or (B, m) stacks of them
+        (broadcast against each other); a stack gives a batch of B jets
+        from one tape run.  Variables 0..m-1 are the holomorphic
+        displacements of z; variables m..2m-1 are the displacements of
+        conj(w).  ``extract`` with the concatenated index (alpha, beta)
+        yields the mixed derivative taken alpha times in z and beta times
+        in conj(w).
 
         ``vary_z`` and ``vary_w`` say which displacements vary: ``True``
         (all m), ``False`` (none, the argument is held fixed) or a count n
@@ -387,15 +392,17 @@ class KernelSpec:
         """
         z0 = np.asarray(z0, dtype=complex)
         w0 = np.asarray(w0, dtype=complex)
-        if z0.shape != (self.m,) or w0.shape != (self.m,):
+        if z0.shape[-1:] != (self.m,) or w0.shape[-1:] != (self.m,):
             raise ValueError(f"points must have length m = {self.m}")
         for point in (z0, w0):
-            if not np.isfinite(point).all():
-                raise ValueError(f"point {point} has a non-finite coordinate")
+            refuse(~np.isfinite(point).all(axis=-1), lambda i: (
+                f"point {point.reshape(-1, self.m)[i]} has a non-finite coordinate"))
         nz, nw = self._varying(vary_z), self._varying(vary_w)
         ctx = series_context(nz + nw, trunc)
-        zs = [JetSeries.constant(ctx, v) for v in z0]
-        wbs = [JetSeries.constant(ctx, v) for v in np.conj(w0)]
+        z0, w0 = np.broadcast_arrays(z0, w0)  # every coordinate has the batch
+        wb0 = np.conj(w0)
+        zs = [JetSeries.constant(ctx, z0[..., i]) for i in range(self.m)]
+        wbs = [JetSeries.constant(ctx, wb0[..., i]) for i in range(self.m)]
         for i in range(nz):
             zs[i] = zs[i] + JetSeries.variable(ctx, i)
         for i in range(nw):
@@ -500,12 +507,17 @@ class _Tape:
         self.out = [[seen[id(node)] for node in row] for row in entries]
 
     def run(self, ctx, zs, wbs) -> JetMatrix:
-        """Evaluate every slot in ``ctx`` with the coordinate series given."""
+        """Evaluate every slot in ``ctx`` with the coordinate series given.
+
+        Constants take the batch of the coordinates, so that every slot is
+        computed with the array layout it has without a batch.
+        """
+        batch = zs[0].c.shape[:-1]
         vals = []
         for (op, x, y), pos in zip(self.ops, self.pos):
             try:
                 if op == "num":
-                    v = JetSeries.constant(ctx, x)
+                    v = JetSeries.constant(ctx, np.full(batch, x))
                 elif op == "z":
                     v = zs[x]
                 elif op == "wb":

@@ -226,7 +226,7 @@ def test_empty_sample_set_refused(argv, count, capsys):
 # the shared flags that each command does not read; e.g. quotient-demo -k 3
 # exits 2 instead of running at order 2
 UNREAD_FLAGS = {
-    ("curvature", "--kernel", "K"): ["-d", "-k", "--tol"],
+    ("curvature", "--kernel", "K"): ["-d", "-k", "--tol", "--trunc"],
     ("jetkernel", "--kernel", "K"): ["--seed", "--num-samples", "--tol"],
     ("equiv", "--kernel", "K", "--kernel2", "K"): ["--trunc"],
     ("recover-weights", "--weights", "1"): ["--chart", "-d", "-k", "--tol", "--trunc"],

@@ -81,8 +81,8 @@ class TestInvariantArray:
         with pytest.raises(ValueError, match="off the submanifold"):
             invariant_array(spec, CHART2, 2, samples=[np.array([0.2, 0.0])])
 
-    def test_one_normalized_evaluation_per_sample(self, monkeypatch):
-        # the table and all three bundle invariants read one Gram jet
+    def test_one_normalized_evaluation_for_all_samples(self, monkeypatch):
+        # the table and all three bundle invariants read one batched Gram jet
         calls = []
         evaluate = NormalizedKernel.eval_jet
 
@@ -95,7 +95,7 @@ class TestInvariantArray:
         inv = invariant_array(coupled_rank2_kernel(np.random.default_rng(3), m=3),
                               CHART3, k=3, samples=samples, bundle_data=True)
         assert len(inv.transport) == 3
-        assert calls == [4, 4, 4]
+        assert calls == [4]
 
     def test_stacks_and_curvature_at_order_zero(self):
         # the curvature stack is the covariant table in sorted key order; its

@@ -292,6 +292,17 @@ def test_derivatives_refuse_malformed_rows():
             jm.derivatives(rows)
 
 
+def test_coeff_refuses_malformed_index():
+    # the rank dict would answer these with a bare KeyError
+    ctx = series_context(2, 3)
+    series, matrix = JetSeries.constant(ctx, 1.0), JetMatrix.identity(ctx, 2)
+    for alpha, match in [((-1, 2), "non-negative"), ((1, 0, 0), "width 2"), ((2, 2), "truncation 3")]:
+        for jet in (series, matrix):
+            with pytest.raises(ValueError, match=match):
+                jet.coeff(alpha)
+    assert series.coeff((0, 0)) == 1 and matrix.coeff((0, 0)).tolist() == [[1, 0], [0, 1]]
+
+
 def test_embed_is_a_ring_map():
     # variables (0, 1) of a 2-variable jet become variables (1, 3) of a 4-variable one
     rng = np.random.default_rng(13)
