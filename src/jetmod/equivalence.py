@@ -176,9 +176,19 @@ def _verdict(worst: float, tol: float) -> str:
     return "inconclusive"
 
 
+# entries whose moduli agree to this relative tolerance tie for the phase pivot
+PHASE_TIE_RTOL = 1e-12
+
+
 def _fix_phase(d: np.ndarray) -> np.ndarray:
-    flat = np.argmax(np.abs(d))
-    pivot = d.flat[flat]
+    """d times the unimodular scalar that makes its pivot real and positive.
+
+    The pivot is the first entry, in row-major order, whose modulus is
+    within ``PHASE_TIE_RTOL`` of the largest: entries of a unitary tie in
+    modulus in pairs, and a last-bit change must not move the pivot.
+    """
+    size = np.abs(d).ravel()
+    pivot = d.flat[np.argmax(size >= size.max(initial=0.0) * (1 - PHASE_TIE_RTOL))]
     if abs(pivot) == 0:
         return d
     return d * (abs(pivot) / pivot)
@@ -257,7 +267,8 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
     Returns (verdict, witness, residuals, notes).
     """
     r = a.shape[-1]
-    _, sing, vh = np.linalg.svd(_stack_constraints(a, b))
+    # at least r^2 rows (one sample, one block), so the thin vh is square
+    _, sing, vh = np.linalg.svd(_stack_constraints(a, b), full_matrices=False)
     smax = sing[0] if len(sing) else 0.0
     if smax < 1e-12:
         null_dim = r * r

@@ -28,6 +28,14 @@ product sums the pairs of every entry of every sample with one
 order as it would alone.  Constant terms are computed per sample with the
 scalar operations, and a failed check names the first failing sample.
 
+Products (``JetSeries`` and ``JetMatrix`` multiplication and each degree
+of the Euler recurrence) gather their operands into a workspace of three
+buffers, left, right and product, kept per context and per thread and
+reused by every later product whatever its batch.  A buffer grows to the
+largest request up to :data:`WORKSPACE_BYTES`; a larger request gets a
+buffer of its own that is dropped with the product.  No returned array
+is a view of the workspace.
+
 Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
 (Neidinger, Math. Comp. 74, 2005): degree ``n`` of the result is one pass
@@ -42,6 +50,7 @@ tolerance 1e-9 / absolute 1e-12 (see ``close``).
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +62,26 @@ ATOL = 1e-12
 
 # pow/log/recip refuse constant terms closer to 0 than this
 SINGULAR_TOL = 1e-10
+
+# the largest product buffer a context's workspace keeps, in bytes
+WORKSPACE_BYTES = 4 << 20
+
+
+class _Workspace(threading.local):
+    """Flat complex buffers by role, for the thread that reads them."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def buffer(self, role: str, shape) -> np.ndarray:
+        """An uninitialised complex array of ``shape`` on the buffer ``role``."""
+        size = math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=complex)
+            if buf.nbytes <= WORKSPACE_BYTES:
+                self.buffers[role] = buf
+        return buf[:size].reshape(shape)
 
 
 class SeriesContext:
@@ -96,6 +125,7 @@ class SeriesContext:
         self.mul_offsets = None
         self._deriv_tables = {}
         self.pair_bins = {}  # (entries, degree) -> bins of _sum_pairs
+        self.workspace = _Workspace()
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Ranks of the monomials with the given exponent keys."""
@@ -164,12 +194,29 @@ def series_context(num_vars: int, trunc: int) -> SeriesContext:
     return SeriesContext(num_vars, trunc)
 
 
+def _pair_products(ctx, a, b, left, right, matmul=False) -> np.ndarray:
+    """Products of the gathered coefficients ``a[..., left]`` and
+    ``b[..., right]``, elementwise or as matrices, in the context's
+    workspace."""
+    ws = ctx.workspace
+    ga = a.take(left, -1, ws.buffer("left", a.shape[:-1] + left.shape), "clip")
+    gb = b.take(right, -1, ws.buffer("right", b.shape[:-1] + right.shape), "clip")
+    if not matmul:
+        shape = ga.shape if ga.shape == gb.shape else np.broadcast_shapes(ga.shape, gb.shape)
+        return np.multiply(ga, gb, out=ws.buffer("product", shape))
+    batch = np.broadcast_shapes(ga.shape[:-3], gb.shape[:-3])
+    out = ws.buffer("product", batch + (ga.shape[-3], gb.shape[-2], left.size))
+    return np.einsum("...ijp,...jkp->...ikp", ga, gb, out=out)
+
+
 def _sum_pairs(ctx: SeriesContext, prod: np.ndarray, degree: int = None) -> np.ndarray:
     """Sum (*lead, pairs) products of the table, or of its degree slice,
     into the (*lead, hi - lo) output coefficients of those pairs.
 
     Pairs land in ranks lo:hi; entry e of the flattened lead owns the bins
     e * hi + out, so one bincount sums them all, each bin in table order.
+    Real and imaginary parts are summed in one pass over the interleaved
+    parts, into interleaved bins.
     """
     lead = prod.shape[:-1]
     count = math.prod(lead)
@@ -178,10 +225,10 @@ def _sum_pairs(ctx: SeriesContext, prod: np.ndarray, degree: int = None) -> np.n
         if degree is not None:
             out = out[ctx.mul_offsets[degree] : ctx.mul_offsets[degree + 1]]
             lo, hi = ctx.degree_starts[degree : degree + 2]
-        ctx.pair_bins[count, degree] = ((np.arange(count)[:, None] * hi + out).ravel(), lo, hi)
+        bins = 2 * (np.arange(count)[:, None] * hi + out)
+        ctx.pair_bins[count, degree] = (np.stack([bins, bins + 1], axis=-1).ravel(), lo, hi)
     bins, lo, hi = ctx.pair_bins[count, degree]
-    flat = prod.ravel()
-    sums = np.bincount(bins, flat.real, count * hi) + 1j * np.bincount(bins, flat.imag, count * hi)
+    sums = np.bincount(bins, prod.reshape(-1).view(float), 2 * count * hi).view(complex)
     return sums.reshape(*lead, hi)[..., lo:]
 
 
@@ -256,7 +303,7 @@ class JetSeries:
         if isinstance(other, JetSeries):
             self._check_same(other)
             left, right, _ = self.ctx.mul_table
-            prod = self.c.take(left, axis=-1) * other.c.take(right, axis=-1)
+            prod = _pair_products(self.ctx, self.c, other.c, left, right)
             return JetSeries(self.ctx, _sum_pairs(self.ctx, prod))
         return JetSeries(self.ctx, self.c * complex(other))
 
@@ -306,9 +353,7 @@ class JetSeries:
         h[..., 0] = np.reshape(h0, batch)
         for n in range(1, ctx.trunc + 1):
             pairs = slice(offsets[n], offsets[n + 1])
-            prod = (eg + beta * n * g).take(left[pairs], axis=-1) * h.take(
-                right[pairs], axis=-1
-            )
+            prod = _pair_products(ctx, eg + beta * n * g, h, left[pairs], right[pairs])
             acc = _sum_pairs(ctx, prod, n)
             lo, hi = ctx.degree_starts[n], ctx.degree_starts[n + 1]
             if a is not None:
@@ -508,9 +553,7 @@ class JetMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         left, right, _ = self.ctx.mul_table
-        prod = np.einsum(
-            "...ijp,...jkp->...ikp", self.c.take(left, axis=-1), other.c.take(right, axis=-1)
-        )
+        prod = _pair_products(self.ctx, self.c, other.c, left, right, matmul=True)
         return JetMatrix(self.ctx, _sum_pairs(self.ctx, prod))
 
     def embed(self, ctx: SeriesContext, variables) -> "JetMatrix":

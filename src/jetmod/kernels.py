@@ -35,8 +35,11 @@ node equality, hashing and ``repr``, ``pretty``, ``uses_wb``,
 the tape over only the variables that vary (``vary_z``/``vary_w`` give
 all, none or a count of leading coordinates) and embeds the result in the
 2m-variable context; ``eval_point`` runs it with no varying variable.
-Given a (B, m) stack of points, one run evaluates all B samples over
-batched coordinate series (see :mod:`jetmod.jets`).
+A run folds constants: a slot that no varying coordinate reaches is one
+coefficient per sample, and a product with it is a scaling.  It frees
+each slot after its last reader.  Given a (B, m) stack of points, one
+run evaluates all B samples over batched coordinate series (see
+:mod:`jetmod.jets`).
 """
 
 from __future__ import annotations
@@ -401,12 +404,14 @@ class KernelSpec:
         ctx = series_context(nz + nw, trunc)
         z0, w0 = np.broadcast_arrays(z0, w0)  # every coordinate has the batch
         wb0 = np.conj(w0)
-        zs = [JetSeries.constant(ctx, z0[..., i]) for i in range(self.m)]
-        wbs = [JetSeries.constant(ctx, wb0[..., i]) for i in range(self.m)]
+        # fixed coordinates are constants (see _Tape.run)
+        fixed = series_context(0, 0)
+        zs = [JetSeries.constant(fixed, z0[..., i]) for i in range(self.m)]
+        wbs = [JetSeries.constant(fixed, wb0[..., i]) for i in range(self.m)]
         for i in range(nz):
-            zs[i] = zs[i] + JetSeries.variable(ctx, i)
+            zs[i] = JetSeries.constant(ctx, z0[..., i]) + JetSeries.variable(ctx, i)
         for i in range(nw):
-            wbs[i] = wbs[i] + JetSeries.variable(ctx, nz + i)
+            wbs[i] = JetSeries.constant(ctx, wb0[..., i]) + JetSeries.variable(ctx, nz + i)
         variables = [*range(nz), *range(self.m, self.m + nw)]
         return self._tape.run(ctx, zs, wbs), variables
 
@@ -449,6 +454,39 @@ class KernelSpec:
         return f"KernelSpec(m={self.m}, r={self.r}{tag})"
 
 
+def _fold_add(a: JetSeries, b: JetSeries, zero: float = 0.0) -> JetSeries:
+    """a + b, where a constant side (a series without variables) adds to
+    coefficient 0 only.
+
+    ``zero`` is the sign of the zeros the constant would carry as a full
+    series (-0.0 once negated), added to the other coefficients so that
+    they keep the bits of the unfolded sum.
+    """
+    if a.ctx is b.ctx:
+        return a + b
+    var = b if a.ctx.num_vars == 0 else a
+    c = np.add(var.c, zero)
+    c[..., 0] = a.c[..., 0] + b.c[..., 0]
+    return JetSeries(var.ctx, c)
+
+
+def _fold_mul(a: JetSeries, b: JetSeries) -> JetSeries:
+    """a * b, where a constant side (a series without variables) scales
+    the other.
+
+    The scaling rounds as the unfolded product does: it multiplies
+    contiguous arrays with the operands in their order, and adds +0.0, as
+    the product's bincount adds every coefficient to +0.0.
+    """
+    if a.ctx is b.ctx:
+        return a * b
+    const, var = (a, b) if a.ctx.num_vars == 0 else (b, a)
+    scale = const.c.repeat(var.ctx.size, axis=-1)
+    coeffs = np.ascontiguousarray(var.c)
+    prod = scale * coeffs if const is a else coeffs * scale
+    return JetSeries(var.ctx, np.add(prod, 0.0, out=prod))
+
+
 class _Tape:
     """The entries of a kernel as one straight-line program.
 
@@ -460,7 +498,20 @@ class _Tape:
     exponent)`` or ``("exp" | "log", slot, None)``; operands precede the
     slots that use them.  ``pos[s]`` is the source position of the first
     occurrence of the subtree that has one.  ``out[i][j]`` is the slot of
-    entry (i, j).
+    entry (i, j).  ``dead[s]`` lists the slots whose last reader is slot
+    s, outputs excepted: ``run`` drops them once s is computed.
+
+    ``run`` folds constants.  A slot that no varying coordinate reaches (a
+    ``num``, a fixed coordinate, or an op over such slots) is a series in
+    the context without variables: one coefficient per sample, computed
+    by the same series operations, so every check of a varying slot
+    (``SINGULAR_TOL``, the log branch, the sample index) applies to it.
+    Where a constant meets a varying slot, ``+`` and ``-`` change
+    coefficient 0 only, ``*`` scales, and ``x / c`` is ``x * recip(c)``;
+    constant entries are lifted into the run's context at the end.  For
+    finite values every coefficient equals the unfolded computation's
+    (the activity analysis of Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 6).
     """
 
     def __init__(self, entries):
@@ -505,31 +556,44 @@ class _Tape:
                 self.pos[slot] = node.pos
             seen[id(node)] = slot
         self.out = [[seen[id(node)] for node in row] for row in entries]
+        last = {}  # slot -> the last slot that reads it
+        for s, (op, x, y) in enumerate(self.ops):
+            for operand in (x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ():
+                last[operand] = s
+        outputs = {s for row in self.out for s in row}
+        self.dead = [[] for _ in self.ops]
+        for operand, s in last.items():
+            if operand not in outputs:
+                self.dead[s].append(operand)
 
     def run(self, ctx, zs, wbs) -> JetMatrix:
-        """Evaluate every slot in ``ctx`` with the coordinate series given.
+        """Evaluate every slot with the coordinate series given.
 
-        Constants take the batch of the coordinates, so that every slot is
-        computed with the array layout it has without a batch.
+        A coordinate given in ``ctx`` varies; one given in the context
+        without variables is held fixed, and the slots it alone reaches
+        are folded constants.  Constants take the batch of the
+        coordinates, so that every slot is computed with the array layout
+        it has without a batch.
         """
         batch = zs[0].c.shape[:-1]
-        vals = []
-        for (op, x, y), pos in zip(self.ops, self.pos):
+        fixed = series_context(0, 0)
+        vals = [None] * len(self.ops)
+        for s, ((op, x, y), pos) in enumerate(zip(self.ops, self.pos)):
             try:
                 if op == "num":
-                    v = JetSeries.constant(ctx, np.full(batch, x))
+                    v = JetSeries.constant(fixed, np.full(batch, x))
                 elif op == "z":
                     v = zs[x]
                 elif op == "wb":
                     v = wbs[x]
                 elif op == "+":
-                    v = vals[x] + vals[y]
-                elif op == "-":
-                    v = vals[x] - vals[y]
+                    v = _fold_add(vals[x], vals[y])
+                elif op == "-":  # x + (-y), as JetSeries subtracts
+                    v = _fold_add(vals[x], -vals[y], -0.0 if vals[y].ctx is fixed else 0.0)
                 elif op == "*":
-                    v = vals[x] * vals[y]
+                    v = _fold_mul(vals[x], vals[y])
                 elif op == "/":
-                    v = vals[x] / vals[y]
+                    v = _fold_mul(vals[x], vals[y].recip())
                 elif op == "^":
                     v = vals[x].power(y)
                 elif op == "exp":
@@ -540,8 +604,14 @@ class _Tape:
                     raise TypeError(f"unknown tape op {op!r}")
             except ValueError as exc:
                 raise DomainError(f"at {pos}: {exc}") from None
-            vals.append(v)
-        return JetMatrix.from_entries([[vals[s] for s in row] for row in self.out])
+            vals[s] = v
+            for operand in self.dead[s]:
+                vals[operand] = None
+
+        def lifted(v):
+            return v if v.ctx is ctx else JetSeries.constant(ctx, v.c[..., 0])
+
+        return JetMatrix.from_entries([[lifted(vals[s]) for s in row] for row in self.out])
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from jetmod.equivalence import (
     UNITARY_TOL,
     _conjugation_residuals,
     _find_witness,
+    _fix_phase,
     _stack_constraints,
     _verdict,
     default_samples,
@@ -486,6 +487,23 @@ class TestWitnessCore:
         assert witness.null_dim == 1 and witness.unitarity_defect < 1e-12
         assert np.max(np.abs(phase_align(witness.matrix, u) - u)) < 1e-12
         assert max(residuals) < 1e-13
+
+    @pytest.mark.parametrize("modulus, entry", [(0.8, (1, 1)), (0.6, (1, 0))])
+    def test_witness_phase_survives_a_last_bit_tie(self, modulus, entry):
+        # entries of a 2x2 unitary tie in modulus in pairs; raising a later
+        # entry of the largest pair by a few ulps must not move the pivot
+        a = modulus * np.exp(0.3j)
+        b = np.sqrt(1 - modulus**2) * np.exp(-1.1j)
+        u = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+        first = (0, 0) if entry == (1, 1) else (0, 1)  # the entry it ties with
+        bumped = u.copy()
+        while np.abs(bumped)[entry] <= np.abs(bumped)[first]:
+            re = bumped[entry].real
+            bumped[entry] = complex(np.nextafter(re, np.copysign(np.inf, re)), bumped[entry].imag)
+        assert abs(bumped[entry] - u[entry]) < 1e-15
+        assert np.argmax(np.abs(bumped)) == np.ravel_multi_index(entry, (2, 2))
+        assert np.max(np.abs(_fix_phase(bumped) - _fix_phase(u))) < 1e-15
+        assert abs(_fix_phase(u)[first].imag) < 1e-15 and _fix_phase(u)[first].real > 0
 
     @pytest.mark.parametrize("eps, tol, verdict", [
         (1e-4, 1e-3, "inconclusive"),  # residual within tol, candidate not unitary

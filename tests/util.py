@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: random objects and independent oracles."""
 
+import operator
+
 import numpy as np
 
-from jetmod.jets import JetSeries
-from jetmod.kernels import BinOp, Num, Var, builtin_bergman, matrix_combination
+from jetmod.jets import JetMatrix, JetSeries, series_context
+from jetmod.kernels import BinOp, DomainError, Num, Var, builtin_bergman, matrix_combination
 
 
 def rand_series(rng, ctx, scale=1.0):
@@ -81,3 +83,41 @@ def rand_point(rng, m, radius=0.4):
     rad = radius * np.sqrt(rng.random(m))
     ang = 2 * np.pi * rng.random(m)
     return rad * np.exp(1j * ang)
+
+
+_UNFOLDED_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": lambda a, e: a.power(e), "exp": lambda a, _: a.exp(), "log": lambda a, _: a.log(),
+}
+
+
+def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
+    """``spec.varying_jet(...)[0]`` without constant folding.
+
+    Every slot of the tape, constants and fixed coordinates included, is a
+    series in the context of the varying variables, and every op is the
+    plain series operation: the reference the folded run must equal.
+    """
+    z0, w0 = np.broadcast_arrays(np.asarray(z0, complex), np.asarray(w0, complex))
+    nz, nw = spec._varying(vary_z), spec._varying(vary_w)
+    ctx = series_context(nz + nw, trunc)
+    zs = [JetSeries.constant(ctx, z0[..., i]) for i in range(spec.m)]
+    wbs = [JetSeries.constant(ctx, np.conj(w0[..., i])) for i in range(spec.m)]
+    for i in range(nz):
+        zs[i] = zs[i] + JetSeries.variable(ctx, i)
+    for i in range(nw):
+        wbs[i] = wbs[i] + JetSeries.variable(ctx, nz + i)
+    tape = spec._tape
+    vals = []
+    for (op, x, y), pos in zip(tape.ops, tape.pos):
+        try:
+            if op == "num":
+                v = JetSeries.constant(ctx, np.full(z0.shape[:-1], x))
+            elif op in ("z", "wb"):
+                v = (zs if op == "z" else wbs)[x]
+            else:
+                v = _UNFOLDED_OPS[op](vals[x], vals[y] if op in ("+", "-", "*", "/") else y)
+        except ValueError as exc:
+            raise DomainError(f"at {pos}: {exc}") from None
+        vals.append(v)
+    return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
