@@ -104,6 +104,15 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+        equivalence.check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
+
+
 def load_kernel(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
         "--seed": dict(type=int, default=2024),
         "--num-samples": dict(type=_sample_count, default=5),
-        "--tol": dict(type=float, default=1e-8),
+        "--tol": dict(type=_tolerance, default=1e-8),
         "--trunc": dict(type=int, default=None),
         "--out": dict(help="write a JSON report here"),
     }

@@ -40,6 +40,13 @@ DEFAULT_TOL = 1e-8
 NOT_EQUIVALENT_MARGIN = 10.0
 
 
+def check_tol(tol: float):
+    """Refuse a tolerance that is not positive and finite: no residual
+    would compare with it as a tolerance."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
     """Deterministic sample points on the flattened submanifold.
 
@@ -317,6 +324,7 @@ def rank1_equiv(
     After normalization the only gauge left is a constant phase, which the
     derivative arrays cannot see; the arrays must agree entrywise.
     """
+    check_tol(tol)
     if spec_a.r != 1 or spec_b.r != 1:
         raise ValueError("rank1_equiv requires rank-1 kernels")
     inv_a = invariant_array(spec_a, chart, k, samples, bundle_data=False)
@@ -337,6 +345,7 @@ def rankr_equiv(
     samples=None, tol: float = DEFAULT_TOL,
 ) -> EquivalenceReport:
     """Equivalence test for equal-rank kernels via a constant unitary witness."""
+    check_tol(tol)
     inv_a = invariant_array(spec_a, chart, k, samples, bundle_data=False)
     inv_b = invariant_array(spec_b, chart, k, samples, bundle_data=False)
     _compatible(inv_a, inv_b)
@@ -368,6 +377,7 @@ def mthm_check(
     leaves that condition degenerate — and the conditions are then scored
     separately, in order, so the first failure is reported.
     """
+    check_tol(tol)
     inv_a = invariant_array(spec_a, chart, k, samples)
     inv_b = invariant_array(spec_b, chart, k, samples)
     _compatible(inv_a, inv_b)
@@ -429,6 +439,7 @@ def lemma_em_check(
     submanifold, and independently that the full curvature tensors of the
     two kernels agree there.  Returns a dict with both residuals.
     """
+    check_tol(tol)
     if chart.d != 2:
         raise ValueError("this check requires codimension d = 2")
     if spec_a.r != 1 or spec_b.r != 1:

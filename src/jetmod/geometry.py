@@ -27,7 +27,8 @@ first, and refuses a jet computed to a lower truncation.  The inverse of
 the sliced jet is computed once per truncation and shared by the readers.
 Derivative values are read with ``JetMatrix.derivatives`` and returned as
 stacks of (r, r) blocks: ``transverse_blocks`` (N+1, N+1, r, r) in theta
-order (l, t); ``curvature_covariant_derivs`` sorted (i, j, alpha, beta)
+order (l, t), from a Gram jet or from a kernel jet over the transverse
+variables only; ``curvature_covariant_derivs`` sorted (i, j, alpha, beta)
 keys and their (keys, r, r) blocks, whose d = m, order-0 case is
 ``curvature`` (entries (m, m, r, r)); ``transport_maps`` (N+1, m - d, r, r),
 theta rank l, then tangential direction i - d.  A jet of a (B, m) stack
@@ -38,6 +39,7 @@ first failing sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,16 +82,26 @@ def pad_pair(m: int, alpha=(), beta=()):
     return alpha + (0,) * (m - len(alpha)) + beta + (0,) * (m - len(beta))
 
 
+@lru_cache(maxsize=None)
+def _block_rows(ctx, d: int, k: int):
+    """Ranks and factorials of the rows (alpha, beta) of ``transverse_blocks``."""
+    idx = JetIndexTable(d, k)
+    m = ctx.num_vars // 2
+    return ctx.derivative_ranks([pad_pair(m, a, b) for a in idx.indices for b in idx.indices])
+
+
 def transverse_blocks(jm: JetMatrix, idx: JetIndexTable) -> np.ndarray:
     """The (N+1, N+1, r, r) grid of blocks d^alpha dbar^beta of a kernel jet.
 
-    ``jm`` is a jet in the 2m variables of ``KernelSpec.eval_jet``; alpha
-    and beta run over the theta-ordered transverse orders of ``idx``.
+    ``jm`` is a jet in m z-displacements followed by m conj-displacements:
+    the 2m variables of ``KernelSpec.eval_jet``, or the 2d of
+    ``varying_jet`` with d varying on each side.  alpha and beta run over
+    the theta-ordered transverse orders of ``idx``.  The rows are ranked
+    once per (context, d, k).
     """
-    m = jm.ctx.num_vars // 2
     n = len(idx)
-    rows = [pad_pair(m, alpha, beta) for alpha in idx.indices for beta in idx.indices]
-    return jm.derivatives(rows).reshape(jm.batch + (n, n) + jm.shape)
+    blocks = jm.read_derivatives(*_block_rows(jm.ctx, idx.d, idx.k))
+    return blocks.reshape(jm.batch + (n, n) + jm.shape)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import check_on_submanifold, pad_pair, transverse_blocks
-from .jets import JetSeries, series_context
+from .jets import JetSeries, check_context_size, series_context
 from .kernels import AffineChart, KernelSpec, uses_wb
 from .multiindex import JetIndexTable, degree_slice, multi_binom
 
@@ -52,7 +52,14 @@ class JetKernelValue:
 
 
 def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelValue:
-    """All transverse derivative blocks of the kernel at one point pair."""
+    """All transverse derivative blocks of the kernel at one point pair.
+
+    The blocks read only the 2d transverse variables, so the kernel is
+    evaluated over those (``KernelSpec.varying_jet`` with d varying
+    coordinates on each side) and the blocks are read from that jet
+    directly.  A truncation whose 2m-variable context ``eval_jet`` would
+    refuse is refused here too, before anything is evaluated.
+    """
     m, r = kernel.m, kernel.r
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
@@ -61,10 +68,10 @@ def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelVa
         trunc = 2 * (k - 1)
     if trunc < 2 * (k - 1):
         raise ValueError(f"truncation {trunc} too small for jet order k={k}")
+    check_context_size(2 * m, trunc)
     z0 = np.asarray(z0, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
-    # the blocks read only the 2d transverse variables
-    jm = kernel.eval_jet(z0, w0, trunc, vary_z=d, vary_w=d)
+    jm, _ = kernel.varying_jet(z0, w0, trunc, d, d)
     blocks = transverse_blocks(jm, idx)
     return JetKernelValue(
         z0=z0, w0=w0, d=d, k=k, N=idx.N, r=r, blocks=blocks, index_table=idx

@@ -17,16 +17,21 @@ of each degree kept beside it.  All terms above the truncation degree are
 discarded.  A context whose table would exceed
 :data:`jetmod.multiindex.MAX_TABLE` pairs is refused before anything is
 built.  A context may have no variables; its series are the constants.
-``JetMatrix.embed`` places a jet computed over some variables into a
-context with more, by the same exponent-key lookup the tables use.
+``embedding`` gives the ranks at which a context's monomials sit in a
+context with more variables, by the same exponent-key lookup the tables
+use, one cached map per (source, target, positions); ``JetMatrix.embed``
+and the kernel tape's widening of a slot read it.
 
 Coefficient arrays may carry leading batch axes, one jet per sample
 point: ``(*batch, size)`` for a ``JetSeries``, ``(*batch, rows, cols,
 size)`` for a ``JetMatrix``.  Every operation acts on the last axis.  A
 product sums the pairs of every entry of every sample with one
 ``bincount``, each in its own bins, so each bin adds its pairs in table
-order as it would alone.  Constant terms are computed per sample with the
-scalar operations, and a failed check names the first failing sample.
+order as it would alone.  The bins of entry e do not depend on how many
+entries a product has, so a context keeps, per degree, the bins of the
+largest product it has summed and reads a smaller one's as a prefix.
+Constant terms are computed per sample with the scalar operations, and a
+failed check names the first failing sample.
 
 Products (``JetSeries`` and ``JetMatrix`` multiplication and each degree
 of the Euler recurrence) gather their operands into a workspace of three
@@ -40,7 +45,9 @@ Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
 (Neidinger, Math. Comp. 74, 2005): degree ``n`` of the result is one pass
 over the degree-``n`` slice of the product table, so each operation costs
-about one convolution.
+about one convolution.  ``power`` takes one exponent or a 1-D array of
+them; an array runs one recurrence for all, the powers stacked in front
+of the batch, each equal bit for bit to its own call.
 
 All values are double-precision complex.  The identities these series are
 used to verify are exact; tests check them numerically at relative
@@ -84,6 +91,19 @@ class _Workspace(threading.local):
         return buf[:size].reshape(shape)
 
 
+def check_context_size(num_vars: int, trunc: int):
+    """Refuse a (num_vars, trunc) context whose product table would exceed
+    ``MAX_TABLE`` pairs."""
+    # pairs (alpha, beta) with |alpha| + |beta| <= trunc are the monomials
+    # of degree <= trunc in 2 * num_vars variables
+    pairs = math.comb(2 * num_vars + trunc, trunc)
+    if pairs > MAX_TABLE:
+        raise ValueError(
+            f"series context (num_vars, trunc) = ({num_vars}, {trunc}) needs "
+            f"{pairs} product pairs, exceeding the supported size {MAX_TABLE}"
+        )
+
+
 class SeriesContext:
     """Shared index and convolution tables for one (num_vars, trunc) pair."""
 
@@ -92,14 +112,7 @@ class SeriesContext:
             raise ValueError("need num_vars >= 0")
         if trunc < 0:
             raise ValueError("need trunc >= 0")
-        # pairs (alpha, beta) with |alpha| + |beta| <= trunc are the
-        # monomials of degree <= trunc in 2 * num_vars variables
-        pairs = math.comb(2 * num_vars + trunc, trunc)
-        if pairs > MAX_TABLE:
-            raise ValueError(
-                f"series context (num_vars, trunc) = ({num_vars}, {trunc}) needs "
-                f"{pairs} product pairs, exceeding the supported size {MAX_TABLE}"
-            )
+        check_context_size(num_vars, trunc)
         self.num_vars = num_vars
         self.trunc = trunc
         if num_vars:
@@ -124,7 +137,7 @@ class SeriesContext:
         self._mul_table = None
         self.mul_offsets = None
         self._deriv_tables = {}
-        self.pair_bins = {}  # (entries, degree) -> bins of _sum_pairs
+        self.pair_bins = {}  # degree -> (entries, bins) of _sum_pairs, the most entries seen
         self.workspace = _Workspace()
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -153,6 +166,13 @@ class SeriesContext:
         if e.sum(axis=1).max(initial=0) > self.trunc:
             raise ValueError(f"an exponent row exceeds truncation {self.trunc}")
         return e, self._ranks(e)
+
+    def derivative_ranks(self, exponents):
+        """The ranks of checked exponent rows e, and e! as floats: what
+        ``JetMatrix.read_derivatives`` reads."""
+        e, ranks = self.checked_ranks(exponents)
+        fac = np.array([math.prod(map(math.factorial, row)) for row in e.tolist()], dtype=float)
+        return ranks, fac
 
     @property
     def mul_table(self):
@@ -194,6 +214,20 @@ def series_context(num_vars: int, trunc: int) -> SeriesContext:
     return SeriesContext(num_vars, trunc)
 
 
+@lru_cache(maxsize=None)
+def embedding(src: SeriesContext, dst: SeriesContext, positions: tuple) -> np.ndarray:
+    """Ranks in ``dst`` of the monomials of ``src``, variable i of ``src``
+    becoming variable ``positions[i]`` of ``dst``."""
+    if len(positions) != src.num_vars or dst.trunc < src.trunc:
+        raise ValueError(
+            f"cannot embed context ({src.num_vars}, {src.trunc}) "
+            f"into ({dst.num_vars}, {dst.trunc}) at variables {list(positions)}"
+        )
+    exponents = np.zeros((src.size, dst.num_vars), dtype=np.int64)
+    exponents[:, list(positions)] = src.exponents
+    return dst._ranks(exponents)
+
+
 def _pair_products(ctx, a, b, left, right, matmul=False) -> np.ndarray:
     """Products of the gathered coefficients ``a[..., left]`` and
     ``b[..., right]``, elementwise or as matrices, in the context's
@@ -216,19 +250,22 @@ def _sum_pairs(ctx: SeriesContext, prod: np.ndarray, degree: int = None) -> np.n
     Pairs land in ranks lo:hi; entry e of the flattened lead owns the bins
     e * hi + out, so one bincount sums them all, each bin in table order.
     Real and imaginary parts are summed in one pass over the interleaved
-    parts, into interleaved bins.
+    parts, into interleaved bins.  The bins of ``count`` entries are a
+    prefix of those of more, so the context keeps one array per degree,
+    for the most entries summed so far.
     """
     lead = prod.shape[:-1]
     count = math.prod(lead)
-    if (count, degree) not in ctx.pair_bins:
-        out, lo, hi = ctx.mul_table[2], 0, ctx.size
+    lo, hi = (0, ctx.size) if degree is None else ctx.degree_starts[degree : degree + 2]
+    kept = ctx.pair_bins.get(degree)
+    if kept is None or kept[0] < count:
+        out = ctx.mul_table[2]
         if degree is not None:
             out = out[ctx.mul_offsets[degree] : ctx.mul_offsets[degree + 1]]
-            lo, hi = ctx.degree_starts[degree : degree + 2]
         bins = 2 * (np.arange(count)[:, None] * hi + out)
-        ctx.pair_bins[count, degree] = (np.stack([bins, bins + 1], axis=-1).ravel(), lo, hi)
-    bins, lo, hi = ctx.pair_bins[count, degree]
-    sums = np.bincount(bins, prod.reshape(-1).view(float), 2 * count * hi).view(complex)
+        kept = ctx.pair_bins[degree] = (count, np.stack([bins, bins + 1], axis=-1).ravel())
+    weights = prod.reshape(-1).view(float)
+    sums = np.bincount(kept[1][: weights.size], weights, 2 * count * hi).view(complex)
     return sums.reshape(*lead, hi)[..., lo:]
 
 
@@ -341,16 +378,19 @@ class JetSeries:
         where ``a`` is g for log and absent otherwise.  The pairs with r in
         degree n read h_n while it is still zero, so they add nothing.  The
         per-sample ``c`` and ``h0`` are lists in the flattened batch order.
+        A 1-D ``alpha`` solves for one h per entry, stacked in front of the
+        batch, with ``h0`` a list per entry.
         """
         ctx = self.ctx
         left, right, _ = ctx.mul_table
         offsets = ctx.mul_offsets
         g = self.c
         batch = g.shape[:-1]
+        lead = np.shape(alpha)
         c = np.reshape(c, batch + (1,))
-        eg = (alpha - beta) * ctx.degrees * g
-        h = np.zeros(g.shape, dtype=complex)
-        h[..., 0] = np.reshape(h0, batch)
+        eg = (np.reshape(alpha, lead + (1,) * g.ndim) - beta) * ctx.degrees * g
+        h = np.zeros(eg.shape, dtype=complex)
+        h[..., 0] = np.reshape(h0, lead + batch)
         for n in range(1, ctx.trunc + 1):
             pairs = slice(offsets[n], offsets[n + 1])
             prod = _pair_products(ctx, eg + beta * n * g, h, left[pairs], right[pairs])
@@ -378,15 +418,20 @@ class JetSeries:
         h0 = [np.exp(v) for v in self._constants()]
         return self._euler(1.0, 0.0, [1.0] * len(h0), h0)
 
-    def power(self, e: float) -> "JetSeries":
+    def power(self, e) -> "JetSeries":
         """Real power of a series with a nonzero constant term.
 
         An integer exponent takes any nonzero constant term; otherwise the
-        constant term of the result is the principal value a0 ** e.
+        constant term of the result is the principal value a0 ** e.  A 1-D
+        array of exponents gives their powers stacked in front of the
+        batch, coefficients (E, *batch, size), from one recurrence; the
+        constant term is checked once.
         """
         a0 = self._constants("series power")
-        e_int = int(e) if float(e).is_integer() else e
-        return self._euler(e, -1.0, a0, [v**e_int for v in a0])
+        e = np.asarray(e, dtype=float)
+        exponents = [int(x) if x.is_integer() else x for x in e.ravel().tolist()]
+        h0 = [[v**x for v in a0] for x in exponents]
+        return self._euler(e, -1.0, a0, h0 if e.ndim else h0[0])
 
     # -- structural operations ---------------------------------------------
 
@@ -563,18 +608,11 @@ class JetMatrix:
         of ``ctx``; coefficients of monomials in the other variables of
         ``ctx`` are zero.
         """
-        variables = list(variables)
-        if ctx is self.ctx and variables == list(range(ctx.num_vars)):
+        variables = tuple(variables)
+        if ctx is self.ctx and variables == tuple(range(ctx.num_vars)):
             return self
-        if len(variables) != self.ctx.num_vars or ctx.trunc < self.ctx.trunc:
-            raise ValueError(
-                f"cannot embed context ({self.ctx.num_vars}, {self.ctx.trunc}) "
-                f"into ({ctx.num_vars}, {ctx.trunc}) at variables {variables}"
-            )
-        exponents = np.zeros((self.ctx.size, ctx.num_vars), dtype=np.int64)
-        exponents[:, variables] = self.ctx.exponents
         c = np.zeros(self.c.shape[:-1] + (ctx.size,), dtype=complex)
-        c[..., ctx._ranks(exponents)] = self.c
+        c[..., embedding(self.ctx, ctx, variables)] = self.c
         return JetMatrix(ctx, c)
 
     def left_const(self, mat) -> "JetMatrix":
@@ -617,10 +655,11 @@ class JetMatrix:
         ``num_vars``; the result has shape (*batch, rows of exponents, rows,
         cols).  Malformed rows are refused (``SeriesContext.checked_ranks``).
         """
-        e, ranks = self.ctx.checked_ranks(exponents)
-        fac = [math.prod(map(math.factorial, row)) for row in e.tolist()]
-        values = np.moveaxis(self.c.take(ranks, axis=-1), -1, -3)
-        return np.array(fac, dtype=float)[:, None, None] * values
+        return self.read_derivatives(*self.ctx.derivative_ranks(exponents))
+
+    def read_derivatives(self, ranks, fac) -> np.ndarray:
+        """``derivatives`` at rows already ranked by ``SeriesContext.derivative_ranks``."""
+        return fac[:, None, None] * np.moveaxis(self.c.take(ranks, axis=-1), -1, -3)
 
     def inverse(self) -> "JetMatrix":
         """Multiplicative inverse as a series, via Newton iteration.

@@ -35,11 +35,14 @@ node equality, hashing and ``repr``, ``pretty``, ``uses_wb``,
 the tape over only the variables that vary (``vary_z``/``vary_w`` give
 all, none or a count of leading coordinates) and embeds the result in the
 2m-variable context; ``eval_point`` runs it with no varying variable.
-A run folds constants: a slot that no varying coordinate reaches is one
-coefficient per sample, and a product with it is a scaling.  It frees
-each slot after its last reader.  Given a (B, m) stack of points, one
-run evaluates all B samples over batched coordinate series (see
-:mod:`jetmod.jets`).
+A run computes each slot over its support, the varying variables it
+reads: a factor (1 - z_i wb_i)^-a of a product kernel is a series in two
+variables however many vary.  The empty support is constant folding: a
+slot that no varying coordinate reaches is one coefficient per sample,
+and a product with it is a scaling.  The powers of one base are computed
+by one recurrence.  A run frees each slot after its last reader.  Given a
+(B, m) stack of points, one run evaluates all B samples over batched
+coordinate series (see :mod:`jetmod.jets`).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import JetMatrix, JetSeries, refuse, series_context
+from .jets import JetMatrix, JetSeries, embedding, refuse, series_context
 
 
 class ParseError(ValueError):
@@ -403,15 +406,18 @@ class KernelSpec:
         nz, nw = self._varying(vary_z), self._varying(vary_w)
         ctx = series_context(nz + nw, trunc)
         z0, w0 = np.broadcast_arrays(z0, w0)  # every coordinate has the batch
-        wb0 = np.conj(w0)
-        # fixed coordinates are constants (see _Tape.run)
-        fixed = series_context(0, 0)
-        zs = [JetSeries.constant(fixed, z0[..., i]) for i in range(self.m)]
-        wbs = [JetSeries.constant(fixed, wb0[..., i]) for i in range(self.m)]
-        for i in range(nz):
-            zs[i] = JetSeries.constant(ctx, z0[..., i]) + JetSeries.variable(ctx, i)
-        for i in range(nw):
-            wbs[i] = JetSeries.constant(ctx, wb0[..., i]) + JetSeries.variable(ctx, nz + i)
+        # (series, support) of each coordinate: a varying one in its own
+        # variable, a fixed one a constant (see _Tape.run)
+        fixed, one = series_context(0, 0), series_context(1, trunc)
+        x = JetSeries.variable(one, 0)
+
+        def coordinate(value, var):
+            if var is None:
+                return JetSeries.constant(fixed, value), ()
+            return JetSeries.constant(one, value) + x, (var,)
+
+        zs = [coordinate(z0[..., i], i if i < nz else None) for i in range(self.m)]
+        wbs = [coordinate(np.conj(w0[..., i]), nz + i if i < nw else None) for i in range(self.m)]
         variables = [*range(nz), *range(self.m, self.m + nw)]
         return self._tape.run(ctx, zs, wbs), variables
 
@@ -487,6 +493,39 @@ def _fold_mul(a: JetSeries, b: JetSeries) -> JetSeries:
     return JetSeries(var.ctx, np.add(prod, 0.0, out=prod))
 
 
+def _widen(v: JetSeries, support: tuple, union: tuple, trunc: int) -> JetSeries:
+    """``v``, a series over the run variables ``support``, as a series over
+    the run variables ``union``: its coefficients placed at their
+    monomials, zeros elsewhere."""
+    ctx = series_context(len(union), trunc)
+    if v.ctx is ctx:
+        return v
+    c = np.zeros(v.c.shape[:-1] + (ctx.size,), dtype=complex)
+    c[..., embedding(v.ctx, ctx, tuple(map(union.index, support)))] = v.c
+    return JetSeries(ctx, c)
+
+
+def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
+    """The slot ``a op b`` of two slots (series, support).
+
+    ``-`` is ``a + (-b)``, as ``JetSeries`` subtracts, and ``/`` is ``a *
+    recip(b)``, both taken over b's own support.  Two nonempty supports
+    that differ are both widened to their union; an empty one folds.
+    """
+    (x, sx), (y, sy) = a, b
+    if op == "-":
+        y = -y
+    elif op == "/":
+        y = y.recip()
+    if sx and sy and sx != sy:
+        union = tuple(sorted({*sx, *sy}))
+        x, y = _widen(x, sx, union, trunc), _widen(y, sy, union, trunc)
+        sx = sy = union
+    if op in "+-":
+        return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
+    return _fold_mul(x, y), sx or sy
+
+
 class _Tape:
     """The entries of a kernel as one straight-line program.
 
@@ -500,18 +539,30 @@ class _Tape:
     occurrence of the subtree that has one.  ``out[i][j]`` is the slot of
     entry (i, j).  ``dead[s]`` lists the slots whose last reader is slot
     s, outputs excepted: ``run`` drops them once s is computed.
+    ``powers`` maps the first ``^`` slot of each base, in tape order, to
+    all the ``^`` slots of that base.
 
-    ``run`` folds constants.  A slot that no varying coordinate reaches (a
-    ``num``, a fixed coordinate, or an op over such slots) is a series in
-    the context without variables: one coefficient per sample, computed
-    by the same series operations, so every check of a varying slot
-    (``SINGULAR_TOL``, the log branch, the sample index) applies to it.
-    Where a constant meets a varying slot, ``+`` and ``-`` change
-    coefficient 0 only, ``*`` scales, and ``x / c`` is ``x * recip(c)``;
-    constant entries are lifted into the run's context at the end.  For
-    finite values every coefficient equals the unfolded computation's
-    (the activity analysis of Griewank & Walther, *Evaluating
-    Derivatives*, 2nd ed., ch. 6).
+    ``run`` computes each slot over its support only: the run variables
+    it reads.  A varying coordinate reads its one variable and an op the
+    union of its operands' supports; a slot over support S is a series in
+    the context of len(S) variables, in run order.  Where a binary op
+    meets two different nonempty supports, the operands are widened to
+    their union (``_widen``).  The empty support is constant folding: a slot
+    that no varying coordinate reaches (a ``num``, a fixed coordinate, or
+    an op over such slots) is a series in the context without variables,
+    one coefficient per sample, computed by the same series operations, so
+    every check of a varying slot (``SINGULAR_TOL``, the log branch, the
+    sample index) applies to it.  Where a constant meets a varying slot,
+    ``+`` and ``-`` change coefficient 0 only, ``*`` scales, and ``x /
+    c`` is ``x * recip(c)``.  The ``^`` slots of one base are computed
+    together, by one ``power`` call with all their exponents, when the
+    first of them is reached, so a refused base raises at that slot.
+    Outputs are widened to the run's context at the end.  For finite
+    values every coefficient equals the one computed over all run
+    variables without folding, up to the sign of a zero: the coefficient
+    of a monomial reads only monomials of its own support, in the same
+    order (the activity and sparsity analysis of Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., ch. 6).
     """
 
     def __init__(self, entries):
@@ -557,49 +608,55 @@ class _Tape:
             seen[id(node)] = slot
         self.out = [[seen[id(node)] for node in row] for row in entries]
         last = {}  # slot -> the last slot that reads it
+        bases = {}  # slot -> the "^" slots that read it
         for s, (op, x, y) in enumerate(self.ops):
             for operand in (x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ():
                 last[operand] = s
+            if op in Pow.tags:
+                bases.setdefault(x, []).append(s)
         outputs = {s for row in self.out for s in row}
         self.dead = [[] for _ in self.ops]
         for operand, s in last.items():
             if operand not in outputs:
                 self.dead[s].append(operand)
+        self.powers = {group[0]: group for group in bases.values()}
 
     def run(self, ctx, zs, wbs) -> JetMatrix:
-        """Evaluate every slot with the coordinate series given.
+        """Evaluate every slot with the coordinates given.
 
-        A coordinate given in ``ctx`` varies; one given in the context
-        without variables is held fixed, and the slots it alone reaches
-        are folded constants.  Constants take the batch of the
-        coordinates, so that every slot is computed with the array layout
-        it has without a batch.
+        Each coordinate is a pair (series, support): a varying one a
+        series in one variable with the support (its run variable,), a
+        fixed one a series in the context without variables with the
+        support ().  Constants take the batch of the coordinates, so that
+        every slot is computed with the array layout it has without a
+        batch.  Returns the entries in ``ctx``, the context of all the run
+        variables.
         """
-        batch = zs[0].c.shape[:-1]
+        batch = zs[0][0].c.shape[:-1]
+        trunc = ctx.trunc
         fixed = series_context(0, 0)
-        vals = [None] * len(self.ops)
+        vals = [None] * len(self.ops)  # vals[s]: (series, support) of slot s
         for s, ((op, x, y), pos) in enumerate(zip(self.ops, self.pos)):
             try:
                 if op == "num":
-                    v = JetSeries.constant(fixed, np.full(batch, x))
+                    v = JetSeries.constant(fixed, np.full(batch, x)), ()
                 elif op == "z":
                     v = zs[x]
                 elif op == "wb":
                     v = wbs[x]
-                elif op == "+":
-                    v = _fold_add(vals[x], vals[y])
-                elif op == "-":  # x + (-y), as JetSeries subtracts
-                    v = _fold_add(vals[x], -vals[y], -0.0 if vals[y].ctx is fixed else 0.0)
-                elif op == "*":
-                    v = _fold_mul(vals[x], vals[y])
-                elif op == "/":
-                    v = _fold_mul(vals[x], vals[y].recip())
+                elif op in BinOp.tags:
+                    v = _binary(op, vals[x], vals[y], trunc)
                 elif op == "^":
-                    v = vals[x].power(y)
-                elif op == "exp":
-                    v = vals[x].exp()
-                elif op == "log":
-                    v = vals[x].log()
+                    if s in self.powers:
+                        base, support = vals[x]
+                        group = self.powers[s]
+                        stacked = base.power([self.ops[t][2] for t in group])
+                        for t, c in zip(group, stacked.c):
+                            vals[t] = JetSeries(base.ctx, c), support
+                    v = vals[s]
+                elif op in Call.tags:
+                    arg, support = vals[x]
+                    v = (arg.exp() if op == "exp" else arg.log()), support
                 else:
                     raise TypeError(f"unknown tape op {op!r}")
             except ValueError as exc:
@@ -607,11 +664,10 @@ class _Tape:
             vals[s] = v
             for operand in self.dead[s]:
                 vals[operand] = None
-
-        def lifted(v):
-            return v if v.ctx is ctx else JetSeries.constant(ctx, v.c[..., 0])
-
-        return JetMatrix.from_entries([[lifted(vals[s]) for s in row] for row in self.out])
+        everything = tuple(range(ctx.num_vars))
+        return JetMatrix.from_entries(
+            [[_widen(*vals[s], everything, trunc) for s in row] for row in self.out]
+        )
 
 
 # --------------------------------------------------------------------------

@@ -223,6 +223,16 @@ def test_empty_sample_set_refused(argv, count, capsys):
     assert f"at least one sample is needed, got {count}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
+def test_bad_tolerance_refused(tol, capsys):
+    from jetmod.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--kernel", "K", "--kernel2", "K", "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol:" in capsys.readouterr().err
+
+
 # the shared flags that each command does not read; e.g. quotient-demo -k 3
 # exits 2 instead of running at order 2
 UNREAD_FLAGS = {

@@ -389,6 +389,19 @@ class TestSamples:
         samples = default_samples(2, 2)
         assert len(samples) == 1 and np.array_equal(samples[0], np.zeros(2))
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", [rank1_equiv, rankr_equiv, mthm_check])
+    def test_tolerance_must_be_positive_and_finite(self, entry, tol, monkeypatch):
+        import jetmod.equivalence as equivalence
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(equivalence, "invariant_array", unreachable)
+        a = builtin_bergman([1.5, 2.0, 2.5])
+        with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+            entry(a, a, diagonal_chart(3), 2, tol=tol)
+
     def test_tolerance_stability(self):
         # verdicts do not flap when the tolerance moves by 2x either way
         rng = np.random.default_rng(7)

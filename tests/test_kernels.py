@@ -329,11 +329,11 @@ class TestTape:
         return matrix_combination(scalars, mats)
 
     def test_one_power_call_per_distinct_pow(self, monkeypatch):
-        calls = []
+        computed = []  # (base coefficients, exponent) of every power computed
         power = JetSeries.power
 
         def counting(self, e):
-            calls.append(e)
+            computed.extend((self.c.tobytes(), x) for x in np.atleast_1d(e).tolist())
             return power(self, e)
 
         monkeypatch.setattr(JetSeries, "power", counting)
@@ -342,9 +342,11 @@ class TestTape:
         z, w = [0.1, 0.2j, -0.1], [0.05, 0.1, 0.2]
         for kernel, occurrences in ((spec, 36), (conj, 144)):
             assert sum(_pow_occurrences(n) for row in kernel.entries for n in row) == occurrences
-            calls.clear()
+            computed.clear()
             kernel.eval_jet(z, w, 2)
-            assert len(calls) == 9
+            # each distinct Pow exactly once: three bases, three weights each
+            assert len(computed) == len(set(computed)) == 9
+            assert len({base for base, _ in computed}) == 3
 
     def test_tape_built_once_per_spec(self, monkeypatch):
         from jetmod import kernels

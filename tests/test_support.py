@@ -1,0 +1,143 @@
+"""Per-slot variable supports, grouped powers, the transverse read side of
+``jet_kernel`` and the bound on cached product bins."""
+
+import numpy as np
+import pytest
+
+from jetmod.geometry import transverse_blocks
+from jetmod.jet_kernels import jet_kernel
+from jetmod.jets import JetSeries, SeriesContext, series_context
+from jetmod.kernels import builtin_bergman, diagonal_chart, matrix_combination, pullback_affine
+from jetmod.multiindex import JetIndexTable
+from util import rand_pd_matrix
+
+
+def rand_batch(rng, ctx, batch):
+    shape = (batch, ctx.size)
+    return rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5)
+
+
+class TestGroupedPower:
+    EXPONENTS = [-1.5, 2.0, 0.5, -1.0, 3.0, -2.0]
+
+    @pytest.mark.parametrize("num_vars, trunc", [(0, 0), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("batch", range(1, 6))
+    def test_an_exponent_array_equals_one_call_per_exponent(self, num_vars, trunc, batch):
+        ctx = series_context(num_vars, trunc)
+        rng = np.random.default_rng(batch)
+        c = rand_batch(rng, ctx, batch)
+        c[:, 0] = -1.5 + rng.random(batch)  # a negative base: integer exponents only are real
+        c[1::2, 0] += 0.7j
+        a = JetSeries(ctx, c)
+        stacked = a.power(self.EXPONENTS)
+        assert stacked.c.shape == (len(self.EXPONENTS), batch, ctx.size)
+        for e, got in zip(self.EXPONENTS, stacked.c):
+            assert got.tobytes() == a.power(e).c.tobytes()
+
+    def test_one_refusal_for_the_whole_array(self):
+        ctx = series_context(2, 3)
+        c = np.zeros((3, ctx.size), dtype=complex)
+        c[:, 0] = [1.0, 1e-12, 2.0]
+        with pytest.raises(ValueError, match="series power requires a constant term") as exc:
+            JetSeries(ctx, c).power([2.0, -0.5])
+        assert str(exc.value).endswith("at sample 1")
+
+
+def anchored_k5_kernel(seed):
+    """A kernel shaped like the ``jetkernel-k5`` benchmark's: three product
+    kernels combined by 2x2 weights, pulled back by the anchored diagonal
+    chart of the tridisc."""
+    rng = np.random.default_rng(seed)
+    scalars = [builtin_bergman(0.5 + 0.5 * np.arange(3) + rng.uniform(0, 0.4, 3)) for _ in range(3)]
+    spec = matrix_combination(scalars, [rand_pd_matrix(rng, 2) for _ in range(3)])
+    return pullback_affine(spec, diagonal_chart(3, style="anchored"))
+
+
+class TestSupports:
+    def test_factor_powers_run_in_two_variable_contexts(self, monkeypatch):
+        powers = []
+        power = JetSeries.power
+
+        def recording(self, e):
+            powers.append((self.ctx.num_vars, len(np.atleast_1d(e))))
+            return power(self, e)
+
+        monkeypatch.setattr(JetSeries, "power", recording)
+        q = np.array([0.0, 0.0, 0.3 - 0.2j])
+        jet_kernel(anchored_k5_kernel(1), 2, 5, q, q)
+        # (1 - z1 wb1) and (1 - z2 wb2) read one transverse pair each; the
+        # third factor reads no varying variable; each base takes 3 weights
+        assert sorted(powers) == [(0, 3), (2, 3), (2, 3)]
+
+    def test_outputs_are_widened_to_the_run_context(self):
+        spec = builtin_bergman([1.5, 2.0])
+        z = np.array([[0.1, 0.2j], [0.3, -0.1]])
+        jm, variables = spec.varying_jet(z, z, 3)
+        assert jm.ctx is series_context(4, 3) and variables == [0, 1, 2, 3]
+        jm, _ = spec.varying_jet(z, z, 3, 1, 0)
+        assert jm.ctx is series_context(1, 3)
+        jm, _ = spec.varying_jet(z, z, 2, False, False)
+        assert jm.ctx is series_context(0, 2) and jm.c.shape == (2, 1, 1, 1)
+
+
+class TestJetKernelReadSide:
+    """``jet_kernel`` reads the transverse jet directly; the reference is the
+    2m-variable path, ``eval_jet`` followed by ``transverse_blocks``."""
+
+    @staticmethod
+    def reference(spec, d, k, z0, w0):
+        jm = spec.eval_jet(z0, w0, 2 * (k - 1), vary_z=d, vary_w=d)
+        return transverse_blocks(jm, JetIndexTable(d, k))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_blocks_equal_the_2m_variable_path(self, d, r, batch):
+        rng = np.random.default_rng(10 * d + r)
+        if r == 1:
+            spec = builtin_bergman(0.5 + 2 * rng.random(3))
+        else:
+            spec = anchored_k5_kernel(d)
+        shape = (3,) if batch is None else (batch, 3)
+        z0 = 0.3 * (rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5))
+        w0 = 0.3 * (rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5))
+        k = 3
+        got = jet_kernel(spec, d, k, z0, w0).blocks
+        want = self.reference(spec, d, k, z0, w0)
+        assert got.shape == want.shape == shape[:-1] + (len(JetIndexTable(d, k)),) * 2 + (r, r)
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_oversized_2m_context_is_refused_before_evaluation(self, monkeypatch):
+        spec = builtin_bergman([1.0, 2.0, 3.0])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(type(spec), "varying_jet", unreachable)
+        with pytest.raises(ValueError, match=r"\(6, 16\) needs 30421755 product pairs"):
+            jet_kernel(spec, 2, 9, np.zeros(3), np.zeros(3))
+
+
+class TestPairBins:
+    def test_sixty_batch_sizes_keep_the_bins_of_the_largest(self):
+        ctx = SeriesContext(2, 3)  # a private context: its cache starts empty
+        left, _, _ = ctx.mul_table
+        rng = np.random.default_rng(0)
+        sizes = rng.permutation(np.arange(1, 61))
+        base = JetSeries(ctx, rand_batch(rng, ctx, 60))
+        other = JetSeries(ctx, rand_batch(rng, ctx, 60))
+        base.c[:, 0] += 2.0
+        alone = [((JetSeries(ctx, base.c[i]) * JetSeries(ctx, other.c[i])).c,
+                  JetSeries(ctx, base.c[i]).power([-1.5, 2.0]).c) for i in range(60)]
+        for b in sizes:
+            a, o = JetSeries(ctx, base.c[:b]), JetSeries(ctx, other.c[:b])
+            prod, pw = (a * o).c, a.power([-1.5, 2.0]).c
+            for i in range(b):
+                assert prod[i].tobytes() == alone[i][0].tobytes()
+                assert pw[:, i].tobytes() == alone[i][1].tobytes()
+        kept = sum(bins.nbytes for _, bins in ctx.pair_bins.values())
+        # int64 bins, two per pair (real, imaginary), of the largest product
+        # (2 exponents x 60 samples): the whole table once for products, and
+        # once more split by degree for the power recurrence
+        assert kept <= 2 * (2 * 60) * 2 * left.size * 8
+        assert {count for count, _ in ctx.pair_bins.values()} == {60, 120}
