@@ -1,15 +1,20 @@
 """Command-line front end.
 
     jetmod curvature       --kernel FILE [--chart SPEC] [--points LIST | --seed N --num-samples N]
-    jetmod jetkernel       --kernel FILE --chart SPEC -k INT [--points LIST]
+    jetmod jetkernel       --kernel FILE --chart SPEC -k INT [--points LIST] [--restrict]
     jetmod equiv           --kernel FILE --kernel2 FILE --chart SPEC -k INT [--tol X]
     jetmod recover-weights --weights LIST
-    jetmod quotient-demo   [--weights a,b,g] [--z POINT] [--pmax N]
+    jetmod quotient-demo   [--weights a,b,g] [--z POINT] [--pmax N] [--plevels N]
 
-Human-readable tables go to stdout; ``--out FILE.json`` additionally writes
-a machine-readable report (schema 1).  Exit codes: 0 success (or verdict
-"equivalent"), 2 input/parse/domain errors, 3 "not-equivalent",
-4 "inconclusive".
+Human-readable tables go to stdout, each matrix formatted with one ``%``
+over a row template.  ``--out FILE.json`` additionally writes a
+machine-readable report (schema 1).  The report is streamed piece by piece,
+each float or complex array as one piece from a template cached per shape,
+and its text is byte-identical to ``json.dump(report, indent=2,
+sort_keys=True)`` with complex numbers as ``[re, im]``, numpy scalars and
+arrays as plain numbers and lists, and dict keys as ``str(k)``.  Exit
+codes: 0 success (or verdict "equivalent"), 2 input/parse/domain errors,
+3 "not-equivalent", 4 "inconclusive".
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import re
 import sys
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,11 +104,15 @@ def parse_points(text: str, m: int):
     return points
 
 
-def _sample_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"at least one sample is needed, got {count}")
-    return count
+def _int_at_least(low: int, what: str):
+    """An argparse type: an int >= ``low``; ``what`` says why it must be."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -126,23 +137,7 @@ def load_kernel(path: str):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
-
-
-def jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    return obj
+# Report encoding and tables
 
 
 def make_report(command: str, config: dict, results: dict) -> dict:
@@ -151,34 +146,123 @@ def make_report(command: str, config: dict, results: dict) -> dict:
         "tool": "jetmod",
         "version": __version__,
         "command": command,
-        "config": jsonable(config),
-        "results": jsonable(results),
+        "config": config,
+        "results": results,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 
 def write_report(report: dict, path: str):
-    """Write atomically so failed runs never leave partial files."""
+    """Stream the report to a temporary file beside ``path``, then rename it
+    over ``path``, so failed runs never leave partial files.  A failure
+    names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.writelines(_encode(report, 0))
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _encode(obj, level: int):
+    """Yield the text ``json.dump(obj, indent=2, sort_keys=True)`` writes at
+    indentation ``level``, with numpy values and complex numbers (as
+    ``[re, im]``) read as plain JSON values and dict keys as ``str(k)``.
+
+    A float or complex array is one piece: its values fill a template
+    cached per (shape, level).
+    """
+    if isinstance(obj, str):
+        yield json.encoder.encode_basestring_ascii(obj)
+    elif obj is None or obj is True or obj is False:
+        yield "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, (complex, np.complexfloating)):
+        yield from _encode([float(obj.real), float(obj.imag)], level)
+    elif isinstance(obj, (int, np.integer)):
+        yield int.__repr__(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield _float_text(float(obj))
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype.kind in "fc" and np.can_cast(obj.dtype, complex):
+            yield _float_array(obj, level)
+        else:
+            yield from _encode(list(obj.tolist()), level)
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "\n" + "  " * (level + 1)
+        for i, (key, value) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
+            yield ("," if i else "{") + sep + json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _encode(value, level + 1)
+        yield "\n" + "  " * level + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        sep = "\n" + "  " * (level + 1)
+        for i, item in enumerate(obj):
+            yield ("," if i else "[") + sep
+            yield from _encode(item, level + 1)
+        yield "\n" + "  " * level + "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _float_array(a: np.ndarray, level: int) -> str:
+    """A float or complex array of at least one axis as JSON text."""
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        shape = a.shape + (2,)
+    else:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        shape = a.shape
+    values = a.view(np.float64).ravel().tolist()
+    text = float.__repr__ if np.isfinite(a).all() else _float_text
+    return _array_template(shape, level) % tuple(map(text, values))
+
+
+@lru_cache(maxsize=256)
+def _array_template(shape: tuple, level: int) -> str:
+    """Nested JSON lists of ``shape`` at indentation ``level``, one ``%s``
+    per value."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    sep = "\n" + "  " * (level + 1)
+    inner = _array_template(shape[1:], level + 1)
+    return "[" + sep + ("," + sep).join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def _fmt_complex(x: complex) -> str:
     return f"{x.real:+.6e}{x.imag:+.6e}j"
 
 
-def _print_matrix(mat: np.ndarray, indent: str = "  "):
-    for row in np.atleast_2d(mat):
-        print(indent + "  ".join(_fmt_complex(x) for x in row))
+def _format_matrix(mat: np.ndarray, indent: str = "  ") -> str:
+    """The rows of ``mat``, one line each, entries as ``_fmt_complex``
+    writes them."""
+    mat = np.atleast_2d(np.ascontiguousarray(mat, dtype=np.complex128))
+    values = tuple(mat.view(np.float64).ravel().tolist())
+    return _matrix_template(*mat.shape, indent) % values
+
+
+@lru_cache(maxsize=256)
+def _matrix_template(rows: int, cols: int, indent: str) -> str:
+    return (indent + "  ".join(["%+.6e%+.6ej"] * cols) + "\n") * rows
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +282,18 @@ def cmd_curvature(args) -> tuple:
 
     curv = geometry.curvature(geometry.gram_jet(spec, np.array(points)))
     rows = [
-        {"point": list(point), "blocks": blocks, "selfadjoint_defect": defect}
+        {"point": point, "blocks": blocks, "selfadjoint_defect": defect}
         for point, blocks, defect in zip(points, curv.entries, curv.selfadjoint_defect())
     ]
-    print(f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})")
+    lines = [f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})\n"]
     for row in rows:
-        print("point:", ", ".join(_fmt_complex(x) for x in row["point"]))
+        lines.append("point: " + ", ".join(_fmt_complex(x) for x in row["point"]) + "\n")
         for i in range(spec.m):
             for j in range(spec.m):
-                print(f"  K[{i + 1},{j + 1}bar]:")
-                _print_matrix(row["blocks"][i][j], indent="    ")
-        print(f"  self-adjointness defect: {row['selfadjoint_defect']:.3e}")
+                lines.append(f"  K[{i + 1},{j + 1}bar]:\n")
+                lines.append(_format_matrix(row["blocks"][i][j], indent="    "))
+        lines.append(f"  self-adjointness defect: {row['selfadjoint_defect']:.3e}\n")
+    print("".join(lines), end="")
     results = {"points": rows}
     config = {
         "kernel": args.kernel, "chart": args.chart, "points": args.points,
@@ -224,18 +309,16 @@ def cmd_jetkernel(args) -> tuple:
     pulled = pullback_affine(spec, chart)
     k = args.k
     if args.points:
-        points = parse_points(args.points, spec.m)
+        points = np.array(parse_points(args.points, spec.m))
     else:
-        points = [np.zeros(spec.m, dtype=complex)]
+        points = np.zeros((1, spec.m), dtype=complex)
+    if args.restrict:
+        geometry.check_on_submanifold(points, d, "point")
 
     idx = jet_kernels.JetIndexTable(d, k)
     legend = [f"rank {l}: order {alpha}" for l, alpha in enumerate(idx.indices)]
-    rows = []
-    for point in points:
-        jkv = jet_kernels.jet_kernel(pulled, d, k, point, point, trunc=args.trunc)
-        if args.restrict:
-            jet_kernels.restrict_to_Z(jkv, chart)
-        rows.append({"point": list(point), "matrix": jkv.as_matrix()})
+    jkv = jet_kernels.jet_kernel(pulled, d, k, points, points, trunc=args.trunc)
+    rows = [{"point": point, "matrix": matrix} for point, matrix in zip(points, jkv.as_matrix())]
 
     print(f"jet kernel of {args.kernel} (d={d}, k={k}, N={idx.N})")
     print("derivative-order legend (theta ranks):")
@@ -243,7 +326,7 @@ def cmd_jetkernel(args) -> tuple:
         print(" ", line)
     for row in rows:
         print("point:", ", ".join(_fmt_complex(x) for x in row["point"]))
-        _print_matrix(row["matrix"])
+        print(_format_matrix(row["matrix"]), end="")
     config = {
         "kernel": args.kernel, "chart": args.chart, "d": d, "k": k,
         "points": args.points, "restrict": args.restrict, "trunc": args.trunc,
@@ -281,7 +364,7 @@ def cmd_equiv(args) -> tuple:
     }
     if report.witness is not None:
         print("witness unitary:")
-        _print_matrix(report.witness.matrix)
+        print(_format_matrix(report.witness.matrix), end="")
         results["witness"] = {
             "matrix": report.witness.matrix,
             "unitarity_defect": report.witness.unitarity_defect,
@@ -359,9 +442,9 @@ def cmd_quotient_demo(args) -> tuple:
     deviation = float(np.max(np.abs(oracle - jet_matrix)))
 
     print(f"\nquotient kernel at z = {z} (orthonormal-level sum, p <= {args.pmax}):")
-    _print_matrix(oracle)
+    print(_format_matrix(oracle), end="")
     print("jet kernel on the flattened diagonal (anchored chart):")
-    _print_matrix(jet_matrix)
+    print(_format_matrix(jet_matrix), end="")
     print(f"max |oracle - jet|: {deviation:.3e}")
     print(f"partial-sum tail estimate: {tail:.3e}")
 
@@ -396,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-k": dict(type=int, default=2, help="vanishing order"),
         "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
         "--seed": dict(type=int, default=2024),
-        "--num-samples": dict(type=_sample_count, default=5),
+        "--num-samples": dict(type=_int_at_least(1, "at least one sample is needed"),
+                              default=5),
         "--tol": dict(type=_tolerance, default=1e-8),
         "--trunc": dict(type=int, default=None),
         "--out": dict(help="write a JSON report here"),
@@ -435,9 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     add(p)
     p.add_argument("--weights", default="1,1,1")
     p.add_argument("--z", default="0.3", help="diagonal point")
-    p.add_argument("--pmax", type=int, default=60)
-    p.add_argument("--plevels", type=int, default=8,
-                   help="levels shown in the closed-form table")
+    p.add_argument("--pmax", type=_int_at_least(1, "the partial sum needs --pmax >= 1"),
+                   default=60)
+    p.add_argument("--plevels", type=_int_at_least(0, "the level table needs --plevels >= 0"),
+                   default=8, help="levels shown in the closed-form table")
     p.set_defaults(fn=cmd_quotient_demo)
     return parser
 

@@ -31,7 +31,8 @@ from .multiindex import JetIndexTable, degree_slice, multi_binom
 
 @dataclass
 class JetKernelValue:
-    """The (N+1) x (N+1) grid of r x r derivative blocks of K at (z0, w0)."""
+    """The (N+1) x (N+1) grid of r x r derivative blocks of K at (z0, w0),
+    or at each pair of a stack."""
 
     z0: np.ndarray
     w0: np.ndarray
@@ -39,20 +40,22 @@ class JetKernelValue:
     k: int
     N: int
     r: int
-    blocks: np.ndarray  # (N+1, N+1, r, r)
+    blocks: np.ndarray  # (*batch, N+1, N+1, r, r)
     index_table: JetIndexTable
 
     def block(self, l: int, t: int) -> np.ndarray:
-        return self.blocks[l, t]
+        return self.blocks[..., l, t, :, :]
 
     def as_matrix(self) -> np.ndarray:
-        """The full (N+1)r x (N+1)r matrix in theta-block order."""
-        n = self.N + 1
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * self.r, n * self.r)
+        """The full (N+1)r x (N+1)r matrix in theta-block order, after the
+        batch axes of a stack of point pairs."""
+        size = (self.N + 1) * self.r
+        return self.blocks.swapaxes(-3, -2).reshape(self.blocks.shape[:-4] + (size, size))
 
 
 def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelValue:
-    """All transverse derivative blocks of the kernel at one point pair.
+    """All transverse derivative blocks of the kernel at one point pair, or
+    at each pair of (B, m) stacks ``z0`` and ``w0`` (one tape run).
 
     The blocks read only the 2d transverse variables, so the kernel is
     evaluated over those (``KernelSpec.varying_jet`` with d varying

@@ -435,7 +435,8 @@ class KernelSpec:
     def check_hermitian(self, points=None, rng=None, tol: float = 1e-8) -> float:
         """Spot-check K(z, w) == K(w, z)* at sample point pairs.
 
-        Returns the largest deviation found; raises if it exceeds ``tol``.
+        Returns the largest deviation found; raises if it exceeds ``tol`` or
+        is NaN.  All pairs (z, w) and (w, z) are evaluated in one batch.
         """
         if points is None:
             rng = rng or np.random.default_rng(7)
@@ -444,12 +445,13 @@ class KernelSpec:
                 z = 0.4 * (rng.random(self.m) - 0.5 + 1j * (rng.random(self.m) - 0.5))
                 w = 0.4 * (rng.random(self.m) - 0.5 + 1j * (rng.random(self.m) - 0.5))
                 points.append((z, w))
-        worst = 0.0
-        for z, w in points:
-            a = self.eval_point(z, w)
-            b = self.eval_point(w, z)
-            worst = max(worst, float(np.max(np.abs(a - b.conj().T))))
-        if worst > tol:
+        if not len(points):
+            return 0.0
+        z, w = np.array(points, dtype=complex).swapaxes(0, 1)
+        values = self.eval_point(np.concatenate([z, w]), np.concatenate([w, z]))
+        forward, backward = np.split(values, 2)
+        worst = float(np.max(np.abs(forward - backward.conj().swapaxes(-1, -2))))
+        if not worst <= tol:
             raise ValueError(
                 f"kernel is not Hermitian-symmetric: deviation {worst:.3e}"
             )
@@ -767,8 +769,9 @@ def parse_kernel(text: str) -> KernelSpec:
 def builtin_bergman(weights) -> KernelSpec:
     """Rank-1 product kernel prod_i (1 - z_i*wb_i)^(-weights[i]) on the polydisc."""
     weights = [float(w) for w in np.atleast_1d(weights)]
-    if any(w < 0 for w in weights):
-        raise ValueError("bergman weights must be >= 0")
+    bad = [w for w in weights if not 0 <= w < np.inf]
+    if bad:
+        raise ValueError(f"bergman weights must be finite and >= 0, got {bad[0]!r}")
     m = len(weights)
     node = None
     for i, lam in enumerate(weights, start=1):

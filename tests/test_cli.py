@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -198,6 +199,21 @@ class TestQuotientDemo:
         assert code == 2
         assert f"level {level} quantities overflow a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pmax", "0", "the partial sum needs --pmax >= 1, got 0"),
+        ("--plevels", "-1", "the level table needs --plevels >= 0, got -1"),
+        ("--pmax", "x", "invalid int value: 'x'"),
+    ])
+    def test_flags_checked_at_parse_time(self, flag, value, message, capsys):
+        from jetmod.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient-demo", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: {message}" in err
+
     def test_oversized_sum_refused_at_once(self, capsys):
         from jetmod.cli import main
 
@@ -286,6 +302,91 @@ def test_curvature_samples_are_default_samples(kernel_dir, tmp_path):
     points = [[complex(*x) for x in row["point"]]
               for row in json.loads(out.read_text())["results"]["points"]]
     assert np.array_equal(points, default_samples(3, 0, 3, 7))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["curvature", "--kernel", "w.kernel", "--points", "0,0,0"], "m = 3\nK = bergman({})\n"),
+    (["recover-weights", "--weights", "{}"], None),
+])
+@pytest.mark.parametrize("weights", ["inf,1,1", "1e999,1,1", "nan,1,1", "1,nan,2"])
+def test_non_finite_bergman_weights_refused(argv, text, weights, tmp_path, capsys, monkeypatch):
+    from jetmod.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "w.kernel").write_text(text.format(weights))
+    assert main([a.format(weights) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    bad = next(w for w in weights.split(",") if not 0 < float(w) < np.inf)
+    assert err == f"error: bergman weights must be finite and >= 0, got {float(bad)!r}\n"
+    assert out == ""
+
+
+def jetkernel_per_point(kernel_file, chart_text, k, points_text, restrict, trunc=None):
+    """stdout and results of ``jetmod jetkernel`` as one jet_kernel call per point."""
+    from jetmod import cli, jet_kernels
+    from jetmod.kernels import pullback_affine
+
+    spec = cli.load_kernel(kernel_file)
+    chart = cli.parse_chart(chart_text)
+    pulled = pullback_affine(spec, chart)
+    points = cli.parse_points(points_text, spec.m)
+    idx = jet_kernels.JetIndexTable(chart.d, k)
+    legend = [f"rank {l}: order {alpha}" for l, alpha in enumerate(idx.indices)]
+    rows = []
+    for point in points:
+        jkv = jet_kernels.jet_kernel(pulled, chart.d, k, point, point, trunc=trunc)
+        if restrict:
+            jet_kernels.restrict_to_Z(jkv, chart)
+        rows.append({"point": list(point), "matrix": jkv.as_matrix()})
+    lines = [f"jet kernel of {kernel_file} (d={chart.d}, k={k}, N={idx.N})",
+             "derivative-order legend (theta ranks):"] + ["  " + line for line in legend]
+    for row in rows:
+        lines.append("point: " + ", ".join(cli._fmt_complex(x) for x in row["point"]))
+        for mrow in row["matrix"]:
+            lines.append("  " + "  ".join(cli._fmt_complex(x) for x in mrow))
+    return "\n".join(lines) + "\n", {"legend": legend, "points": rows}
+
+
+@pytest.mark.parametrize("chart, k, points, restrict", [
+    ("diagonal-anchored(3)", 3, "0,0,0.1+0.2j; 0,0,-0.3j; 0,0,0.25", True),
+    ("identity(3,1)", 2, "0.1,0.2,0.3; -0.2j,0,0.1; 0.3,0.1j,0", False),
+    ("diagonal(3)", 2, "0,0,0.1", True),
+])
+def test_jetkernel_batch_equals_per_point_loop(chart, k, points, restrict, tmp_path, capsys,
+                                                monkeypatch):
+    from jetmod import cli
+    from util import oracle_text
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mix.kernel").write_text(
+        "m = 3\nr = 2\n"
+        "K[1][1] = 2 * (1 - z1*wb1)^-1.5 * (1 - z2*wb2)^-1 * (1 - z3*wb3)^-2\n"
+        "K[1][2] = 0.5 * (1 - z1*wb1)^-2 * (1 - z2*wb2)^-1 * (1 - z3*wb3)^-1\n"
+        "K[2][1] = 0.5 * (1 - z1*wb1)^-2 * (1 - z2*wb2)^-1 * (1 - z3*wb3)^-1\n"
+        "K[2][2] = (1 - z1*wb1)^-1 * (1 - z2*wb2)^-2.5 * (1 - z3*wb3)^-1\n"
+    )
+    argv = ["jetkernel", "--kernel", "mix.kernel", "--chart", chart, "-k", str(k),
+            "--points", points, "--out", "r.json"] + (["--restrict"] if restrict else [])
+    assert cli.main(argv) == 0
+    stdout, results = jetkernel_per_point("mix.kernel", chart, k, points, restrict)
+    assert capsys.readouterr().out == stdout + "report written to r.json\n"
+    config = {"kernel": "mix.kernel", "chart": chart, "d": cli.parse_chart(chart).d, "k": k,
+              "points": points, "restrict": restrict, "trunc": None}
+    want = oracle_text(cli.make_report("jetkernel", config, results))
+    stamp = re.compile(r'\n\s*"timestamp": "[^"]*",?')
+    assert stamp.sub("", (tmp_path / "r.json").read_text()) == stamp.sub("", want)
+
+
+def test_restriction_checked_before_evaluation(kernel_dir, capsys, monkeypatch):
+    from jetmod import cli, jet_kernels
+
+    monkeypatch.setattr(jet_kernels, "jet_kernel", lambda *a, **k: pytest.fail("evaluated"))
+    code = cli.main(["jetkernel", "--kernel", str(kernel_dir / "b123.kernel"),
+                     "--chart", "diagonal-anchored(3)", "-k", "2",
+                     "--points", "0,0,0.2; 0.1,0,0.2", "--restrict"])
+    assert code == 2
+    assert "off the submanifold" in capsys.readouterr().err
 
 
 class TestJetKernel:

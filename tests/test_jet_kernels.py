@@ -66,6 +66,21 @@ class TestJetKernel:
         b = jet_kernel(spec, 1, 2, w, z).as_matrix()
         assert np.max(np.abs(a - b.conj().T)) < 1e-12
 
+    def test_stacked_matrices_in_theta_block_order(self):
+        rng = np.random.default_rng(5)
+        spec = coupled_rank2_kernel(rng, m=3)
+        z, w = [rand_point(rng, 3) for _ in range(3)], [rand_point(rng, 3) for _ in range(3)]
+        stacked = jet_kernel(spec, 2, 3, np.array(z), np.array(w))
+        mats = stacked.as_matrix()
+        n, r = stacked.N + 1, 2
+        assert mats.shape == (3, n * r, n * r)
+        for b in range(3):
+            single = jet_kernel(spec, 2, 3, z[b], w[b])
+            assert np.array_equal(stacked.block(1, 2)[b], single.block(1, 2))
+            # entry (l r + i, t r + j) is entry (i, j) of block (l, t)
+            want = np.block([[single.block(l, t) for t in range(n)] for l in range(n)])
+            assert mats[b].tobytes() == want.tobytes() == single.as_matrix().tobytes()
+
     def test_truncation_guard(self):
         with pytest.raises(ValueError, match="too small"):
             jet_kernel(builtin_bergman([1.0]), 1, 3, [0.0], [0.0], trunc=2)

@@ -200,6 +200,61 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="Hermitian"):
             bad.check_hermitian()
 
+    @staticmethod
+    def per_pair_deviation(spec, points):
+        """The largest |K(z, w) - K(w, z)*|, one eval_point call per argument."""
+        worst = 0.0
+        for z, w in points:
+            a = spec.eval_point(z, w)
+            b = spec.eval_point(w, z)
+            worst = max(worst, float(np.max(np.abs(a - b.conj().T))))
+        return worst
+
+    def test_hermitian_check_is_one_batch_equal_to_the_per_pair_loop(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        u = rand_unitary(rng, 2)
+        k1, k2 = builtin_bergman([1.0, 2.0, 0.5]), builtin_bergman([2.5, 0.5, 1.5])
+        specs = [
+            builtin_bergman([1.0, 2.0]),
+            builtin_bergman([0.5, 1.5, 2.5]),
+            parse_kernel("m = 1\nK[1][1] = (z1*wb1 - 2)^-2\n"),
+            matrix_combination([k1, k2], [np.eye(2), np.array([[1.0, 0.5j], [-0.5j, 2.0]])]),
+            conjugate_by_unitary(direct_sum(k1, k2), u),
+            parse_kernel("m = 2\nK[1][1] = exp(z1*wb2) + z2"),  # not Hermitian
+        ]
+        calls = []
+        original = KernelSpec.eval_point
+        monkeypatch.setattr(KernelSpec, "eval_point",
+                            lambda self, z, w: calls.append(1) or original(self, z, w))
+        for spec in specs:
+            points = [(rand_point(rng, spec.m), rand_point(rng, spec.m)) for _ in range(3)]
+            calls.clear()
+            got = spec.check_hermitian(points, tol=np.inf)
+            assert len(calls) == 1
+            want = self.per_pair_deviation(spec, points)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            # the default pairs, drawn as before
+            default_rng = np.random.default_rng(7)
+            draw = lambda: 0.4 * (default_rng.random(spec.m) - 0.5
+                                  + 1j * (default_rng.random(spec.m) - 0.5))
+            default = [(draw(), draw()) for _ in range(3)]
+            assert spec.check_hermitian(tol=np.inf) == self.per_pair_deviation(spec, default)
+        assert specs[-1].check_hermitian(tol=np.inf) > 1e-3
+
+    def test_hermitian_check_without_pairs(self):
+        assert builtin_bergman([1.0]).check_hermitian([]) == 0.0
+
+    def test_nan_deviation_refused(self):
+        # inf * 0 evaluates to nan: max(0.0, nan) once let this pass as 0.0
+        spec = parse_kernel("m = 1\nK[1][1] = 1e200*1e200*z1*wb1*0 + 1\n")
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="deviation nan"):
+            spec.check_hermitian()
+
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan, -1.0])
+    def test_bergman_weight_refused(self, weight):
+        with pytest.raises(ValueError, match="bergman weights must be finite and >= 0"):
+            builtin_bergman([1.0, weight])
+
 
 class TestEvalJet:
     def test_bergman_first_coefficient(self):

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: random objects and independent oracles."""
 
+import json
 import operator
 
 import numpy as np
@@ -121,3 +122,26 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
             raise DomainError(f"at {pos}: {exc}") from None
         vals.append(v)
     return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
+
+
+def jsonable(obj):
+    """The report encoding before streaming: plain JSON values for json.dump."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.complexfloating,)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    return obj
+
+
+def oracle_text(report) -> str:
+    """What ``json.dump(jsonable(report), fh, indent=2, sort_keys=True)`` and
+    a final newline write."""
+    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
