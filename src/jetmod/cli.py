@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from functools import lru_cache
 
 import numpy as np
@@ -153,13 +152,16 @@ def make_report(command: str, config: dict, results: dict) -> dict:
 
 
 def write_report(report: dict, path: str):
-    """Stream the report to a temporary file beside ``path``, then rename it
+    """Stream the report to a temporary file beside ``path``, created as
+    ``open(path, "w")`` would (mode 0o666 less the umask), then rename it
     over ``path``, so failed runs never leave partial files.  A failure
     names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        name = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(_encode(report, 0))
             fh.write("\n")

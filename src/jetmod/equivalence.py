@@ -111,10 +111,11 @@ def invariant_array(
 
     The kernel is pulled back by the chart, normalized at ``base_point``
     (chart origin by default), and evaluated at all samples at once into
-    one batched Gram jet, at the largest truncation the derivative table
-    and the bundle invariants read.  With ``bundle_data`` off only the
-    derivative tables are filled (enough for the rank-1 and
-    derivative-array criteria).
+    one batched Gram jet, at the largest truncation and in only the
+    variables the readers differentiate in: the d transverse z- and
+    conj-displacements, and the tangential conj ones of the transport maps.
+    With ``bundle_data`` off only the derivative tables are filled (enough
+    for the rank-1 and derivative-array criteria).
     """
     d = chart.d
     pulled = pullback_affine(spec, chart)
@@ -127,8 +128,8 @@ def invariant_array(
     norm = geometry.normalize_at(pulled, base_point)
 
     idx = JetIndexTable(d, k)
-    g = geometry.gram_jet(norm, samples, max(2 * (k - 1), k, 2))
-    deriv_tables = transverse_blocks(g.jet, idx)
+    g = geometry.gram_jet(norm, samples, max(2 * (k - 1), k, 2), d, m if bundle_data else d)
+    deriv_tables = transverse_blocks(g, idx)
     curvature = transport = None
     if bundle_data:
         curvature = geometry.curvature_covariant_derivs(g, d, max(k - 2, 0))[1]

@@ -16,24 +16,23 @@ of ``H``:
                                which freezes the gauge freedom so that
                                derivative arrays become honest invariants.
 
-``gram_jet`` is the one place a kernel becomes a Gram jet.  It accepts any
-object with ``eval_jet(z0, w0, trunc)`` — a ``KernelSpec`` or the
-evaluator returned by ``normalize_at`` — and a point or a (B, m) stack of
-sample points, evaluated in one batched pass.  ``curvature``,
-``curvature_covariant_derivs`` and ``transport_maps`` take the resulting
-``GramJet`` and never evaluate a kernel: each slices the jet to the
-truncation it needs, which is exact because the grading puts lower orders
-first, and refuses a jet computed to a lower truncation.  The inverse of
-the sliced jet is computed once per truncation and shared by the readers.
-Derivative values are read with ``JetMatrix.derivatives`` and returned as
-stacks of (r, r) blocks: ``transverse_blocks`` (N+1, N+1, r, r) in theta
-order (l, t), from a Gram jet or from a kernel jet over the transverse
-variables only; ``curvature_covariant_derivs`` sorted (i, j, alpha, beta)
-keys and their (keys, r, r) blocks, whose d = m, order-0 case is
-``curvature`` (entries (m, m, r, r)); ``transport_maps`` (N+1, m - d, r, r),
-theta rank l, then tangential direction i - d.  A jet of a (B, m) stack
-of points puts B in front of each shape, and a failed check names the
-first failing sample.
+``gram_jet`` is the one place a kernel becomes a Gram jet: of a
+``KernelSpec`` or a ``normalize_at`` evaluator, at a point or a (B, m)
+stack of them in one batched pass.  It may hold only the variables its
+readers differentiate in: setting the other displacements to zero is a
+ring homomorphism of truncated series, so every coefficient it holds
+equals the one over all 2m variables.  Readers build 2m-variable rows
+(``pad_pair``) and map them through ``GramJet.held``, which refuses a row
+in a variable the jet does not hold.  ``curvature``,
+``curvature_covariant_derivs`` and ``transport_maps`` never evaluate a
+kernel: each slices the jet to the truncation it needs (exact, as the
+grading puts lower orders first), refuses a lower one, and shares one
+inverse per truncation.  They return stacks of (r, r) blocks:
+``transverse_blocks`` (N+1, N+1, r, r) in theta order (l, t), also from a
+kernel jet; ``curvature_covariant_derivs`` sorted (i, j, alpha, beta) keys
+and (keys, r, r) blocks, whose d = m, order-0 case is ``curvature``;
+``transport_maps`` (N+1, m - d, r, r).  A (B, m) stack puts B in front of
+each shape, and a failed check names the first failing sample.
 """
 
 from __future__ import annotations
@@ -82,25 +81,41 @@ def pad_pair(m: int, alpha=(), beta=()):
     return alpha + (0,) * (m - len(alpha)) + beta + (0,) * (m - len(beta))
 
 
+def _held(rows, m: int, variables: tuple) -> np.ndarray:
+    """2m-variable exponent rows over ``variables``; see ``GramJet.held``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != 2 * m:
+        raise ValueError(f"exponent rows must have width {2 * m}, got shape {rows.shape}")
+    for v in np.flatnonzero(rows.any(axis=0)):
+        if v not in variables:
+            name = f"z{v + 1}" if v < m else f"conj(z{v - m + 1})"
+            raise ValueError(f"the jet does not hold the displacement of {name}")
+    return rows[:, list(variables)]
+
+
 @lru_cache(maxsize=None)
-def _block_rows(ctx, d: int, k: int):
+def _block_rows(ctx, m: int, variables: tuple, d: int, k: int):
     """Ranks and factorials of the rows (alpha, beta) of ``transverse_blocks``."""
     idx = JetIndexTable(d, k)
-    m = ctx.num_vars // 2
-    return ctx.derivative_ranks([pad_pair(m, a, b) for a in idx.indices for b in idx.indices])
+    rows = [pad_pair(m, a, b) for a in idx.indices for b in idx.indices]
+    return ctx.derivative_ranks(_held(rows, m, variables))
 
 
-def transverse_blocks(jm: JetMatrix, idx: JetIndexTable) -> np.ndarray:
+def transverse_blocks(jet, idx: JetIndexTable) -> np.ndarray:
     """The (N+1, N+1, r, r) grid of blocks d^alpha dbar^beta of a kernel jet.
 
-    ``jm`` is a jet in m z-displacements followed by m conj-displacements:
-    the 2m variables of ``KernelSpec.eval_jet``, or the 2d of
-    ``varying_jet`` with d varying on each side.  alpha and beta run over
-    the theta-ordered transverse orders of ``idx``.  The rows are ranked
-    once per (context, d, k).
+    ``jet`` is a ``GramJet`` or a ``JetMatrix`` in m z-displacements then m
+    conj-displacements: the 2m variables of ``KernelSpec.eval_jet``, or the
+    2d of ``varying_jet`` with d varying on each side.  alpha and beta run
+    over the theta-ordered transverse orders of ``idx``.  The rows are
+    ranked once per (context, variables, d, k).
     """
+    if isinstance(jet, GramJet):
+        jm, m, held = jet.jet, jet.point.shape[-1], jet.variables
+    else:
+        jm, m, held = jet, jet.ctx.num_vars // 2, tuple(range(jet.ctx.num_vars))
     n = len(idx)
-    blocks = jm.read_derivatives(*_block_rows(jm.ctx, idx.d, idx.k))
+    blocks = jm.read_derivatives(*_block_rows(jm.ctx, m, held, idx.d, idx.k))
     return blocks.reshape(jm.batch + (n, n) + jm.shape)
 
 
@@ -110,11 +125,23 @@ class GramJet:
 
     point: np.ndarray
     jet: JetMatrix
+    variables: tuple  # the indices, among the 2m of ``eval_jet``, of the jet's variables
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def held(self, rows) -> np.ndarray:
+        """2m-variable exponent rows, as ``pad_pair`` builds them, over the held
+        variables; refuses a row in another variable, naming it."""
+        return _held(rows, self.point.shape[-1], self.variables)
+
+    def axes(self, variables) -> list:
+        """The held positions of 2m-variable indices, for ``JetMatrix.derivative``."""
+        unit = np.eye(2 * self.point.shape[-1], dtype=np.int64)[list(variables)]
+        return self.held(unit).argmax(axis=1).tolist()
 
     def extract(self, alpha=(), beta=()) -> np.ndarray:
         """The derivative d^alpha dbar^beta H at the base point."""
-        return self.jet.extract(pad_pair(self.point.shape[-1], alpha, beta))
+        rows = self.held([pad_pair(self.point.shape[-1], alpha, beta)])
+        return self.jet.derivatives(rows)[..., 0, :, :]
 
     def truncated(self, trunc: int, what: str) -> JetMatrix:
         """The jet sliced to ``trunc``; refuses a jet of lower truncation."""
@@ -132,10 +159,11 @@ class GramJet:
         return self._inverses[trunc]
 
 
-def gram_jet(kernel, z0, trunc: int = 2) -> GramJet:
-    """Jet of H = K(z, z) at z0 (or each point of a stack); H(z0) must be positive definite."""
+def gram_jet(kernel, z0, trunc: int = 2, vary_z=True, vary_w=True) -> GramJet:
+    """Jet of H = K(z, z) at z0 (or each point of a stack), positive definite at z0,
+    in the variables ``vary_z`` and ``vary_w`` select (``KernelSpec.eval_jet``)."""
     z0 = np.asarray(z0, dtype=complex)
-    jm = kernel.eval_jet(z0, z0, trunc)
+    jm, variables = kernel.varying_jet(z0, z0, trunc, vary_z=vary_z, vary_w=vary_w)
     h0 = jm.constant_term()
     h0_adj = np.conj(np.swapaxes(h0, -1, -2))
     scale = np.maximum(1.0, np.max(np.abs(h0), axis=(-2, -1)))
@@ -145,7 +173,7 @@ def gram_jet(kernel, z0, trunc: int = 2) -> GramJet:
     low = np.linalg.eigvalsh((h0 + h0_adj) / 2.0)[..., 0]
     refuse(low < PD_FLOOR * scale, lambda i: (
         f"Gram matrix: constant term not positive definite (min eigenvalue {low.flat[i]:.3e})"))
-    return GramJet(point=z0, jet=jm)
+    return GramJet(point=z0, jet=jm, variables=tuple(variables))
 
 
 @dataclass
@@ -193,26 +221,25 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     trunc = max_order + 2
+    zs, conjs = g.axes(range(d)), g.axes(range(m, m + d))
     h = g.truncated(trunc, "curvature")
     hinv = g.inverse(trunc, "curvature")
 
     # connection coefficients d_i H . H^{-1}: dbar_j of conn[i] is K_{i jbar},
     # and they give the commutator of each z-direction correction
-    conn = [
-        h.derivative(i) @ hinv.truncate(trunc - 1) for i in range(d)
-    ]
+    conn = [h.derivative(zs[i]) @ hinv.truncate(trunc - 1) for i in range(d)]
 
     def z_cov(phi: JetMatrix, i: int) -> JetMatrix:
         t = phi.ctx.trunc
         a = conn[i].truncate(t - 1)
         p = phi.truncate(t - 1)
-        return phi.derivative(i) - (a @ p - p @ a)
+        return phi.derivative(zs[i]) - (a @ p - p @ a)
 
     orders = sorted(JetIndexTable(d, max_order + 1).indices)  # orders[0] is 0
     conj = np.array([pad_pair(m, beta=b) for b in orders])
     # K_{i jbar} = dbar_j conn[i]: its plain conj-derivatives dbar^beta are read
     # off conn[i] at the rows beta + e_j, ordered by j, then beta
-    plain_rows = (conj + np.eye(2 * m, dtype=np.int64)[m : m + d, None]).reshape(-1, 2 * m)
+    plain_rows = g.held((conj + np.eye(2 * m, dtype=np.int64)[m:m + d, None]).reshape(-1, 2 * m))
     keys, blocks = [], []
     for i in range(d):
         plain = conn[i].derivatives(plain_rows).reshape(h.batch + (d, len(orders)) + h.shape)
@@ -220,13 +247,13 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
             keys += [(i, j, orders[0], beta) for beta in orders]
             blocks.append(plain[..., j, :, :, :])
             for alpha in orders[1:]:
-                phi = conn[i].derivative(m + j)  # K_{i jbar}, trunc-2 = max_order
+                phi = conn[i].derivative(conjs[j])  # K_{i jbar}, trunc-2 = max_order
                 for v in range(d):  # z-covariant, ascending, innermost first
                     for _ in range(alpha[v]):
                         phi = z_cov(phi, v)
                 betas = [b for b in orders if sum(alpha) + sum(b) <= max_order]
                 keys += [(i, j, alpha, beta) for beta in betas]
-                blocks.append(phi.derivatives([pad_pair(m, beta=b) for b in betas]))
+                blocks.append(phi.derivatives(g.held([pad_pair(m, beta=b) for b in betas])))
     return keys, np.concatenate(blocks, axis=-3)
 
 
@@ -243,15 +270,16 @@ def transport_maps(g: GramJet, d: int, k: int) -> np.ndarray:
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     check_on_submanifold(g.point, d, "base point")
+    tangential = g.held(np.eye(2 * m, dtype=np.int64)[m + d :])  # dbar_i, i = d..m-1
+    zs = g.axes(range(d))
     h = g.truncated(max(k, 2), "transport maps")
     hinv = g.inverse(max(k, 2), "transport maps")
-    tangential = np.eye(2 * m, dtype=np.int64)[m + d :]  # dbar_i, i = d..m-1
     maps = []
     for alpha in JetIndexTable(d, k).indices:
         dl_h = h
         for v in range(d):
             for _ in range(alpha[v]):
-                dl_h = dl_h.derivative(v)
+                dl_h = dl_h.derivative(zs[v])
         t = dl_h.ctx.trunc
         hl = hinv.truncate(t) @ dl_h  # H^{-1} d^l H
         maps.append(hl.derivatives(tangential))
@@ -264,8 +292,8 @@ class NormalizedKernel:
     Implements ``C . K(z,p)^{-1} . K(z,w) . K(p,w)^{-1} . C`` with
     ``C = K(p,p)^{1/2}`` (Hermitian square root), so that the kernel
     against the base point is the identity matrix to every computed
-    order.  ``base`` is a ``KernelSpec``; the normalized kernel shares
-    its ``eval_jet`` and ``eval_point`` interface.
+    order.  ``base`` is a ``KernelSpec``; the normalized kernel shares its
+    ``varying_jet``, ``eval_jet`` and ``eval_point`` interface.
     """
 
     def __init__(self, base, p):
@@ -279,23 +307,22 @@ class NormalizedKernel:
             self.label += "|normalized"
 
     def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
-        """The normalized jet; points, stacks of them and ``vary_z``/``vary_w``
-        as in ``KernelSpec.eval_jet``.
-
-        K(z, p) and K(p, w) vary in one argument each, so they are
-        evaluated and inverted over those variables only and embedded in
-        the 2m-variable context for the two products.
-        """
+        """The normalized jet in 2m variables, as ``KernelSpec.eval_jet``."""
         ctx = series_context(2 * self.m, trunc)
-        left, left_vars = self.base.varying_jet(z0, self.p, trunc, vary_z, False)
-        mid = self.base.eval_jet(z0, w0, trunc, vary_z, vary_w)
-        right, right_vars = self.base.varying_jet(self.p, w0, trunc, False, vary_w)
-        out = (
-            left.inverse().embed(ctx, left_vars)
-            @ mid
-            @ right.inverse().embed(ctx, right_vars)
-        )
-        return out.left_const(self.c).right_const(self.c)
+        jm, variables = self.varying_jet(z0, w0, trunc, vary_z, vary_w)
+        return jm.embed(ctx, variables)
+
+    def varying_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
+        """The normalized jet and its variables, as ``KernelSpec.varying_jet``.
+        K(z, p) and K(p, w) are evaluated and inverted over the variables of
+        their one varying argument, then embedded in the context of K(z, w)."""
+        left, _ = self.base.varying_jet(z0, self.p, trunc, vary_z, False)
+        mid, variables = self.base.varying_jet(z0, w0, trunc, vary_z, vary_w)
+        right, _ = self.base.varying_jet(self.p, w0, trunc, False, vary_w)
+        nz, ctx = left.ctx.num_vars, mid.ctx  # the z-variables lead
+        out = left.inverse().embed(ctx, range(nz)) @ mid
+        out = out @ right.inverse().embed(ctx, range(nz, ctx.num_vars))
+        return out.left_const(self.c).right_const(self.c), variables
 
     def eval_point(self, z, w) -> np.ndarray:
         left = self.base.eval_point(z, self.p)

@@ -623,6 +623,14 @@ class _Tape:
                 self.dead[s].append(operand)
         self.powers = {group[0]: group for group in bases.values()}
 
+    def where(self, s: int) -> str:
+        """Slot s's source position, else the first entry (row-major) reading it:
+        the first with a slot >= s, as each entry's walk adds its own slot last."""
+        if self.pos[s] is not None:
+            return f"at {self.pos[s]}"
+        i, j = divmod(next(n for n, t in enumerate(np.ravel(self.out)) if t >= s), len(self.out))
+        return f"in K[{i + 1}][{j + 1}]"
+
     def run(self, ctx, zs, wbs) -> JetMatrix:
         """Evaluate every slot with the coordinates given.
 
@@ -638,7 +646,7 @@ class _Tape:
         trunc = ctx.trunc
         fixed = series_context(0, 0)
         vals = [None] * len(self.ops)  # vals[s]: (series, support) of slot s
-        for s, ((op, x, y), pos) in enumerate(zip(self.ops, self.pos)):
+        for s, (op, x, y) in enumerate(self.ops):
             try:
                 if op == "num":
                     v = JetSeries.constant(fixed, np.full(batch, x)), ()
@@ -662,7 +670,7 @@ class _Tape:
                 else:
                     raise TypeError(f"unknown tape op {op!r}")
             except ValueError as exc:
-                raise DomainError(f"at {pos}: {exc}") from None
+                raise DomainError(f"{self.where(s)}: {exc}") from None
             vals[s] = v
             for operand in self.dead[s]:
                 vals[operand] = None

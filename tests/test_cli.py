@@ -322,6 +322,32 @@ def test_non_finite_bergman_weights_refused(argv, text, weights, tmp_path, capsy
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["curvature", "--kernel", "ov.kernel", "--points", "0.9"], "m = 1\nK[1][1] = (1 - z1*wb1)^-500\n"),
+    (["recover-weights", "--weights", "1e300,1,1"], None),
+])
+def test_overflow_is_exit_2(argv, text, tmp_path, capsys, monkeypatch):
+    from jetmod.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "ov.kernel").write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "series power: the constant term's power overflows" in err
+
+
+def test_error_without_source_position_names_the_entry(kernel_dir, capsys, monkeypatch):
+    from jetmod.cli import main
+
+    monkeypatch.chdir(kernel_dir)
+    assert main(["curvature", "--kernel", "b123.kernel", "--points", "0.1,0.2,1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "None" not in err
+    assert err.startswith("error: in K[1][1]: series power requires a constant term away from 0")
+
+
 def jetkernel_per_point(kernel_file, chart_text, k, points_text, restrict, trunc=None):
     """stdout and results of ``jetmod jetkernel`` as one jet_kernel call per point."""
     from jetmod import cli, jet_kernels

@@ -85,13 +85,13 @@ class TestInvariantArray:
     def test_one_normalized_evaluation_for_all_samples(self, monkeypatch):
         # the table and all three bundle invariants read one batched Gram jet
         calls = []
-        evaluate = NormalizedKernel.eval_jet
+        evaluate = NormalizedKernel.varying_jet
 
         def counting(self, z0, w0, trunc, **kwargs):
             calls.append(trunc)
             return evaluate(self, z0, w0, trunc, **kwargs)
 
-        monkeypatch.setattr(NormalizedKernel, "eval_jet", counting)
+        monkeypatch.setattr(NormalizedKernel, "varying_jet", counting)
         samples = default_samples(3, 2, count=3)
         inv = invariant_array(coupled_rank2_kernel(np.random.default_rng(3), m=3),
                               CHART3, k=3, samples=samples, bundle_data=True)

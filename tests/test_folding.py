@@ -157,6 +157,25 @@ class TestRefusalOnConstants:
         assert message.startswith("at (1, ") and what in message and message.endswith("at sample 1")
 
 
+def first_reading_entry(tape, s):
+    """The first entry, in row-major order, whose expression reads slot s."""
+    readers = {s}
+    for t, (op, x, y) in enumerate(tape.ops[s + 1:], start=s + 1):
+        operands = (x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ()
+        if readers.intersection(operands):
+            readers.add(t)
+    return next((i + 1, j + 1) for i, row in enumerate(tape.out)
+                for j, t in enumerate(row) if t in readers)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_slot_without_position_is_named_by_its_first_reading_entry(seed):
+    # pool kernels share subtrees between entries and have no source positions
+    tape = random_pool_kernel(np.random.default_rng(seed))._tape
+    for s in range(len(tape.ops)):
+        assert tape.where(s) == "in K[{}][{}]".format(*first_reading_entry(tape, s))
+
+
 class TestLiveness:
     def test_dead_slots_are_read_no_later_and_outputs_stay(self):
         spec = parse_kernel("m = 1\nr = 2\nK[1][1] = (1 + z1*wb1)^2\nK[1][2] = z1*wb1\n"

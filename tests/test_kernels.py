@@ -441,6 +441,14 @@ class TestTape:
             with pytest.raises(DomainError, match=r"at \(3, 11\)"):
                 kernel.eval_point([0.0], [0.0])
 
+    def test_domain_error_without_position_names_the_entry(self):
+        bad = Call("log", BinOp("-", BinOp("*", Var("z", 1), Var("wb", 1)), Num(2.0)))
+        spec = KernelSpec(1, 2, [[Num(1.0), Num(0.0)], [bad, BinOp("*", Num(2.0), bad)]])
+        with pytest.raises(DomainError, match=r"^in K\[2\]\[1\]: series log"):
+            spec.eval_jet([0.0], [0.0], 2)
+        with pytest.raises(DomainError, match=r"^in K\[1\]\[1\]: series power"):
+            builtin_bergman([1.0, 2.0, 3.0]).eval_point([0.1, 0.2, 1.0], [0.1, 0.2, 1.0])
+
     def test_pullback_shares_one_node_per_slot(self):
         spec = conjugate_by_unitary(self._rank2(), rand_unitary(np.random.default_rng(4), 2))
         pulled = pullback_affine(spec, diagonal_chart(3))

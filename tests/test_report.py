@@ -1,6 +1,7 @@
 """The streamed JSON report and the stdout tables against plain-Python oracles."""
 
 import itertools
+import os
 import re
 
 import numpy as np
@@ -129,3 +130,15 @@ def test_curvature_stdout_is_one_write(kernel_path, capsys, monkeypatch):
     lines = calls[0][0].splitlines()
     assert lines[0] == f"curvature blocks of {kernel_path} (m=1, r=1)"
     assert re.fullmatch(r"    \+2\.000000e\+00\+0\.000000e\+00j", lines[3])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_report_mode_follows_the_umask(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        cli.write_report({"a": 1}, str(tmp_path / "r.json"))
+        cli.write_report({"a": 2}, str(tmp_path / "r.json"))  # replacing keeps the rule
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "r.json").st_mode & 0o777 == mode
+    assert os.listdir(tmp_path) == ["r.json"]

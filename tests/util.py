@@ -110,7 +110,7 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
         wbs[i] = wbs[i] + JetSeries.variable(ctx, nz + i)
     tape = spec._tape
     vals = []
-    for (op, x, y), pos in zip(tape.ops, tape.pos):
+    for s, (op, x, y) in enumerate(tape.ops):
         try:
             if op == "num":
                 v = JetSeries.constant(ctx, np.full(z0.shape[:-1], x))
@@ -119,7 +119,7 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
             else:
                 v = _UNFOLDED_OPS[op](vals[x], vals[y] if op in ("+", "-", "*", "/") else y)
         except ValueError as exc:
-            raise DomainError(f"at {pos}: {exc}") from None
+            raise DomainError(f"{tape.where(s)}: {exc}") from None
         vals.append(v)
     return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
 
