@@ -293,18 +293,32 @@ class NormalizedKernel:
     ``C = K(p,p)^{1/2}`` (Hermitian square root), so that the kernel
     against the base point is the identity matrix to every computed
     order.  ``base`` is a ``KernelSpec``; the normalized kernel shares its
-    ``varying_jet``, ``eval_jet`` and ``eval_point`` interface.
+    ``varying_jet``, ``eval_jet`` and ``eval_point`` interface.  Each call
+    evaluates the three factors by one call of ``base`` on their stacked
+    points; a refusal evaluates them one at a time, naming the caller's sample.
     """
 
     def __init__(self, base, p):
         self.base = base
-        self.p = np.asarray(p, dtype=complex)
+        self.p = np.array(p, dtype=complex)
         self.m = base.m
         self.r = base.r
         self.c = hermitian_sqrt(base.eval_point(self.p, self.p))
-        self.label = getattr(base, "label", "")
-        if self.label:
-            self.label += "|normalized"
+        label = getattr(base, "label", "")
+        self.label = f"{label}|normalized" if label else ""
+
+    def _factors(self, evaluate, z0, w0, vary_z=False, vary_w=False):
+        """``evaluate`` of the pairs (z, p), (z, w), (p, w) stacked in front of the batch; on a
+        refusal, of each alone with its own varying flags, in order, raising what that raises."""
+        try:
+            z, w, p = np.broadcast_arrays(np.asarray(z0, complex), np.asarray(w0, complex), self.p)
+            return evaluate(np.stack([z, z, p]), np.stack([p, w, w]), vary_z, vary_w)
+        except ValueError as exc:
+            refused = exc
+        evaluate(z0, self.p, vary_z, False)
+        evaluate(z0, w0, vary_z, vary_w)
+        evaluate(self.p, w0, False, vary_w)
+        raise refused
 
     def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
         """The normalized jet in 2m variables, as ``KernelSpec.eval_jet``."""
@@ -314,20 +328,20 @@ class NormalizedKernel:
 
     def varying_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
         """The normalized jet and its variables, as ``KernelSpec.varying_jet``.
-        K(z, p) and K(p, w) are evaluated and inverted over the variables of
-        their one varying argument, then embedded in the context of K(z, w)."""
-        left, _ = self.base.varying_jet(z0, self.p, trunc, vary_z, False)
-        mid, variables = self.base.varying_jet(z0, w0, trunc, vary_z, vary_w)
-        right, _ = self.base.varying_jet(self.p, w0, trunc, False, vary_w)
-        nz, ctx = left.ctx.num_vars, mid.ctx  # the z-variables lead
-        out = left.inverse().embed(ctx, range(nz)) @ mid
-        out = out @ right.inverse().embed(ctx, range(nz, ctx.num_vars))
+        K(z, p) and K(p, w) are restricted to their varying argument's variables
+        (bit for bit their own runs), inverted there and embedded again."""
+        stacked, variables = self._factors(
+            lambda z, w, vz, vw: self.base.varying_jet(z, w, trunc, vz, vw), z0, w0, vary_z, vary_w)
+        ctx, nz = stacked.ctx, sum(v < self.m for v in variables)  # the z-variables lead
+        zs, ws = range(nz), range(nz, ctx.num_vars)
+        left, mid, right = (JetMatrix(ctx, c) for c in stacked.c)
+        left = left.restrict(series_context(nz, trunc), zs).inverse()
+        right = right.restrict(series_context(len(ws), trunc), ws).inverse()
+        out = left.embed(ctx, zs) @ mid @ right.embed(ctx, ws)
         return out.left_const(self.c).right_const(self.c), variables
 
     def eval_point(self, z, w) -> np.ndarray:
-        left = self.base.eval_point(z, self.p)
-        mid = self.base.eval_point(z, w)
-        right = self.base.eval_point(self.p, w)
+        left, mid, right = self._factors(lambda z, w, *_: self.base.eval_point(z, w), z, w)
         return self.c @ np.linalg.inv(left) @ mid @ np.linalg.inv(right) @ self.c
 
     def __repr__(self):
@@ -335,5 +349,10 @@ class NormalizedKernel:
 
 
 def normalize_at(kernel, p) -> NormalizedKernel:
-    """Normalized-kernel evaluator with base point p; K_norm(., p) == I."""
-    return NormalizedKernel(kernel, p)
+    """Normalized-kernel evaluator with base point p; K_norm(., p) == I.
+    The kernel keeps its last one, for the bytes of p, until a call at another p."""
+    key = np.shape(p), np.asarray(p, dtype=complex).tobytes()
+    kept = getattr(kernel, "_normalized", (None, None))
+    if kept[0] != key:  # another thread may replace the slot: return this call's own
+        kept = kernel._normalized = key, NormalizedKernel(kernel, p)
+    return kept[1]

@@ -18,9 +18,9 @@ discarded.  A context whose table would exceed
 :data:`jetmod.multiindex.MAX_TABLE` pairs is refused before anything is
 built.  A context may have no variables; its series are the constants.
 ``embedding`` gives the ranks at which a context's monomials sit in a
-context with more variables, by the same exponent-key lookup the tables
-use, one cached map per (source, target, positions); ``JetMatrix.embed``
-and the kernel tape's widening of a slot read it.
+context with more variables, by the exponent-key lookup the tables use,
+one cached map per (source, target, positions); ``JetMatrix.embed``, its
+inverse ``restrict`` and the kernel tape's widening of a slot read it.
 
 Coefficient arrays may carry leading batch axes, one jet per sample
 point: ``(*batch, size)`` for a ``JetSeries``, ``(*batch, rows, cols,
@@ -35,11 +35,11 @@ failed check names the first failing sample.
 
 Products (``JetSeries`` and ``JetMatrix`` multiplication and each degree
 of the Euler recurrence) gather their operands into a workspace of three
-buffers, left, right and product, kept per context and per thread and
-reused by every later product whatever its batch.  A buffer grows to the
-largest request up to :data:`WORKSPACE_BYTES`; a larger request gets a
-buffer of its own that is dropped with the product.  No returned array
-is a view of the workspace.
+buffers, left, right and product, one per thread and reused by every
+later product whatever its context and batch (each buffer is read before
+the next request for its role).  A buffer grows to the largest request up
+to :data:`WORKSPACE_BYTES`; a larger one gets a buffer of its own, dropped
+with the product.  No returned array is a view of the workspace.
 
 Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
@@ -67,7 +67,7 @@ from .multiindex import MAX_TABLE, degree_slice
 # pow/log/recip refuse constant terms closer to 0 than this
 SINGULAR_TOL = 1e-10
 
-# the largest product buffer a context's workspace keeps, in bytes
+# the largest product buffer the workspace keeps, in bytes
 WORKSPACE_BYTES = 4 << 20
 
 
@@ -86,6 +86,9 @@ class _Workspace(threading.local):
             if buf.nbytes <= WORKSPACE_BYTES:
                 self.buffers[role] = buf
         return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 def check_context_size(num_vars: int, trunc: int):
@@ -135,7 +138,6 @@ class SeriesContext:
         self.mul_offsets = None
         self._deriv_tables = {}
         self.pair_bins = {}  # degree -> (entries, bins) of _sum_pairs, the most entries seen
-        self.workspace = _Workspace()
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Ranks of the monomials with the given exponent keys."""
@@ -225,11 +227,11 @@ def embedding(src: SeriesContext, dst: SeriesContext, positions: tuple) -> np.nd
     return dst._ranks(exponents)
 
 
-def _pair_products(ctx, a, b, left, right, matmul=False) -> np.ndarray:
+def _pair_products(a, b, left, right, matmul=False) -> np.ndarray:
     """Products of the gathered coefficients ``a[..., left]`` and
-    ``b[..., right]``, elementwise or as matrices, in the context's
+    ``b[..., right]``, elementwise or as matrices, in the thread's
     workspace."""
-    ws = ctx.workspace
+    ws = _WORKSPACE
     ga = a.take(left, -1, ws.buffer("left", a.shape[:-1] + left.shape), "clip")
     gb = b.take(right, -1, ws.buffer("right", b.shape[:-1] + right.shape), "clip")
     if not matmul:
@@ -337,7 +339,7 @@ class JetSeries:
         if isinstance(other, JetSeries):
             self._check_same(other)
             left, right, _ = self.ctx.mul_table
-            prod = _pair_products(self.ctx, self.c, other.c, left, right)
+            prod = _pair_products(self.c, other.c, left, right)
             return JetSeries(self.ctx, _sum_pairs(self.ctx, prod))
         return JetSeries(self.ctx, self.c * complex(other))
 
@@ -390,7 +392,7 @@ class JetSeries:
         h[..., 0] = np.reshape(h0, lead + batch)
         for n in range(1, ctx.trunc + 1):
             pairs = slice(offsets[n], offsets[n + 1])
-            prod = _pair_products(ctx, eg + beta * n * g, h, left[pairs], right[pairs])
+            prod = _pair_products(eg + beta * n * g, h, left[pairs], right[pairs])
             acc = _sum_pairs(ctx, prod, n)
             lo, hi = ctx.degree_starts[n], ctx.degree_starts[n + 1]
             if a is not None:
@@ -592,7 +594,7 @@ class JetMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         left, right, _ = self.ctx.mul_table
-        prod = _pair_products(self.ctx, self.c, other.c, left, right, matmul=True)
+        prod = _pair_products(self.c, other.c, left, right, matmul=True)
         return JetMatrix(self.ctx, _sum_pairs(self.ctx, prod))
 
     def embed(self, ctx: SeriesContext, variables) -> "JetMatrix":
@@ -608,6 +610,10 @@ class JetMatrix:
         c = np.zeros(self.c.shape[:-1] + (ctx.size,), dtype=complex)
         c[..., embedding(self.ctx, ctx, variables)] = self.c
         return JetMatrix(ctx, c)
+
+    def restrict(self, ctx: SeriesContext, variables) -> "JetMatrix":
+        """The inverse of ``embed``: the terms in ``variables``, ``variables[i]`` as variable i."""
+        return JetMatrix(ctx, self.c.take(embedding(ctx, self.ctx, tuple(variables)), axis=-1))
 
     def left_const(self, mat) -> "JetMatrix":
         """Constant matrix times self."""

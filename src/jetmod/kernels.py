@@ -349,6 +349,7 @@ class KernelSpec:
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError(f"entries must form an {r}x{r} grid")
         self.label = label
+        self._pullbacks = {}  # (chart, label) -> the pulled-back spec
         self._tape = tape = _Tape(self.entries)
         for (op, x, _), pos in zip(tape.ops, tape.pos):
             if op in _VARS and not 0 <= x < m:
@@ -435,23 +436,23 @@ class KernelSpec:
     def check_hermitian(self, points=None, rng=None, tol: float = 1e-8) -> float:
         """Spot-check K(z, w) == K(w, z)* at sample point pairs.
 
-        Returns the largest deviation found; raises if it exceeds ``tol`` or
-        is NaN.  All pairs (z, w) and (w, z) are evaluated in one batch.
+        Returns the largest deviation found; raises if it exceeds ``tol``
+        times the largest |K| at the pairs (at least 1), or is NaN.  All
+        pairs (z, w) and (w, z) are evaluated in one batch.
         """
         if points is None:
             rng = rng or np.random.default_rng(7)
-            points = []
-            for _ in range(3):
-                z = 0.4 * (rng.random(self.m) - 0.5 + 1j * (rng.random(self.m) - 0.5))
-                w = 0.4 * (rng.random(self.m) - 0.5 + 1j * (rng.random(self.m) - 0.5))
-                points.append((z, w))
+
+            def draw():
+                return 0.4 * (rng.random(self.m) - 0.5 + 1j * (rng.random(self.m) - 0.5))
+            points = [(draw(), draw()) for _ in range(3)]
         if not len(points):
             return 0.0
         z, w = np.array(points, dtype=complex).swapaxes(0, 1)
         values = self.eval_point(np.concatenate([z, w]), np.concatenate([w, z]))
         forward, backward = np.split(values, 2)
         worst = float(np.max(np.abs(forward - backward.conj().swapaxes(-1, -2))))
-        if not worst <= tol:
+        if not worst <= tol * max(1.0, float(np.max(np.abs(values)))):
             raise ValueError(
                 f"kernel is not Hermitian-symmetric: deviation {worst:.3e}"
             )
@@ -920,9 +921,12 @@ def diagonal_chart(m: int, style: str = "pairwise") -> AffineChart:
 
 
 def pullback_affine(spec: KernelSpec, chart: AffineChart) -> KernelSpec:
-    """Kernel in chart coordinates: K'(u, v) = K(inv(u), inv(v))."""
+    """Kernel in chart coordinates: K'(u, v) = K(inv(u), inv(v)).  ``spec``
+    keeps it per chart (and label), so each chart compiles once."""
     if chart.m != spec.m:
         raise ValueError(f"chart dimension {chart.m} != kernel dimension {spec.m}")
+    if (chart, spec.label) in spec._pullbacks:
+        return spec._pullbacks[chart, spec.label]
     A, b = chart.inverse_parts()
     subs = {}  # kind -> the node of each ambient variable, over shared chart variables
     for kind, lin, off in (("z", A, b), ("wb", A.conj(), b.conj())):
@@ -932,7 +936,8 @@ def pullback_affine(spec: KernelSpec, chart: AffineChart) -> KernelSpec:
     nodes = _rebuild(tape, lambda op, x, pos: subs[op][x] if op in _VARS else Num(x, pos))
     entries = [[nodes[s] for s in row] for row in tape.out]
     label = f"{spec.label}|chart" if spec.label else ""
-    return KernelSpec(spec.m, spec.r, entries, label=label)
+    pulled = KernelSpec(spec.m, spec.r, entries, label=label)
+    return spec._pullbacks.setdefault((chart, spec.label), pulled)
 
 
 def gauge_scale(spec: KernelSpec, psi) -> KernelSpec:

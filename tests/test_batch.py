@@ -23,7 +23,7 @@ from jetmod.geometry import (
 from jetmod.jets import JetMatrix, JetSeries, jet_matrix_inverse, series_context
 from jetmod.kernels import DomainError, diagonal_chart, identity_chart, parse_kernel
 from jetmod.multiindex import JetIndexTable
-from util import coupled_rank2_kernel
+from util import coupled_rank2_kernel, three_run_eval_point, three_run_varying_jet
 
 SCALAR = parse_kernel(
     "exp(z1*wb1/3) * (1 - z2*wb2/2)^-1.5 + log(2 + z1*wb1 + z2*wb2) * (1 - z1*wb1)^-2"
@@ -215,3 +215,34 @@ class TestBadSample:
         with pytest.raises(ValueError, match="non-finite coordinate"):
             SCALAR.eval_jet(q, q, 1)
         self.check(lambda z: SCALAR.eval_point(z, z), q, 0, ValueError)
+
+    def check_normalized(self, norm, z, w, bad, error):
+        """The stacked factors refuse as one run per factor does, naming the sample."""
+        cases = [(lambda: norm.eval_jet(z, w, 2), lambda: three_run_varying_jet(norm, z, w, 2)),
+                 (lambda: norm.eval_point(z, w), lambda: three_run_eval_point(norm, z, w))]
+        for stacked, reference in cases:
+            with pytest.raises(error) as want:
+                reference()
+            with pytest.raises(error) as got:
+                stacked()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith(f" at sample {bad}")
+
+    def test_refusing_middle_factor(self):
+        # K(z, p) = K(p, w) = 1 at p = 0; K(z, z) = (1 - |z|^2)^-2 refuses at z = 1
+        norm = normalize_at(parse_kernel("(1 - z1*wb1)^-2"), [0.0])
+        q = np.array([[0.2], [0.3], [1.0]])
+        self.check_normalized(norm, q, q, 2, DomainError)
+
+    def test_refusing_right_factor(self):
+        # at p = 0.5 only K(p, w) = (1 - 0.5 conj(w))^-2 refuses, at w = 2
+        norm = normalize_at(parse_kernel("(1 - z1*wb1)^-2"), [0.5])
+        z, w = np.full((3, 1), 0.1), np.array([[0.2], [2.0], [0.3]])
+        self.check_normalized(norm, z, w, 1, DomainError)
+
+    def test_non_finite_sample_through_the_normalization(self):
+        norm = normalize_at(SCALAR, [0.1, 0.0])
+        q = points(3)
+        q[1, 0] = np.nan
+        self.check_normalized(norm, q, q, 1, ValueError)

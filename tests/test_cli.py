@@ -71,6 +71,25 @@ class TestCurvature:
                       "--points", "0; 0.3")
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("scale", ["1e-12", "1e-6", "1", "1e6", "1e12"])
+    def test_hermitian_check_relative_to_scale(self, tmp_path, scale, capsys):
+        # an absolute 1e-8 once refused the scale 1e12 (deviation 7.6e-06)
+        from jetmod.cli import main
+
+        path = tmp_path / "scaled.kernel"
+        path.write_text(f"m = 2\nK[1][1] = {scale}*(1 - z1*wb1)^-2*(1 - z2*wb2)^-3\n")
+        code = main(["curvature", "--kernel", str(path), "--points", "0.1, 0.2"])
+        assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["1", "1e12"])
+    def test_non_hermitian_kernel_is_exit_2(self, tmp_path, scale, capsys):
+        from jetmod.cli import main
+
+        path = tmp_path / "skew.kernel"
+        path.write_text(f"m = 2\nK[1][1] = {scale}*(1 + z1*wb2)\n")
+        assert main(["curvature", "--kernel", str(path), "--points", "0.1, 0.2"]) == 2
+        assert "not Hermitian-symmetric" in capsys.readouterr().err
+
     def test_malformed_file_is_exit_2(self, kernel_dir):
         res = run_cli("curvature", "--kernel", str(kernel_dir / "bad.kernel"),
                       "--points", "0")

@@ -208,18 +208,37 @@ class TestLiveness:
 
 class TestWorkspace:
     def products(self, ctx, batch):
+        return list(self.each_product(ctx, batch))
+
+    def each_product(self, ctx, batch):
         rng = np.random.default_rng(batch)
         shape = (batch, 2, 2, ctx.size)
         c = rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5)
         c[..., 0] += 2 * np.eye(2)
         a = JetMatrix(ctx, c)
         s = a.entry(0, 0)
-        return [s * a.entry(1, 1), s.power(-1.5), s.log(), (a @ a).c, jet_matrix_inverse(a)]
+        yield s * a.entry(1, 1)
+        yield s.power(-1.5)
+        yield s.log()
+        yield (a @ a).c
+        yield jet_matrix_inverse(a)
+
+    def test_products_interleaved_across_contexts(self):
+        # one workspace serves every context: each product reads its buffers
+        # before the next one, in whichever context, asks for them
+        def coeffs(results):
+            return [getattr(r, "c", r).tobytes() for r in results]
+
+        runs = [(series_context(2, 3), 3), (series_context(3, 4), 2), (series_context(1, 5), 4)]
+        alone = [coeffs(self.products(ctx, batch)) for ctx, batch in runs]
+        steps = zip(*(self.each_product(ctx, batch) for ctx, batch in runs))
+        assert [coeffs(step) for step in zip(*steps)] == alone
+        assert len(jets._WORKSPACE.buffers) == 3
 
     def test_results_do_not_share_the_workspace(self):
         ctx = series_context(2, 3)
         results = self.products(ctx, 3)
-        buffers = ctx.workspace.buffers.values()
+        buffers = jets._WORKSPACE.buffers.values()
         assert len(buffers) == 3
         for result in results:
             c = getattr(result, "c", result)
@@ -229,9 +248,9 @@ class TestWorkspace:
         ctx = series_context(2, 2)
         for batch in (5, 1, 3, 2, 4):
             self.products(ctx, batch)
-        sizes = {role: buf.size for role, buf in ctx.workspace.buffers.items()}
+        sizes = {role: buf.size for role, buf in jets._WORKSPACE.buffers.items()}
         self.products(ctx, 2)
-        assert sizes == {role: buf.size for role, buf in ctx.workspace.buffers.items()}
+        assert sizes == {role: buf.size for role, buf in jets._WORKSPACE.buffers.items()}
 
     def test_threads_give_the_serial_results(self):
         spec = coupled_rank2_kernel(np.random.default_rng(5), m=2)
@@ -271,10 +290,10 @@ class TestWorkspace:
 
         def multiply():  # a fresh thread starts with an empty workspace
             want = a * a
-            kept["over"] = dict(ctx.workspace.buffers)
+            kept["over"] = dict(jets._WORKSPACE.buffers)
             monkeypatch.setattr(jets, "WORKSPACE_BYTES", 8192)
             assert np.array_equal((a * a).c, want.c)
-            kept["under"] = dict(ctx.workspace.buffers)
+            kept["under"] = dict(jets._WORKSPACE.buffers)
 
         thread = threading.Thread(target=multiply)
         thread.start()

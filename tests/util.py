@@ -124,6 +124,31 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
     return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
 
 
+def three_run_varying_jet(norm, z0, w0, trunc, vary_z=True, vary_w=True):
+    """``NormalizedKernel.varying_jet`` with one base-tape run per factor.
+
+    K(z, p) and K(p, w) are evaluated over the variables of their one
+    varying argument, inverted there and embedded in the context of
+    K(z, w): the reference the stacked run must equal bit for bit, and
+    whose refusals it must raise.
+    """
+    left, _ = norm.base.varying_jet(z0, norm.p, trunc, vary_z, False)
+    mid, variables = norm.base.varying_jet(z0, w0, trunc, vary_z, vary_w)
+    right, _ = norm.base.varying_jet(norm.p, w0, trunc, False, vary_w)
+    nz, ctx = left.ctx.num_vars, mid.ctx  # the z-variables lead
+    out = left.inverse().embed(ctx, range(nz)) @ mid
+    out = out @ right.inverse().embed(ctx, range(nz, ctx.num_vars))
+    return out.left_const(norm.c).right_const(norm.c), variables
+
+
+def three_run_eval_point(norm, z, w):
+    """``NormalizedKernel.eval_point`` with one base evaluation per factor."""
+    left = norm.base.eval_point(z, norm.p)
+    mid = norm.base.eval_point(z, w)
+    right = norm.base.eval_point(norm.p, w)
+    return norm.c @ np.linalg.inv(left) @ mid @ np.linalg.inv(right) @ norm.c
+
+
 def jsonable(obj):
     """The report encoding before streaming: plain JSON values for json.dump."""
     if isinstance(obj, complex):
