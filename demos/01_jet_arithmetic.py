@@ -8,7 +8,7 @@ coefficient arithmetic.
 
 import numpy as np
 
-from jetmod import JetSeries, affine_substitute, series_context
+from jetmod import JetSeries, series_context
 
 # A context fixes the number of variables and the truncation order; series
 # within one context share index and convolution tables.
@@ -39,7 +39,7 @@ a = JetSeries.constant(ctx, 2.0) + x + y * y
 rt = a.log().exp()
 print("  max coefficient deviation:", float(np.max(np.abs(a.c - rt.c))))
 
-print("\naffine substitution x -> u + v turns x^2 into (u + v)^2:")
-sq = affine_substitute(x * x, [[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0])
-print("  u^2, uv, v^2 coefficients:",
+print("\nthe product (x + y) * (x + y) expands the binomial (x + y)^2:")
+sq = (x + y) * (x + y)
+print("  x^2, xy, y^2 coefficients:",
       sq.coeff((2, 0)).real, sq.coeff((1, 1)).real, sq.coeff((0, 2)).real)

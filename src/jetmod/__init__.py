@@ -36,7 +36,6 @@ from .multiindex import (
 from .jets import (
     JetMatrix,
     JetSeries,
-    affine_substitute,
     jet_matrix_inverse,
     series_context,
 )
@@ -75,7 +74,6 @@ from .jet_kernels import (
     jet_column,
     jet_kernel,
     module_action_matrix,
-    restrict_to_Z,
     sym_power_matrix,
 )
 from .bergman_quotient import (

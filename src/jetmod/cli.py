@@ -319,7 +319,7 @@ def cmd_jetkernel(args) -> tuple:
 
     idx = jet_kernels.JetIndexTable(d, k)
     legend = [f"rank {l}: order {alpha}" for l, alpha in enumerate(idx.indices)]
-    jkv = jet_kernels.jet_kernel(pulled, d, k, points, points, trunc=args.trunc)
+    jkv = jet_kernels.jet_kernel(pulled, d, k, points, points)
     rows = [{"point": point, "matrix": matrix} for point, matrix in zip(points, jkv.as_matrix())]
 
     print(f"jet kernel of {args.kernel} (d={d}, k={k}, N={idx.N})")
@@ -331,7 +331,7 @@ def cmd_jetkernel(args) -> tuple:
         print(_format_matrix(row["matrix"]), end="")
     config = {
         "kernel": args.kernel, "chart": args.chart, "d": d, "k": k,
-        "points": args.points, "restrict": args.restrict, "trunc": args.trunc,
+        "points": args.points, "restrict": args.restrict,
     }
     return make_report("jetkernel", config, {"legend": legend, "points": rows}), EXIT_OK
 
@@ -484,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-samples": dict(type=_int_at_least(1, "at least one sample is needed"),
                               default=5),
         "--tol": dict(type=_tolerance, default=1e-8),
-        "--trunc": dict(type=int, default=None),
         "--out": dict(help="write a JSON report here"),
     }
 
@@ -498,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("jetkernel", help="jet kernel blocks at points")
-    add(p, "--kernel", "--chart", "-d", "-k", "--points", "--trunc")
+    add(p, "--kernel", "--chart", "-d", "-k", "--points")
     p.add_argument("--restrict", action="store_true",
                    help="require the points to lie on the flattened submanifold")
     p.set_defaults(fn=cmd_jetkernel)

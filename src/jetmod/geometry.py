@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import JetMatrix, refuse, series_context
+from .jets import JetMatrix, refuse, refuse_singular, series_context
+from .kernels import KernelSpec
 from .multiindex import JetIndexTable
 
 PD_FLOOR = 1e-12
@@ -50,7 +51,7 @@ PD_FLOOR = 1e-12
 ON_Z_TOL = 1e-10
 
 
-def hermitian_sqrt(a: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a Hermitian positive-definite matrix."""
     a = np.asarray(a, dtype=complex)
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
@@ -58,7 +59,7 @@ def hermitian_sqrt(a: np.ndarray, floor: float = PD_FLOOR) -> np.ndarray:
     if herm_dev > 1e-8 * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if np.min(vals) < floor * scale:
+    if np.min(vals) < PD_FLOOR * scale:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {np.min(vals):.3e})"
         )
@@ -320,11 +321,7 @@ class NormalizedKernel:
         evaluate(self.p, w0, False, vary_w)
         raise refused
 
-    def eval_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
-        """The normalized jet in 2m variables, as ``KernelSpec.eval_jet``."""
-        ctx = series_context(2 * self.m, trunc)
-        jm, variables = self.varying_jet(z0, w0, trunc, vary_z, vary_w)
-        return jm.embed(ctx, variables)
+    eval_jet = KernelSpec.eval_jet  # the jet of ``varying_jet`` in 2m variables
 
     def varying_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
         """The normalized jet and its variables, as ``KernelSpec.varying_jet``.
@@ -342,6 +339,8 @@ class NormalizedKernel:
 
     def eval_point(self, z, w) -> np.ndarray:
         left, mid, right = self._factors(lambda z, w, *_: self.base.eval_point(z, w), z, w)
+        refuse_singular(left)  # as the inverses of ``varying_jet`` refuse them
+        refuse_singular(right)
         return self.c @ np.linalg.inv(left) @ mid @ np.linalg.inv(right) @ self.c
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_on_submanifold, pad_pair, transverse_blocks
+from .geometry import pad_pair, transverse_blocks
 from .jets import JetSeries, check_context_size, series_context
 from .kernels import AffineChart, KernelSpec, uses_wb
 from .multiindex import JetIndexTable, degree_slice, multi_binom
@@ -53,24 +53,21 @@ class JetKernelValue:
         return self.blocks.swapaxes(-3, -2).reshape(self.blocks.shape[:-4] + (size, size))
 
 
-def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelValue:
+def jet_kernel(kernel, d: int, k: int, z0, w0) -> JetKernelValue:
     """All transverse derivative blocks of the kernel at one point pair, or
     at each pair of (B, m) stacks ``z0`` and ``w0`` (one tape run).
 
     The blocks read only the 2d transverse variables, so the kernel is
     evaluated over those (``KernelSpec.varying_jet`` with d varying
     coordinates on each side) and the blocks are read from that jet
-    directly.  A truncation whose 2m-variable context ``eval_jet`` would
-    refuse is refused here too, before anything is evaluated.
+    directly, to order 2(k - 1).  A 2m-variable context that ``eval_jet``
+    would refuse is refused here too, before anything is evaluated.
     """
     m, r = kernel.m, kernel.r
     if not 1 <= d <= m:
         raise ValueError(f"d={d} out of range for m={m}")
     idx = JetIndexTable(d, k)
-    if trunc is None:
-        trunc = 2 * (k - 1)
-    if trunc < 2 * (k - 1):
-        raise ValueError(f"truncation {trunc} too small for jet order k={k}")
+    trunc = 2 * (k - 1)
     check_context_size(2 * m, trunc)
     z0 = np.asarray(z0, dtype=complex)
     w0 = np.asarray(w0, dtype=complex)
@@ -79,13 +76,6 @@ def jet_kernel(kernel, d: int, k: int, z0, w0, trunc: int = None) -> JetKernelVa
     return JetKernelValue(
         z0=z0, w0=w0, d=d, k=k, N=idx.N, r=r, blocks=blocks, index_table=idx
     )
-
-
-def restrict_to_Z(jkv: JetKernelValue, chart: AffineChart) -> JetKernelValue:
-    """Restriction of the jet kernel to the submanifold; points must lie on it."""
-    check_on_submanifold(jkv.z0, jkv.d, "z0")
-    check_on_submanifold(jkv.w0, jkv.d, "w0")
-    return jkv
 
 
 @dataclass
@@ -102,7 +92,7 @@ class ModuleActionMatrix:
         return np.kron(self.matrix, np.eye(r, dtype=complex))
 
 
-def module_action_matrix(f, z0, d: int, k: int, m: int = None) -> ModuleActionMatrix:
+def module_action_matrix(f, z0, d: int, k: int) -> ModuleActionMatrix:
     """The lower-triangular jet action of a holomorphic scalar function.
 
     ``f`` is an expression AST in the z variables; entry (l, t) is
@@ -112,8 +102,7 @@ def module_action_matrix(f, z0, d: int, k: int, m: int = None) -> ModuleActionMa
     if uses_wb(f):
         raise ValueError("module action requires a holomorphic f (no wb variables)")
     z0 = np.asarray(z0, dtype=complex)
-    if m is None:
-        m = len(z0)
+    m = len(z0)
     idx = JetIndexTable(d, k)
     wrapper = KernelSpec(m, 1, [[f]])
     jm = wrapper.eval_jet(z0, np.zeros(m), k - 1, vary_w=False)

@@ -67,6 +67,8 @@ from .multiindex import MAX_TABLE, degree_slice
 # pow/log/recip refuse constant terms closer to 0 than this
 SINGULAR_TOL = 1e-10
 
+COND_LIMIT = 1e12  # a constant-term matrix of larger condition number is singular
+
 # the largest product buffer the workspace keeps, in bytes
 WORKSPACE_BYTES = 4 << 20
 
@@ -199,6 +201,8 @@ class SeriesContext:
 
         The image lives in the context with truncation one lower.
         """
+        if self.trunc == 0:
+            raise ValueError("cannot differentiate a series truncated at order 0")
         if var not in self._deriv_tables:
             lower = series_context(self.num_vars, self.trunc - 1)
             up = lower.exponents.copy()
@@ -439,8 +443,6 @@ class JetSeries:
 
     def derivative(self, var: int) -> "JetSeries":
         """Partial derivative; the result is truncated one order lower."""
-        if self.ctx.trunc == 0:
-            raise ValueError("cannot differentiate a series truncated at order 0")
         src, fac = self.ctx.deriv_table(var)
         lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
         return JetSeries(lower, self.c.take(src, axis=-1) * fac)
@@ -465,58 +467,6 @@ class JetSeries:
             f"JetSeries(vars={self.ctx.num_vars}, trunc={self.ctx.trunc}, "
             f"nonzero={nz})"
         )
-
-
-def affine_substitute(a: JetSeries, linear, offset, num_vars: int = None) -> JetSeries:
-    """Compose a series with an affine change of variables.
-
-    Old variable ``i`` is replaced by ``offset[i] + sum_j linear[i, j] * y_j``
-    where ``y`` are the variables of the result.  The result keeps the
-    truncation order of ``a``.
-    """
-    linear = np.asarray(linear, dtype=complex)
-    offset = np.asarray(offset, dtype=complex)
-    if linear.ndim != 2 or linear.shape[0] != a.ctx.num_vars:
-        raise ValueError(
-            f"linear part must be ({a.ctx.num_vars}, new_vars), got {linear.shape}"
-        )
-    if offset.shape != (a.ctx.num_vars,):
-        raise ValueError(f"offset must have length {a.ctx.num_vars}")
-    if num_vars is None:
-        num_vars = linear.shape[1]
-    elif num_vars != linear.shape[1]:
-        raise ValueError("num_vars does not match the linear part")
-    ctx = series_context(num_vars, a.ctx.trunc)
-
-    subs = []
-    for i in range(a.ctx.num_vars):
-        s = JetSeries.constant(ctx, offset[i])
-        for j in range(num_vars):
-            if linear[i, j] != 0:
-                s = s + JetSeries.variable(ctx, j) * linear[i, j]
-        subs.append(s)
-
-    # cache powers of each substituted variable up to the degree actually used
-    max_pow = [0] * a.ctx.num_vars
-    for i_rank in np.nonzero(a.c)[0]:
-        for i, e in enumerate(a.ctx.indices[i_rank]):
-            max_pow[i] = max(max_pow[i], e)
-    powers = []
-    for i in range(a.ctx.num_vars):
-        p = [JetSeries.constant(ctx, 1.0)]
-        for _ in range(max_pow[i]):
-            p.append(p[-1] * subs[i])
-        powers.append(p)
-
-    out = JetSeries.constant(ctx, 0.0)
-    for i_rank in np.nonzero(a.c)[0]:
-        alpha = a.ctx.indices[i_rank]
-        term = JetSeries.constant(ctx, a.c[i_rank])
-        for i, e in enumerate(alpha):
-            if e:
-                term = term * powers[i][e]
-        out = out + term
-    return out
 
 
 class JetMatrix:
@@ -677,15 +627,21 @@ class JetMatrix:
         )
 
 
-def jet_matrix_inverse(m: JetMatrix, cond_limit: float = 1e12) -> JetMatrix:
+def refuse_singular(a0: np.ndarray):
+    """Refuse a square matrix, or the first sample of a stack, whose condition
+    number exceeds ``COND_LIMIT`` or is NaN."""
+    cond = np.linalg.cond(a0)
+    refuse(~(cond <= COND_LIMIT), lambda i: (  # NaN counts as singular
+        f"constant-term matrix is numerically singular (cond ~ {cond.flat[i]:.3e})"))
+
+
+def jet_matrix_inverse(m: JetMatrix) -> JetMatrix:
     """Newton inverse of every sample; one stacked cond check and inverse seed."""
     rows, cols = m.shape
     if rows != cols:
         raise ValueError(f"matrix is {rows}x{cols}, not square")
     a0 = m.constant_term()
-    cond = np.linalg.cond(a0)
-    refuse(~(cond <= cond_limit), lambda i: (  # NaN counts as singular
-        f"constant-term matrix is numerically singular (cond ~ {cond.flat[i]:.3e})"))
+    refuse_singular(a0)
     x = JetMatrix.from_constant(m.ctx, np.linalg.inv(a0))
     ident = JetMatrix.identity(m.ctx, rows)
     steps = max(1, math.ceil(math.log2(m.ctx.trunc + 1)))

@@ -81,16 +81,10 @@ def degree_slice(d: int, t: int) -> tuple:
     """All multi-indices in ``d`` variables of total degree ``t``, theta-ordered."""
     if d < 1:
         raise ValueError("need d >= 1")
-    if t == 0:
-        return ((0,) * d,)
     if d == 1:
         return ((t,),)
-    out = []
-    for tail in range(t + 1):
-        for rest in degree_slice(d - 1, t - tail):
-            out.append(rest + (tail,))
-    out.sort(key=theta)
-    return tuple(out)
+    # colex: the last entry is the most significant, so it leads the loops
+    return tuple(rest + (tail,) for tail in range(t + 1) for rest in degree_slice(d - 1, t - tail))
 
 
 def theta_inv(l: int, d: int) -> MultiIndex:

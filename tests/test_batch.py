@@ -216,6 +216,24 @@ class TestBadSample:
             SCALAR.eval_jet(q, q, 1)
         self.check(lambda z: SCALAR.eval_point(z, z), q, 0, ValueError)
 
+    @pytest.mark.parametrize("z", [1 - 1e-13, 1.0])
+    def test_eval_point_refuses_a_singular_factor_as_eval_jet(self, z):
+        # K(z, 0) = [[1, z], [z, 1]]: cond ~ 2e13 just below z = 1, singular at 1
+        # (eval_point once returned a value below 1, and numpy's bare error at 1)
+        norm = normalize_at(parse_kernel(
+            "m = 1\nr = 2\nK[1][1] = 1 + z1*wb1\nK[1][2] = z1 + wb1\n"
+            "K[2][1] = z1 + wb1\nK[2][2] = 1 + z1*wb1\n"), [0.0])
+        single = ([z], [0.3], "")
+        stack = (np.array([[0.1], [z]]), np.full((2, 1), 0.3), " at sample 1")
+        for zs, ws, where in (single, stack):
+            with pytest.raises(ValueError) as jet:
+                norm.eval_jet(zs, ws, 2)
+            with pytest.raises(ValueError) as point:
+                norm.eval_point(zs, ws)
+            assert str(point.value) == str(jet.value)
+            assert str(jet.value).startswith("constant-term matrix is numerically singular")
+            assert str(jet.value).endswith(")" + where)
+
     def check_normalized(self, norm, z, w, bad, error):
         """The stacked factors refuse as one run per factor does, naming the sample."""
         cases = [(lambda: norm.eval_jet(z, w, 2), lambda: three_run_varying_jet(norm, z, w, 2)),

@@ -81,8 +81,9 @@ class TestCurvature:
         code = main(["curvature", "--kernel", str(path), "--points", "0.1, 0.2"])
         assert code == 0, capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", ["1", "1e12"])
+    @pytest.mark.parametrize("scale", ["1e-12", "1", "1e12"])
     def test_non_hermitian_kernel_is_exit_2(self, tmp_path, scale, capsys):
+        # at 1e-12 a check floored at scale 1 let the kernel through (exit 0)
         from jetmod.cli import main
 
         path = tmp_path / "skew.kernel"
@@ -272,7 +273,7 @@ def test_bad_tolerance_refused(tol, capsys):
 # exits 2 instead of running at order 2
 UNREAD_FLAGS = {
     ("curvature", "--kernel", "K"): ["-d", "-k", "--tol", "--trunc"],
-    ("jetkernel", "--kernel", "K"): ["--seed", "--num-samples", "--tol"],
+    ("jetkernel", "--kernel", "K"): ["--seed", "--num-samples", "--tol", "--trunc"],
     ("equiv", "--kernel", "K", "--kernel2", "K"): ["--trunc"],
     ("recover-weights", "--weights", "1"): ["--chart", "-d", "-k", "--tol", "--trunc"],
     ("quotient-demo",): ["--chart", "-d", "-k", "--points", "--seed",
@@ -367,9 +368,10 @@ def test_error_without_source_position_names_the_entry(kernel_dir, capsys, monke
     assert err.startswith("error: in K[1][1]: series power requires a constant term away from 0")
 
 
-def jetkernel_per_point(kernel_file, chart_text, k, points_text, restrict, trunc=None):
+def jetkernel_per_point(kernel_file, chart_text, k, points_text, restrict):
     """stdout and results of ``jetmod jetkernel`` as one jet_kernel call per point."""
     from jetmod import cli, jet_kernels
+    from jetmod.geometry import check_on_submanifold
     from jetmod.kernels import pullback_affine
 
     spec = cli.load_kernel(kernel_file)
@@ -380,9 +382,9 @@ def jetkernel_per_point(kernel_file, chart_text, k, points_text, restrict, trunc
     legend = [f"rank {l}: order {alpha}" for l, alpha in enumerate(idx.indices)]
     rows = []
     for point in points:
-        jkv = jet_kernels.jet_kernel(pulled, chart.d, k, point, point, trunc=trunc)
         if restrict:
-            jet_kernels.restrict_to_Z(jkv, chart)
+            check_on_submanifold(point, chart.d, "point")
+        jkv = jet_kernels.jet_kernel(pulled, chart.d, k, point, point)
         rows.append({"point": list(point), "matrix": jkv.as_matrix()})
     lines = [f"jet kernel of {kernel_file} (d={chart.d}, k={k}, N={idx.N})",
              "derivative-order legend (theta ranks):"] + ["  " + line for line in legend]
@@ -417,7 +419,7 @@ def test_jetkernel_batch_equals_per_point_loop(chart, k, points, restrict, tmp_p
     stdout, results = jetkernel_per_point("mix.kernel", chart, k, points, restrict)
     assert capsys.readouterr().out == stdout + "report written to r.json\n"
     config = {"kernel": "mix.kernel", "chart": chart, "d": cli.parse_chart(chart).d, "k": k,
-              "points": points, "restrict": restrict, "trunc": None}
+              "points": points, "restrict": restrict}
     want = oracle_text(cli.make_report("jetkernel", config, results))
     stamp = re.compile(r'\n\s*"timestamp": "[^"]*",?')
     assert stamp.sub("", (tmp_path / "r.json").read_text()) == stamp.sub("", want)

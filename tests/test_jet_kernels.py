@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from jetmod.geometry import check_on_submanifold
 from jetmod.jet_kernels import (
     chart_jet_transform,
     jet_column,
     jet_kernel,
     module_action_matrix,
-    restrict_to_Z,
     sym_power_matrix,
 )
 from jetmod.kernels import (
@@ -81,10 +81,6 @@ class TestJetKernel:
             want = np.block([[single.block(l, t) for t in range(n)] for l in range(n)])
             assert mats[b].tobytes() == want.tobytes() == single.as_matrix().tobytes()
 
-    def test_truncation_guard(self):
-        with pytest.raises(ValueError, match="too small"):
-            jet_kernel(builtin_bergman([1.0]), 1, 3, [0.0], [0.0], trunc=2)
-
 
 class TestVaryingVariables:
     def test_transverse_context_matches_full_jet(self):
@@ -120,16 +116,16 @@ class TestRestrictToZ:
         pulled = pullback_affine(builtin_bergman([1.0, 1.0, 1.0]), chart)
         q = np.array([0, 0, 0.2])
         jk = jet_kernel(pulled, 2, 2, q, q)
-        res = restrict_to_Z(jk, chart)
-        assert res is jk
+        check_on_submanifold(jk.z0, jk.d, "z0")
+        check_on_submanifold(jk.w0, jk.d, "w0")
 
     def test_off_manifold_rejected(self):
         chart = diagonal_chart(3)
         pulled = pullback_affine(builtin_bergman([1.0, 1.0, 1.0]), chart)
         q = np.array([0.05, 0, 0.2])
         jk = jet_kernel(pulled, 2, 2, q, q)
-        with pytest.raises(ValueError, match="off the submanifold"):
-            restrict_to_Z(jk, chart)
+        with pytest.raises(ValueError, match="z0 is off the submanifold"):
+            check_on_submanifold(jk.z0, jk.d, "z0")
 
 
 class TestJetGramBlocks:

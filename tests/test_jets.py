@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jetmod.jets import (
     JetMatrix,
     JetSeries,
-    affine_substitute,
     jet_matrix_inverse,
     series_context,
 )
@@ -105,42 +104,6 @@ def test_log_exp():
     assert close(a.exp().log(), a)
 
 
-def test_affine_substitute():
-    ctx = series_context(1, 2)
-    xsq = JetSeries.variable(ctx, 0) * JetSeries.variable(ctx, 0)
-
-    ident = affine_substitute(xsq, [[1.0]], [0.0])
-    assert close(ident, xsq)
-
-    expanded = affine_substitute(xsq, [[1.0, 1.0]], [0.0])  # x -> u + v
-    assert expanded.coeff((2, 0)) == 1
-    assert expanded.coeff((1, 1)) == 2
-    assert expanded.coeff((0, 2)) == 1
-
-    const = affine_substitute(xsq, [[0.0]], [3.0])  # x -> 3
-    assert const.coeff((0,)) == 9 and const.coeff((2,)) == 0
-
-    with pytest.raises(ValueError):
-        affine_substitute(xsq, [[1.0], [0.0]], [0.0])
-
-
-def test_substitution_chain_rule():
-    # derivative of the substituted series = Jacobian-weighted original derivative
-    rng = np.random.default_rng(4)
-    ctx = series_context(2, 4)
-    a = rand_series(rng, ctx)
-    lin = rng.random((2, 2)) + 1j * rng.random((2, 2))
-    sub = affine_substitute(a, lin, [0.0, 0.0])
-    for new_var in range(2):
-        lhs = sub.derivative(new_var)
-        rhs = None
-        for old_var in range(2):
-            term = affine_substitute(a.derivative(old_var), lin, [0.0, 0.0])
-            term = term * lin[old_var, new_var]
-            rhs = term if rhs is None else rhs + term
-        assert close(lhs, rhs.truncate(lhs.ctx.trunc))
-
-
 def test_extract_derivative():
     ctx = series_context(2, 3)
     e_xy = (JetSeries.variable(ctx, 0) * JetSeries.variable(ctx, 1)).exp()
@@ -160,8 +123,12 @@ def test_derivative_and_truncate():
     with pytest.raises(ValueError):
         f.truncate(5)
     ctx0 = series_context(1, 0)
-    with pytest.raises(ValueError):
+    refusal = "cannot differentiate a series truncated at order 0"
+    with pytest.raises(ValueError, match=refusal):
         JetSeries.constant(ctx0, 1.0).derivative(0)
+    # the matrix once failed building a context of truncation -1 ("need trunc >= 0")
+    with pytest.raises(ValueError, match=refusal):
+        JetMatrix.identity(ctx0, 2).derivative(0)
 
 
 def test_context_mismatch_errors():

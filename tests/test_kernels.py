@@ -200,6 +200,15 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="Hermitian"):
             bad.check_hermitian()
 
+    @pytest.mark.parametrize("scale", [f"1e{e}" for e in range(-20, 21, 4)])
+    def test_hermitian_check_relative_to_scale(self, scale):
+        # the deviation is compared with tol times the largest |K|, with no floor
+        spec = parse_kernel(f"m = 2\nK[1][1] = {scale}*(1 - z1*wb1)^-2*(1 - z2*wb2)^-3\n")
+        spec.check_hermitian()
+        skew = parse_kernel(f"m = 2\nK[1][1] = {scale}*(1 + z1*wb2)\n")
+        with pytest.raises(ValueError, match="not Hermitian-symmetric"):
+            skew.check_hermitian()
+
     @staticmethod
     def per_pair_deviation(spec, points):
         """The largest |K(z, w) - K(w, z)*|, one eval_point call per argument."""
