@@ -6,9 +6,11 @@
     jetmod recover-weights --weights LIST
     jetmod quotient-demo   [--weights a,b,g] [--z POINT] [--pmax N] [--plevels N]
 
-Human-readable tables go to stdout, each matrix formatted with one ``%``
-over a row template.  ``--out FILE.json`` additionally writes a
-machine-readable report (schema 1).  The report is streamed piece by piece,
+Each command imports the layers it runs when it runs, so a process loads no
+other.  Human-readable tables go to stdout, each matrix (and the whole
+curvature table) formatted with one ``%`` over a cached template.
+``--out FILE.json`` additionally writes a machine-readable report
+(schema 1).  The report is streamed piece by piece,
 each float or complex array as one piece from a template cached per shape,
 and its text is byte-identical to ``json.dump(report, indent=2,
 sort_keys=True)`` with complex numbers as ``[re, im]``, numpy scalars and
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, bergman_quotient, equivalence, geometry, jet_kernels
+from . import __version__
 from .kernels import (
     AffineChart,
     DomainError,
@@ -115,6 +117,8 @@ def _int_at_least(low: int, what: str):
 
 
 def _tolerance(text: str) -> float:
+    from . import equivalence
+
     try:
         tol = float(text)
         equivalence.check_tol(tol)
@@ -267,11 +271,33 @@ def _matrix_template(rows: int, cols: int, indent: str) -> str:
     return (indent + "  ".join(["%+.6e%+.6ej"] * cols) + "\n") * rows
 
 
+def _curvature_table(points, entries: np.ndarray, defects: np.ndarray) -> str:
+    """The curvature table below its header, for n points, their (n, m, m, r, r)
+    blocks and n defects, filled by one ``%``."""
+    n, m, _, r, _ = entries.shape
+    values = np.concatenate([
+        np.ascontiguousarray(a, dtype=np.complex128).reshape(n, -1).view(np.float64)
+        for a in (points, entries)] + [np.reshape(defects, (n, 1))], axis=1)
+    return _curvature_template(m, r) * n % tuple(values.ravel().tolist())
+
+
+@lru_cache(maxsize=64)
+def _curvature_template(m: int, r: int) -> str:
+    """One point of the curvature table: the point, its m x m blocks K[i,jbar]
+    and their self-adjointness defect, one ``%`` field per value."""
+    blocks = "".join(f"  K[{i + 1},{j + 1}bar]:\n" + _matrix_template(r, r, "    ")
+                     for i in range(m) for j in range(m))
+    return ("point: " + ", ".join(["%+.6e%+.6ej"] * m) + "\n" + blocks
+            + "  self-adjointness defect: %.3e\n")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_curvature(args) -> tuple:
+    from . import geometry
+
     spec = load_kernel(args.kernel)
     spec.check_hermitian()
     if args.chart:
@@ -280,22 +306,16 @@ def cmd_curvature(args) -> tuple:
     if args.points:
         points = parse_points(args.points, spec.m)
     else:
-        points = equivalence.default_samples(spec.m, 0, args.num_samples, args.seed)
+        points = geometry.default_samples(spec.m, 0, args.num_samples, args.seed)
 
     curv = geometry.curvature(geometry.gram_jet(spec, np.array(points)))
+    defects = curv.selfadjoint_defect()
     rows = [
         {"point": point, "blocks": blocks, "selfadjoint_defect": defect}
-        for point, blocks, defect in zip(points, curv.entries, curv.selfadjoint_defect())
+        for point, blocks, defect in zip(points, curv.entries, defects)
     ]
-    lines = [f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})\n"]
-    for row in rows:
-        lines.append("point: " + ", ".join(_fmt_complex(x) for x in row["point"]) + "\n")
-        for i in range(spec.m):
-            for j in range(spec.m):
-                lines.append(f"  K[{i + 1},{j + 1}bar]:\n")
-                lines.append(_format_matrix(row["blocks"][i][j], indent="    "))
-        lines.append(f"  self-adjointness defect: {row['selfadjoint_defect']:.3e}\n")
-    print("".join(lines), end="")
+    table = _curvature_table(points, curv.entries, defects)
+    print(f"curvature blocks of {args.kernel} (m={spec.m}, r={spec.r})\n" + table, end="")
     results = {"points": rows}
     config = {
         "kernel": args.kernel, "chart": args.chart, "points": args.points,
@@ -305,6 +325,8 @@ def cmd_curvature(args) -> tuple:
 
 
 def cmd_jetkernel(args) -> tuple:
+    from . import geometry, jet_kernels
+
     spec = load_kernel(args.kernel)
     chart = parse_chart(args.chart) if args.chart else identity_chart(spec.m, args.d or 1)
     d = chart.d
@@ -337,6 +359,8 @@ def cmd_jetkernel(args) -> tuple:
 
 
 def cmd_equiv(args) -> tuple:
+    from . import equivalence
+
     spec_a = load_kernel(args.kernel)
     spec_b = load_kernel(args.kernel2)
     chart = parse_chart(args.chart) if args.chart else identity_chart(spec_a.m, args.d or 1)
@@ -387,6 +411,8 @@ def cmd_equiv(args) -> tuple:
 
 
 def cmd_recover_weights(args) -> tuple:
+    from . import equivalence
+
     weights = [float(x) for x in args.weights.split(",")]
     samples = None
     if args.points:
@@ -406,6 +432,8 @@ def cmd_recover_weights(args) -> tuple:
 
 
 def cmd_quotient_demo(args) -> tuple:
+    from . import bergman_quotient, jet_kernels
+
     weights = [float(x) for x in args.weights.split(",")]
     if len(weights) != 3:
         raise CliError("the quotient demo runs on three weights a,b,g")

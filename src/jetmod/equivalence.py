@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .geometry import check_on_submanifold, transverse_blocks
+from .geometry import check_on_submanifold, default_samples, transverse_blocks
 from .kernels import AffineChart, KernelSpec, diagonal_chart, identity_chart, pullback_affine
 from .multiindex import JetIndexTable
 
@@ -45,26 +45,6 @@ def check_tol(tol: float):
     would compare with it as a tolerance."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-
-
-def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
-    """Deterministic sample points on the flattened submanifold.
-
-    Tangential coordinates are drawn with modulus at most 0.5; the first d
-    coordinates are zero, so d = 0 samples every coordinate.  With no
-    tangential directions the only sample is the origin.
-    """
-    if m == d:
-        return [np.zeros(m, dtype=complex)]
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        q = np.zeros(m, dtype=complex)
-        radius = 0.5 * np.sqrt(rng.random(m - d))
-        angle = 2 * np.pi * rng.random(m - d)
-        q[d:] = radius * np.exp(1j * angle)
-        out.append(q)
-    return out
 
 
 def _samples_on_z(samples, m: int, d: int) -> np.ndarray:

@@ -55,11 +55,11 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a Hermitian positive-definite matrix."""
     a = np.asarray(a, dtype=complex)
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if herm_dev > 1e-8 * scale:
+    big = float(np.max(np.abs(a)))
+    if herm_dev > 1e-8 * big:
         raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if np.min(vals) < PD_FLOOR * scale:
+    if np.min(vals) < PD_FLOOR * max(1.0, big):
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {np.min(vals):.3e})"
         )
@@ -73,6 +73,26 @@ def check_on_submanifold(point, d: int, what: str):
     refuse(off > ON_Z_TOL, lambda i: (
         f"{what} is off the submanifold: |first {d} chart coordinates| "
         f"up to {off.flat[i]:.2e} (tolerance {ON_Z_TOL:.1e})"))
+
+
+def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
+    """Deterministic sample points on the flattened submanifold.
+
+    Tangential coordinates are drawn with modulus at most 0.5; the first d
+    coordinates are zero, so d = 0 samples every coordinate.  With no
+    tangential directions the only sample is the origin.
+    """
+    if m == d:
+        return [np.zeros(m, dtype=complex)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q = np.zeros(m, dtype=complex)
+        radius = 0.5 * np.sqrt(rng.random(m - d))
+        angle = 2 * np.pi * rng.random(m - d)
+        q[d:] = radius * np.exp(1j * angle)
+        out.append(q)
+    return out
 
 
 def pad_pair(m: int, alpha=(), beta=()):
@@ -167,12 +187,12 @@ def gram_jet(kernel, z0, trunc: int = 2, vary_z=True, vary_w=True) -> GramJet:
     jm, variables = kernel.varying_jet(z0, z0, trunc, vary_z=vary_z, vary_w=vary_w)
     h0 = jm.constant_term()
     h0_adj = np.conj(np.swapaxes(h0, -1, -2))
-    scale = np.maximum(1.0, np.max(np.abs(h0), axis=(-2, -1)))
+    big = np.max(np.abs(h0), axis=(-2, -1))
     dev = np.max(np.abs(h0 - h0_adj), axis=(-2, -1))
-    refuse(dev > 1e-8 * scale, lambda i: (
+    refuse(dev > 1e-8 * big, lambda i: (
         f"Gram matrix: constant term not Hermitian (dev {dev.flat[i]:.3e})"))
     low = np.linalg.eigvalsh((h0 + h0_adj) / 2.0)[..., 0]
-    refuse(low < PD_FLOOR * scale, lambda i: (
+    refuse(low < PD_FLOOR * np.maximum(1.0, big), lambda i: (
         f"Gram matrix: constant term not positive definite (min eigenvalue {low.flat[i]:.3e})"))
     return GramJet(point=z0, jet=jm, variables=tuple(variables))
 

@@ -61,6 +61,14 @@ class TestGramJet:
         with pytest.raises(ValueError, match="positive definite"):
             gram_jet(parse_kernel("0 - 1"), [0.0], trunc=1)
 
+    @pytest.mark.parametrize("scale", ["1", "1e-12"])
+    def test_rejects_a_non_hermitian_constant_term_at_any_scale(self, scale):
+        # the constant term scale * [[2, 1], [0.5, 2]] is refused relative to its entries
+        spec = parse_kernel(f"m = 1\nr = 2\nK[1][1] = 2*{scale}\nK[1][2] = {scale}\n"
+                            f"K[2][1] = 0.5*{scale}\nK[2][2] = 2*{scale}\n")
+        with pytest.raises(ValueError, match="constant term not Hermitian"):
+            gram_jet(spec, [0.0], trunc=1)
+
     def test_readers_slice_a_higher_truncation(self):
         # a truncation-4 jet gives what each reader gets from its minimal one
         chart = diagonal_chart(2, style="pairwise")
@@ -337,3 +345,8 @@ class TestHermitianSqrt:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_sqrt(scale * np.array([[2.0, 1.0], [0.5, 2.0]]))

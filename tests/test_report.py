@@ -122,6 +122,33 @@ def test_matrix_table_equals_per_entry_format(indent):
         assert cli._format_matrix(case, indent) == fmt_loop(case, indent)
 
 
+def curvature_loop(points, entries, defects) -> str:
+    """The curvature table as one section per point and one fmt_loop per block."""
+    out = ""
+    for point, blocks, defect in zip(points, entries, defects):
+        out += "point: " + ", ".join(cli._fmt_complex(x) for x in point) + "\n"
+        for i, j in itertools.product(range(len(point)), repeat=2):
+            out += f"  K[{i + 1},{j + 1}bar]:\n" + fmt_loop(blocks[i][j], "    ")
+        out += f"  self-adjointness defect: {defect:.3e}\n"
+    return out
+
+
+@pytest.mark.parametrize("m, r", [(1, 1), (2, 3), (3, 2)])
+def test_curvature_table_equals_per_block_format(m, r):
+    rng = np.random.default_rng(10 * m + r)
+    pool = SPECIAL + list(rng.normal(size=8))
+
+    def draw(*shape):
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = rng.choice(pool, size=shape), rng.choice(pool, size=shape)
+        return z
+
+    points, entries = list(draw(4, m)), draw(4, m, m, r, r)
+    defects = np.abs(rng.choice(pool, size=4))
+    assert cli._curvature_table(points, entries, defects) == curvature_loop(
+        points, entries, defects)
+
+
 def test_curvature_stdout_is_one_write(kernel_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("builtins.print", lambda *a, **k: calls.append(a))
