@@ -328,7 +328,7 @@ def cmd_jetkernel(args) -> tuple:
     from . import geometry, jet_kernels
 
     spec = load_kernel(args.kernel)
-    chart = parse_chart(args.chart) if args.chart else identity_chart(spec.m, args.d or 1)
+    chart = parse_chart(args.chart) if args.chart else identity_chart(spec.m, args.d)
     d = chart.d
     pulled = pullback_affine(spec, chart)
     k = args.k
@@ -363,7 +363,7 @@ def cmd_equiv(args) -> tuple:
 
     spec_a = load_kernel(args.kernel)
     spec_b = load_kernel(args.kernel2)
-    chart = parse_chart(args.chart) if args.chart else identity_chart(spec_a.m, args.d or 1)
+    chart = parse_chart(args.chart) if args.chart else identity_chart(spec_a.m, args.d)
     k = args.k
     if args.points:
         samples = parse_points(args.points, spec_a.m)
@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel": dict(required=True, help="kernel file"),
         "--chart": dict(help="diagonal(m) | diagonal-anchored(m) | "
                              "identity(m,d) | JSON {matrix, offset, d}"),
-        "-d": dict(type=int, default=None, help="codimension (identity chart)"),
+        "-d": dict(type=_int_at_least(1, "the codimension needs -d >= 1"), default=1,
+                   help="codimension (identity chart)"),
         "-k": dict(type=int, default=2, help="vanishing order"),
         "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
         "--seed": dict(type=int, default=2024),

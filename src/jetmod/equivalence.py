@@ -38,6 +38,7 @@ NULL_SPACE_RTOL = 1e-8
 UNITARY_TOL = 1e-6
 DEFAULT_TOL = 1e-8
 NOT_EQUIVALENT_MARGIN = 10.0
+PROJECTION_STEPS = 200  # alternating projections per start of the unitary search
 
 
 def check_tol(tol: float):
@@ -215,7 +216,7 @@ def _stack_constraints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return system.reshape(-1, r * r)
 
 
-def _search_unitary_in_subspace(basis: np.ndarray, r: int, iters: int = 200):
+def _search_unitary_in_subspace(basis: np.ndarray, r: int):
     """Best unitary approximately inside span(columns of basis), or None.
 
     Alternating projection between the subspace and the unitary group,
@@ -233,7 +234,7 @@ def _search_unitary_in_subspace(basis: np.ndarray, r: int, iters: int = 200):
         x = project(start)
         if np.max(np.abs(x)) < 1e-14:
             continue
-        for _ in range(iters):
+        for _ in range(PROJECTION_STEPS):
             w = _nearest_unitary(x)
             x_new = project(w)
             if np.max(np.abs(x_new - x)) < 1e-14:

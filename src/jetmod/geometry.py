@@ -33,6 +33,10 @@ kernel jet; ``curvature_covariant_derivs`` sorted (i, j, alpha, beta) keys
 and (keys, r, r) blocks, whose d = m, order-0 case is ``curvature``;
 ``transport_maps`` (N+1, m - d, r, r).  A (B, m) stack puts B in front of
 each shape, and a failed check names the first failing sample.
+
+``checked_eigh`` is the one Hermitian positive-definite rule, for the
+constant term of ``gram_jet`` and for K(p, p) in ``hermitian_sqrt``; its
+bounds are relative, so scaling a kernel by a constant changes no verdict.
 """
 
 from __future__ import annotations
@@ -42,27 +46,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import JetMatrix, refuse, refuse_singular, series_context
+from .jets import COND_LIMIT, JetMatrix, refuse, series_context
 from .kernels import KernelSpec
 from .multiindex import JetIndexTable
 
-PD_FLOOR = 1e-12
 # points on the flattened submanifold have transverse coordinates below this
 ON_Z_TOL = 1e-10
 
 
-def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a Hermitian positive-definite matrix."""
+def checked_eigh(a: np.ndarray, what: str):
+    """``eigh`` of the Hermitian part of a matrix or of each of a stack; refuses the first
+    sample not Hermitian to 1e-8 times its largest |entry|, or not positive definite with
+    condition number at most ``COND_LIMIT``.  No bound has a floor."""
     a = np.asarray(a, dtype=complex)
-    herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    big = float(np.max(np.abs(a)))
-    if herm_dev > 1e-8 * big:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if np.min(vals) < PD_FLOOR * max(1.0, big):
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {np.min(vals):.3e})"
-        )
+    adj = np.conj(np.swapaxes(a, -1, -2))
+    dev = np.max(np.abs(a - adj), axis=(-2, -1))
+    big = np.max(np.abs(a), axis=(-2, -1))
+    refuse(dev > 1e-8 * big, lambda i: f"{what} not Hermitian (deviation {dev.flat[i]:.3e})")
+    vals, vecs = np.linalg.eigh((a + adj) / 2.0)
+    low, high = vals[..., 0], vals[..., -1]
+    refuse(~((low > 0) & (high <= COND_LIMIT * low)), lambda i: (  # NaN fails too
+        f"{what} not positive definite (eigenvalues {low.flat[i]:.3e} to {high.flat[i]:.3e})"))
+    return vals, vecs
+
+
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a Hermitian positive-definite matrix (``checked_eigh``)."""
+    vals, vecs = checked_eigh(a, "matrix")
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -97,8 +107,7 @@ def default_samples(m: int, d: int, count: int = 5, seed: int = 2024):
 
 def pad_pair(m: int, alpha=(), beta=()):
     """Concatenated 2m-variable index for d^alpha in z and d^beta in conj."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    alpha, beta = tuple(alpha), tuple(beta)
     return alpha + (0,) * (m - len(alpha)) + beta + (0,) * (m - len(beta))
 
 
@@ -185,15 +194,7 @@ def gram_jet(kernel, z0, trunc: int = 2, vary_z=True, vary_w=True) -> GramJet:
     in the variables ``vary_z`` and ``vary_w`` select (``KernelSpec.eval_jet``)."""
     z0 = np.asarray(z0, dtype=complex)
     jm, variables = kernel.varying_jet(z0, z0, trunc, vary_z=vary_z, vary_w=vary_w)
-    h0 = jm.constant_term()
-    h0_adj = np.conj(np.swapaxes(h0, -1, -2))
-    big = np.max(np.abs(h0), axis=(-2, -1))
-    dev = np.max(np.abs(h0 - h0_adj), axis=(-2, -1))
-    refuse(dev > 1e-8 * big, lambda i: (
-        f"Gram matrix: constant term not Hermitian (dev {dev.flat[i]:.3e})"))
-    low = np.linalg.eigvalsh((h0 + h0_adj) / 2.0)[..., 0]
-    refuse(low < PD_FLOOR * np.maximum(1.0, big), lambda i: (
-        f"Gram matrix: constant term not positive definite (min eigenvalue {low.flat[i]:.3e})"))
+    checked_eigh(jm.constant_term(), "Gram matrix: constant term")
     return GramJet(point=z0, jet=jm, variables=tuple(variables))
 
 
@@ -267,8 +268,9 @@ def curvature_covariant_derivs(g: GramJet, d: int, max_order: int):
         for j in range(d):
             keys += [(i, j, orders[0], beta) for beta in orders]
             blocks.append(plain[..., j, :, :, :])
+            curv = conn[i].derivative(conjs[j])  # K_{i jbar}, trunc-2 = max_order
             for alpha in orders[1:]:
-                phi = conn[i].derivative(conjs[j])  # K_{i jbar}, trunc-2 = max_order
+                phi = curv
                 for v in range(d):  # z-covariant, ascending, innermost first
                     for _ in range(alpha[v]):
                         phi = z_cov(phi, v)
@@ -314,9 +316,9 @@ class NormalizedKernel:
     ``C = K(p,p)^{1/2}`` (Hermitian square root), so that the kernel
     against the base point is the identity matrix to every computed
     order.  ``base`` is a ``KernelSpec``; the normalized kernel shares its
-    ``varying_jet``, ``eval_jet`` and ``eval_point`` interface.  Each call
-    evaluates the three factors by one call of ``base`` on their stacked
-    points; a refusal evaluates them one at a time, naming the caller's sample.
+    interface, with ``eval_jet`` and ``eval_point`` read off ``varying_jet``.
+    Each call evaluates the three factors by one call of ``base`` on their
+    stacked points; a refusal evaluates them one at a time, naming the caller's sample.
     """
 
     def __init__(self, base, p):
@@ -325,30 +327,30 @@ class NormalizedKernel:
         self.m = base.m
         self.r = base.r
         self.c = hermitian_sqrt(base.eval_point(self.p, self.p))
-        label = getattr(base, "label", "")
-        self.label = f"{label}|normalized" if label else ""
+        self.label = f"{base.label}|normalized" if base.label else ""
 
-    def _factors(self, evaluate, z0, w0, vary_z=False, vary_w=False):
-        """``evaluate`` of the pairs (z, p), (z, w), (p, w) stacked in front of the batch; on a
-        refusal, of each alone with its own varying flags, in order, raising what that raises."""
+    def _factors(self, z0, w0, trunc: int, vary_z, vary_w):
+        """The base jets of (z, p), (z, w), (p, w) stacked in front of the batch; on a refusal,
+        of each alone with its own varying flags, in order, raising what that raises."""
+        base = self.base
         try:
             z, w, p = np.broadcast_arrays(np.asarray(z0, complex), np.asarray(w0, complex), self.p)
-            return evaluate(np.stack([z, z, p]), np.stack([p, w, w]), vary_z, vary_w)
+            return base.varying_jet(np.stack([z, z, p]), np.stack([p, w, w]), trunc, vary_z, vary_w)
         except ValueError as exc:
             refused = exc
-        evaluate(z0, self.p, vary_z, False)
-        evaluate(z0, w0, vary_z, vary_w)
-        evaluate(self.p, w0, False, vary_w)
+        base.varying_jet(z0, self.p, trunc, vary_z, False)
+        base.varying_jet(z0, w0, trunc, vary_z, vary_w)
+        base.varying_jet(self.p, w0, trunc, False, vary_w)
         raise refused
 
     eval_jet = KernelSpec.eval_jet  # the jet of ``varying_jet`` in 2m variables
+    eval_point = KernelSpec.eval_point  # the constant term of the truncation-0 ``varying_jet``
 
     def varying_jet(self, z0, w0, trunc: int, vary_z=True, vary_w=True):
         """The normalized jet and its variables, as ``KernelSpec.varying_jet``.
         K(z, p) and K(p, w) are restricted to their varying argument's variables
         (bit for bit their own runs), inverted there and embedded again."""
-        stacked, variables = self._factors(
-            lambda z, w, vz, vw: self.base.varying_jet(z, w, trunc, vz, vw), z0, w0, vary_z, vary_w)
+        stacked, variables = self._factors(z0, w0, trunc, vary_z, vary_w)
         ctx, nz = stacked.ctx, sum(v < self.m for v in variables)  # the z-variables lead
         zs, ws = range(nz), range(nz, ctx.num_vars)
         left, mid, right = (JetMatrix(ctx, c) for c in stacked.c)
@@ -356,12 +358,6 @@ class NormalizedKernel:
         right = right.restrict(series_context(len(ws), trunc), ws).inverse()
         out = left.embed(ctx, zs) @ mid @ right.embed(ctx, ws)
         return out.left_const(self.c).right_const(self.c), variables
-
-    def eval_point(self, z, w) -> np.ndarray:
-        left, mid, right = self._factors(lambda z, w, *_: self.base.eval_point(z, w), z, w)
-        refuse_singular(left)  # as the inverses of ``varying_jet`` refuse them
-        refuse_singular(right)
-        return self.c @ np.linalg.inv(left) @ mid @ np.linalg.inv(right) @ self.c
 
     def __repr__(self):
         return f"NormalizedKernel(m={self.m}, r={self.r}, p={self.p})"

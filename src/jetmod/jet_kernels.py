@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pad_pair, transverse_blocks
+from .geometry import transverse_blocks
 from .jets import JetSeries, check_context_size, series_context
 from .kernels import AffineChart, KernelSpec, uses_wb
 from .multiindex import JetIndexTable, degree_slice, multi_binom
@@ -102,13 +102,12 @@ def module_action_matrix(f, z0, d: int, k: int) -> ModuleActionMatrix:
     if uses_wb(f):
         raise ValueError("module action requires a holomorphic f (no wb variables)")
     z0 = np.asarray(z0, dtype=complex)
-    m = len(z0)
     idx = JetIndexTable(d, k)
-    wrapper = KernelSpec(m, 1, [[f]])
-    jm = wrapper.eval_jet(z0, np.zeros(m), k - 1, vary_w=False)
+    # the entries differentiate only in the d transverse variables of z
+    jm, _ = KernelSpec(len(z0), 1, [[f]]).varying_jet(z0, z0, k - 1, d, False)
     n = idx.N + 1
     # rows with beta > alpha are clipped to 0; binom masks their entries
-    rows = [pad_pair(m, np.maximum(np.subtract(a, b), 0)) for a in idx.indices for b in idx.indices]
+    rows = [np.maximum(np.subtract(a, b), 0) for a in idx.indices for b in idx.indices]
     derivs = jm.derivatives(rows)[:, 0, 0].reshape(n, n)
     binom = np.array([[multi_binom(a, b) for b in idx.indices] for a in idx.indices])
     out = np.where(binom != 0, binom * derivs, 0)

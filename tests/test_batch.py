@@ -23,7 +23,7 @@ from jetmod.geometry import (
 from jetmod.jets import JetMatrix, JetSeries, jet_matrix_inverse, series_context
 from jetmod.kernels import DomainError, diagonal_chart, identity_chart, parse_kernel
 from jetmod.multiindex import JetIndexTable
-from util import coupled_rank2_kernel, three_run_eval_point, three_run_varying_jet
+from util import coupled_rank2_kernel, three_run_varying_jet
 
 SCALAR = parse_kernel(
     "exp(z1*wb1/3) * (1 - z2*wb2/2)^-1.5 + log(2 + z1*wb1 + z2*wb2) * (1 - z1*wb1)^-2"
@@ -237,7 +237,8 @@ class TestBadSample:
     def check_normalized(self, norm, z, w, bad, error):
         """The stacked factors refuse as one run per factor does, naming the sample."""
         cases = [(lambda: norm.eval_jet(z, w, 2), lambda: three_run_varying_jet(norm, z, w, 2)),
-                 (lambda: norm.eval_point(z, w), lambda: three_run_eval_point(norm, z, w))]
+                 (lambda: norm.eval_point(z, w),
+                  lambda: three_run_varying_jet(norm, z, w, 0, False, False))]
         for stacked, reference in cases:
             with pytest.raises(error) as want:
                 reference()

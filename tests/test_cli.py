@@ -71,9 +71,10 @@ class TestCurvature:
                       "--points", "0; 0.3")
         assert res.returncode == 0, res.stderr
 
-    @pytest.mark.parametrize("scale", ["1e-12", "1e-6", "1", "1e6", "1e12"])
+    @pytest.mark.parametrize("scale", ["1e-20", "1e-13", "1e-12", "1e-6", "1", "1e6", "1e12"])
     def test_hermitian_check_relative_to_scale(self, tmp_path, scale, capsys):
-        # an absolute 1e-8 once refused the scale 1e12 (deviation 7.6e-06)
+        # an absolute 1e-8 once refused the scale 1e12 (deviation 7.6e-06), and a
+        # positive-definiteness check floored at scale 1 the scales 1e-13 and 1e-20
         from jetmod.cli import main
 
         path = tmp_path / "scaled.kernel"
@@ -257,6 +258,21 @@ def test_empty_sample_set_refused(argv, count, capsys):
         main([*argv, "--num-samples", count])
     assert exc.value.code == 2
     assert f"at least one sample is needed, got {count}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jetkernel", "--kernel", "K"],
+    ["equiv", "--kernel", "K", "--kernel2", "K"],
+])
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_codimension_below_one_refused(argv, d, capsys):
+    # -d 0 once ran silently at d = 1
+    from jetmod.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-d", d])
+    assert exc.value.code == 2
+    assert f"the codimension needs -d >= 1, got {d}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])

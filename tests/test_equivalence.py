@@ -300,6 +300,35 @@ class TestMthm:
             assert "first failing condition: (ii)" in report.notes[-1]
 
 
+class TestScaleFree:
+    """Scaling a kernel by a constant gives a unitarily equivalent module, so
+    every verdict holds at any scale (``gauge_scale`` by c multiplies K by c^2)."""
+
+    SCALES = [1e-20, 1e-13, 1e-11, 1.0, 1e13, 1e20]
+    CHART = diagonal_chart(3)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_rank1(self, c):
+        spec = builtin_bergman([1.0, 2.0, 3.0])
+        scaled = gauge_scale(spec, Num(c))
+        assert rank1_equiv(spec, scaled, self.CHART, 3).verdict == "equivalent"
+        assert mthm_check(spec, scaled, self.CHART, 2).verdict == "equivalent"
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_rank2(self, c):
+        spec = coupled_rank2_kernel(np.random.default_rng(6), m=3)
+        scaled = gauge_scale(spec, Num(c))
+        assert rankr_equiv(spec, scaled, self.CHART, 2).verdict == "equivalent"
+        assert mthm_check(spec, scaled, self.CHART, 2).verdict == "equivalent"
+
+    def test_curvature_of_a_small_kernel(self):
+        spec = builtin_bergman([2.0, 1.0])
+        q = np.array([0.1, 0.2])
+        want = curvature(gram_jet(spec, q)).entries
+        got = curvature(gram_jet(gauge_scale(spec, Num(1e-13)), q)).entries
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestLemmaEm:
     def test_identity_pair(self):
         spec = builtin_bergman([1.0, 2.0, 1.5])

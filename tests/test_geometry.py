@@ -346,6 +346,15 @@ class TestHermitianSqrt:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-12, 1.0, 1e20])
+    def test_condition_limit_at_any_scale(self, scale):
+        # cond 1e11 passes and cond 1e13 is refused, with no absolute floor
+        a = scale * np.diag([1.0, 1e-11])
+        c = hermitian_sqrt(a)
+        assert np.max(np.abs(c @ c - a)) <= 1e-15 * scale
+        with pytest.raises(ValueError, match="not positive definite"):
+            hermitian_sqrt(scale * np.diag([1.0, 1e-13]))
+
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
     def test_rejects_non_hermitian_at_any_scale(self, scale):
         with pytest.raises(ValueError, match="not Hermitian"):

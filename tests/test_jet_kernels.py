@@ -24,7 +24,7 @@ from jetmod.kernels import (
     pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom, theta
-from util import coupled_rank2_kernel, rand_point, rand_poly_ast
+from util import coupled_rank2_kernel, module_action_reference, rand_point, rand_poly_ast
 
 
 class TestJetKernel:
@@ -247,6 +247,18 @@ class TestModuleAction:
         for d, k in [(1, 3), (2, 3), (3, 2)]:
             f, z0 = rand_poly_ast(rng, 3), rand_point(rng, 3)
             assert np.array_equal(jet_column(f, z0, d, k), module_action_matrix(f, z0, d, k).matrix[:, 0])
+
+    def test_equals_the_2m_variable_reading(self):
+        # evaluated over the d transverse variables only, bit for bit the
+        # reading of the jet in all 2m variables
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            d, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            m = d + int(rng.integers(0, 3))
+            f, z0 = rand_poly_ast(rng, m), rand_point(rng, m)
+            got = module_action_matrix(f, z0, d, k).matrix
+            want = module_action_reference(f, z0, d, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, m, k)
 
     def test_tensor(self):
         mam = module_action_matrix(Var("z", 1), np.zeros(1), 1, 2)

@@ -5,8 +5,12 @@ import operator
 
 import numpy as np
 
+from jetmod.geometry import pad_pair
 from jetmod.jets import JetMatrix, JetSeries, series_context
-from jetmod.kernels import BinOp, DomainError, Num, Var, builtin_bergman, matrix_combination
+from jetmod.kernels import (
+    BinOp, DomainError, KernelSpec, Num, Var, builtin_bergman, matrix_combination,
+)
+from jetmod.multiindex import JetIndexTable, multi_binom
 
 
 def rand_series(rng, ctx, scale=1.0):
@@ -142,11 +146,26 @@ def three_run_varying_jet(norm, z0, w0, trunc, vary_z=True, vary_w=True):
 
 
 def three_run_eval_point(norm, z, w):
-    """``NormalizedKernel.eval_point`` with one base evaluation per factor."""
+    """The normalized kernel's value by the numpy formula, one base evaluation
+    per factor: a reference for ``NormalizedKernel.eval_point`` independent of
+    the series inverse."""
     left = norm.base.eval_point(z, norm.p)
     mid = norm.base.eval_point(z, w)
     right = norm.base.eval_point(norm.p, w)
     return norm.c @ np.linalg.inv(left) @ mid @ np.linalg.inv(right) @ norm.c
+
+
+def module_action_reference(f, z0, d, k) -> np.ndarray:
+    """``module_action_matrix(f, z0, d, k).matrix`` read off the jet of f in all
+    2m variables (``eval_jet``) at ``pad_pair`` rows: the reference the
+    transverse-only evaluation must equal bit for bit."""
+    m = len(z0)
+    idx = JetIndexTable(d, k)
+    jm = KernelSpec(m, 1, [[f]]).eval_jet(z0, np.zeros(m), k - 1, vary_w=False)
+    rows = [pad_pair(m, np.maximum(np.subtract(a, b), 0)) for a in idx.indices for b in idx.indices]
+    derivs = jm.derivatives(rows)[:, 0, 0].reshape(len(idx), len(idx))
+    binom = np.array([[multi_binom(a, b) for b in idx.indices] for a in idx.indices])
+    return np.where(binom != 0, binom * derivs, 0)
 
 
 def jsonable(obj):
