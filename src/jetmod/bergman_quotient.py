@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multiindex import MAX_TABLE, JetIndexTable, pochhammer
+from .multiindex import JetIndexTable, check_table_size, pochhammer
 
 ORDER = 2  # the quotient is by the functions vanishing to this order
 
@@ -62,15 +62,6 @@ class QuotientLevel(NamedTuple):
     gram: np.ndarray
 
 
-def _check_size(p_max: int, m: int):
-    count = math.comb(p_max + m, m)
-    if count > MAX_TABLE:
-        raise ValueError(
-            f"the monomials of degree <= {p_max} in m = {m} variables number "
-            f"{count}, exceeding the supported size {MAX_TABLE}"
-        )
-
-
 def _exponents(p: int, m: int) -> np.ndarray:
     """The exponents a in N^m with |a| = p, one per row (stars and bars)."""
     bars = np.array(list(itertools.combinations(range(p + m - 1), m - 1)))
@@ -93,7 +84,8 @@ def build_level(p: int, *weights) -> QuotientLevel:
         raise ValueError("weights must be positive")
     if p < 0:
         raise ValueError("level must be >= 0")
-    _check_size(p, m)
+    check_table_size(math.comb(p + m, m), f"the basis of degree <= {p} in m = {m} variables",
+                     "monomials")
     a = _exponents(p, m)
     c = np.prod(coeff_table(weights, p)[np.arange(m), a], axis=1)
     betas = np.array(JetIndexTable(m - 1, ORDER).indices)
@@ -161,7 +153,9 @@ def quotient_kernel_partial(z: complex, *weights, p_max: int = 60) -> np.ndarray
         raise ValueError(f"|z| = {abs(z):.3f} is outside the unit disc (z = {z})")
     if p_max < 1:
         raise ValueError("need p_max >= 1")
-    _check_size(p_max, len(weights))
+    m = len(weights)
+    check_table_size(math.comb(p_max + m, m),
+                     f"the basis of degree <= {p_max} in m = {m} variables", "monomials")
     return sum(_level_kernel(build_level(p, *weights), z) for p in range(p_max + 1))
 
 

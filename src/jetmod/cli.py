@@ -1,8 +1,8 @@
 """Command-line front end.
 
     jetmod curvature       --kernel FILE [--chart SPEC] [--points LIST | --seed N --num-samples N]
-    jetmod jetkernel       --kernel FILE --chart SPEC -k INT [--points LIST] [--restrict]
-    jetmod equiv           --kernel FILE --kernel2 FILE --chart SPEC -k INT [--tol X]
+    jetmod jetkernel       --kernel FILE [--chart SPEC] [-d INT] -k INT [--points LIST] [--restrict]
+    jetmod equiv           --kernel FILE --kernel2 FILE [--chart SPEC] [-d INT] -k INT [--tol X]
     jetmod recover-weights --weights LIST
     jetmod quotient-demo   [--weights a,b,g] [--z POINT] [--pmax N] [--plevels N]
 
@@ -79,6 +79,15 @@ def parse_chart(text: str) -> AffineChart:
         return AffineChart.from_arrays(matrix, offset, int(blob["d"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"cannot parse chart {text!r}: {exc}")
+
+
+def pick_chart(args, m: int) -> AffineChart:
+    """The chart of ``--chart``, else the identity chart of codimension ``-d``
+    (default 1); a ``-d`` that differs from the chart's d is refused."""
+    chart = parse_chart(args.chart) if args.chart else identity_chart(m, args.d or 1)
+    if args.d not in (None, chart.d):
+        raise CliError(f"-d {args.d} differs from d={chart.d} of --chart {args.chart!r}")
+    return chart
 
 
 def _from_json_number(x):
@@ -328,7 +337,7 @@ def cmd_jetkernel(args) -> tuple:
     from . import geometry, jet_kernels
 
     spec = load_kernel(args.kernel)
-    chart = parse_chart(args.chart) if args.chart else identity_chart(spec.m, args.d)
+    chart = pick_chart(args, spec.m)
     d = chart.d
     pulled = pullback_affine(spec, chart)
     k = args.k
@@ -363,7 +372,7 @@ def cmd_equiv(args) -> tuple:
 
     spec_a = load_kernel(args.kernel)
     spec_b = load_kernel(args.kernel2)
-    chart = parse_chart(args.chart) if args.chart else identity_chart(spec_a.m, args.d)
+    chart = pick_chart(args, spec_a.m)
     k = args.k
     if args.points:
         samples = parse_points(args.points, spec_a.m)
@@ -505,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel": dict(required=True, help="kernel file"),
         "--chart": dict(help="diagonal(m) | diagonal-anchored(m) | "
                              "identity(m,d) | JSON {matrix, offset, d}"),
-        "-d": dict(type=_int_at_least(1, "the codimension needs -d >= 1"), default=1,
-                   help="codimension (identity chart)"),
+        "-d": dict(type=_int_at_least(1, "the codimension needs -d >= 1"),
+                   help="codimension: of the identity chart (default 1), or the chart's d"),
         "-k": dict(type=int, default=2, help="vanishing order"),
         "--points": dict(help="points 'a,b;c,d' with complex coordinates"),
         "--seed": dict(type=int, default=2024),

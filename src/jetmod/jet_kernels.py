@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import transverse_blocks
-from .jets import JetSeries, check_context_size, series_context
+from .jets import COND_LIMIT, JetSeries, check_context_size, series_context
 from .kernels import AffineChart, KernelSpec, uses_wb
 from .multiindex import JetIndexTable, degree_slice, multi_binom
 
@@ -132,7 +132,7 @@ def sym_power_matrix(j: np.ndarray, t: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     slice_t = degree_slice(d, t)
     ctx = series_context(d, t)
-    ranks = [ctx.rank[beta] for beta in slice_t]
+    ranks = slice(ctx.degree_starts[t], ctx.degree_starts[t + 1])  # the order of slice_t
     forms = []
     for v in range(d):
         s = JetSeries.constant(ctx, 0.0)
@@ -182,7 +182,7 @@ def chart_jet_transform(chart: AffineChart, z0, k: int) -> ChartJetTransform:
         )
     jac = L[:d, :d]  # d(chart_i)/d(z_v) for transverse rows/columns
     cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError("transverse Jacobian block is numerically singular")
     blocks = [sym_power_matrix(jac.T, t) for t in range(k)]
     n = sum(b.shape[0] for b in blocks)

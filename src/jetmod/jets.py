@@ -19,12 +19,13 @@ discarded.  A context whose table would exceed
 built.  A context may have no variables; its series are the constants.
 ``embedding`` gives the ranks at which a context's monomials sit in a
 context with more variables, by the exponent-key lookup the tables use,
-one cached map per (source, target, positions); ``JetMatrix.embed``, its
-inverse ``restrict`` and the kernel tape's widening of a slot read it.
+one cached map per (source, target, positions), which ``embed`` and its
+inverse ``restrict`` read.
 
 Coefficient arrays may carry leading batch axes, one jet per sample
 point: ``(*batch, size)`` for a ``JetSeries``, ``(*batch, rows, cols,
-size)`` for a ``JetMatrix``.  Every operation acts on the last axis.  A
+size)`` for a ``JetMatrix``.  Every operation acts on the last axis, so
+the two share one base that defines the structural operations once.  A
 product sums the pairs of every entry of every sample with one
 ``bincount``, each in its own bins, so each bin adds its pairs in table
 order as it would alone.  The bins of entry e do not depend on how many
@@ -62,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MAX_TABLE, degree_slice
+from .multiindex import check_table_size, degree_slice
 
 # pow/log/recip refuse constant terms closer to 0 than this
 SINGULAR_TOL = 1e-10
@@ -98,12 +99,10 @@ def check_context_size(num_vars: int, trunc: int):
     ``MAX_TABLE`` pairs."""
     # pairs (alpha, beta) with |alpha| + |beta| <= trunc are the monomials
     # of degree <= trunc in 2 * num_vars variables
-    pairs = math.comb(2 * num_vars + trunc, trunc)
-    if pairs > MAX_TABLE:
-        raise ValueError(
-            f"series context (num_vars, trunc) = ({num_vars}, {trunc}) needs "
-            f"{pairs} product pairs, exceeding the supported size {MAX_TABLE}"
-        )
+    check_table_size(
+        math.comb(2 * num_vars + trunc, trunc),
+        f"series context (num_vars, trunc) = ({num_vars}, {trunc})", "product pairs",
+    )
 
 
 class SeriesContext:
@@ -123,7 +122,6 @@ class SeriesContext:
             indices = [()]  # without variables the series are the constants
         self.indices = tuple(indices)
         self.size = len(indices)
-        self.rank = {alpha: i for i, alpha in enumerate(self.indices)}
         self.exponents = np.array(self.indices, dtype=np.int64)
         self.degrees = self.exponents.sum(axis=1)
         # ranks of degree t are degree_starts[t]:degree_starts[t + 1]
@@ -170,7 +168,7 @@ class SeriesContext:
 
     def derivative_ranks(self, exponents):
         """The ranks of checked exponent rows e, and e! as floats: what
-        ``JetMatrix.read_derivatives`` reads."""
+        ``read_derivatives`` reads."""
         e, ranks = self.checked_ranks(exponents)
         fac = np.array([math.prod(map(math.factorial, row)) for row in e.tolist()], dtype=float)
         return ranks, fac
@@ -281,25 +279,123 @@ def refuse(bad, message):
         raise ValueError(message(i) + where)
 
 
-class JetSeries:
-    """One truncated power series, or a batch of them (coefficients
-    ``(*batch, size)``).  Immutable; operations return new series."""
+class _Jet:
+    """What a series and a matrix of series share: a context and one complex
+    coefficient array ``(*batch, *items, size)``, with ``_items`` item axes
+    (none for a series, rows and cols for a matrix) before the monomial
+    axis.  Immutable; operations return new jets of the same type."""
 
     __slots__ = ("ctx", "c")
+    _items = 0
 
     def __init__(self, ctx: SeriesContext, coeffs: np.ndarray):
         self.ctx = ctx
         self.c = np.asarray(coeffs, dtype=complex)
-        if self.c.shape[-1:] != (ctx.size,):
-            raise ValueError("coefficient vector does not match context size")
+        if self.c.ndim <= self._items or self.c.shape[-1] != ctx.size:
+            raise ValueError(f"coefficients of shape {self.c.shape} do not fit "
+                             f"{type(self).__name__} layout (*batch, *items, {ctx.size})")
 
     @classmethod
-    def constant(cls, ctx: SeriesContext, value) -> "JetSeries":
-        """The constant ``value``; an array of values gives a batch."""
-        value = np.asarray(value)
+    def constant(cls, ctx: SeriesContext, value):
+        """The constant ``value``, shaped (*batch, *items): a scalar or a
+        (rows, cols) matrix, or an array of them for a batch."""
+        value = np.asarray(value, dtype=complex)
         c = np.zeros(value.shape + (ctx.size,), dtype=complex)
         c[..., 0] = value
         return cls(ctx, c)
+
+    def _check_same(self, other: "_Jet"):
+        if self.ctx is not other.ctx:
+            raise ValueError(
+                f"{type(self).__name__} contexts differ "
+                f"(({self.ctx.num_vars},{self.ctx.trunc}) vs "
+                f"({other.ctx.num_vars},{other.ctx.trunc})); truncate first"
+            )
+
+    def __add__(self, other):
+        self._check_same(other)
+        return type(self)(self.ctx, self.c + other.c)
+
+    def __neg__(self):
+        return type(self)(self.ctx, -self.c)
+
+    def _product(self, other, matmul=False):
+        """The truncated product with ``other``, entrywise or as matrices."""
+        self._check_same(other)
+        left, right, _ = self.ctx.mul_table
+        prod = _pair_products(self.c, other.c, left, right, matmul)
+        return type(self)(self.ctx, _sum_pairs(self.ctx, prod))
+
+    def derivative(self, var: int):
+        """Partial derivative; the result is truncated one order lower."""
+        src, fac = self.ctx.deriv_table(var)
+        lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
+        return type(self)(lower, self.c.take(src, axis=-1) * fac)
+
+    def truncate(self, trunc: int):
+        if trunc > self.ctx.trunc:
+            raise ValueError(f"cannot raise the truncation order of a {type(self).__name__}")
+        lower = series_context(self.ctx.num_vars, trunc)
+        return type(self)(lower, self.c[..., : lower.size])
+
+    def embed(self, ctx: SeriesContext, variables):
+        """This jet in a context with more variables.
+
+        Variable i of this jet's context becomes variable ``variables[i]``
+        of ``ctx``; coefficients of monomials in the other variables of
+        ``ctx`` are zero.
+        """
+        variables = tuple(variables)
+        if ctx is self.ctx and variables == tuple(range(ctx.num_vars)):
+            return self
+        c = np.zeros(self.c.shape[:-1] + (ctx.size,), dtype=complex)
+        c[..., embedding(self.ctx, ctx, variables)] = self.c
+        return type(self)(ctx, c)
+
+    def restrict(self, ctx: SeriesContext, variables):
+        """The inverse of ``embed``: the terms in ``variables``, ``variables[i]`` as variable i."""
+        return type(self)(ctx, self.c.take(embedding(ctx, self.ctx, tuple(variables)), axis=-1))
+
+    def constant_term(self) -> np.ndarray:
+        """The coefficients of the monomial 1, (*batch, *items)."""
+        return self.c[..., 0].copy()
+
+    def coeff(self, alpha):
+        """Taylor coefficients of x^alpha, (*batch, *items): a scalar for one series."""
+        _, ranks = self.ctx.checked_ranks([alpha])
+        return self.c[..., ranks[0]].copy()[()]
+
+    def extract(self, alpha):
+        """Derivative values at the base point, alpha! * coeff(alpha)."""
+        return np.take(self.derivatives([alpha]), 0, axis=-1 - self._items)[()]
+
+    def derivatives(self, exponents) -> np.ndarray:
+        """Derivative values e! * [x^e] at the base point, one per row e.
+
+        ``exponents`` holds one exponent row per derivative, each of width
+        ``num_vars``; the result has shape (*batch, rows of exponents,
+        *items).  Malformed rows are refused (``SeriesContext.checked_ranks``).
+        """
+        return self.read_derivatives(*self.ctx.derivative_ranks(exponents))
+
+    def read_derivatives(self, ranks, fac) -> np.ndarray:
+        """``derivatives`` at rows already ranked by ``SeriesContext.derivative_ranks``."""
+        items = self._items
+        values = np.moveaxis(self.c.take(ranks, axis=-1), -1, -1 - items)
+        return fac.reshape((-1,) + (1,) * items) * values
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(shape={self.c.shape[:-1]}, "
+            f"vars={self.ctx.num_vars}, trunc={self.ctx.trunc})"
+        )
+
+
+class JetSeries(_Jet):
+    """One truncated power series, or a batch of them (coefficients
+    ``(*batch, size)``)."""
+
+    __slots__ = ()
 
     @classmethod
     def variable(cls, ctx: SeriesContext, var: int) -> "JetSeries":
@@ -308,30 +404,17 @@ class JetSeries:
             raise ValueError(f"variable index {var} out of range")
         c = np.zeros(ctx.size, dtype=complex)
         if ctx.trunc >= 1:
-            e = tuple(1 if i == var else 0 for i in range(ctx.num_vars))
-            c[ctx.rank[e]] = 1.0
+            c[1 + var] = 1.0  # the degree-1 monomials follow 1 in variable order
         return cls(ctx, c)
 
     # -- ring operations -------------------------------------------------
 
-    def _check_same(self, other: "JetSeries"):
-        if self.ctx is not other.ctx:
-            raise ValueError(
-                "series contexts differ "
-                f"(({self.ctx.num_vars},{self.ctx.trunc}) vs "
-                f"({other.ctx.num_vars},{other.ctx.trunc})); truncate first"
-            )
-
     def __add__(self, other):
-        if isinstance(other, JetSeries):
-            self._check_same(other)
-            return JetSeries(self.ctx, self.c + other.c)
-        return self + JetSeries.constant(self.ctx, other)
+        if not isinstance(other, JetSeries):
+            other = JetSeries.constant(self.ctx, other)
+        return _Jet.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return JetSeries(self.ctx, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, JetSeries) else -complex(other))
@@ -341,10 +424,7 @@ class JetSeries:
 
     def __mul__(self, other):
         if isinstance(other, JetSeries):
-            self._check_same(other)
-            left, right, _ = self.ctx.mul_table
-            prod = _pair_products(self.c, other.c, left, right)
-            return JetSeries(self.ctx, _sum_pairs(self.ctx, prod))
+            return self._product(other)
         return JetSeries(self.ctx, self.c * complex(other))
 
     __rmul__ = __mul__
@@ -439,49 +519,15 @@ class JetSeries:
             raise ValueError("series power: the constant term's power overflows") from None
         return self._euler(e, -1.0, a0, h0 if e.ndim else h0[0])
 
-    # -- structural operations ---------------------------------------------
 
-    def derivative(self, var: int) -> "JetSeries":
-        """Partial derivative; the result is truncated one order lower."""
-        src, fac = self.ctx.deriv_table(var)
-        lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
-        return JetSeries(lower, self.c.take(src, axis=-1) * fac)
-
-    def truncate(self, trunc: int) -> "JetSeries":
-        if trunc > self.ctx.trunc:
-            raise ValueError("cannot raise the truncation order of a series")
-        lower = series_context(self.ctx.num_vars, trunc)
-        return JetSeries(lower, self.c[..., : lower.size])
-
-    def coeff(self, alpha) -> complex:
-        """Taylor coefficient of the monomial x^alpha (an array for a batch)."""
-        return JetMatrix(self.ctx, self.c[..., None, None, :]).coeff(alpha)[..., 0, 0][()]
-
-    def extract(self, alpha) -> complex:
-        """Partial derivative value at the base point: alpha! * coeff(alpha)."""
-        return JetMatrix(self.ctx, self.c[..., None, None, :]).extract(alpha)[..., 0, 0][()]
-
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.c))
-        return (
-            f"JetSeries(vars={self.ctx.num_vars}, trunc={self.ctx.trunc}, "
-            f"nonzero={nz})"
-        )
-
-
-class JetMatrix:
+class JetMatrix(_Jet):
     """A rows x cols matrix of series sharing one context.
 
     Stored as one complex array of shape (*batch, rows, cols, context size).
     """
 
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx: SeriesContext, coeffs: np.ndarray):
-        self.ctx = ctx
-        self.c = np.asarray(coeffs, dtype=complex)
-        if self.c.ndim < 3 or self.c.shape[-1] != ctx.size:
-            raise ValueError("coefficient array must be (*batch, rows, cols, ctx.size)")
+    __slots__ = ()
+    _items = 2
 
     @property
     def shape(self):
@@ -493,77 +539,25 @@ class JetMatrix:
         return self.c.shape[:-3]
 
     @classmethod
-    def identity(cls, ctx: SeriesContext, n: int) -> "JetMatrix":
-        c = np.zeros((n, n, ctx.size), dtype=complex)
-        for i in range(n):
-            c[i, i, 0] = 1.0
-        return cls(ctx, c)
-
-    @classmethod
     def from_entries(cls, entries) -> "JetMatrix":
         """Build from a nested list of JetSeries (all sharing one context and batch)."""
-        rows = len(entries)
-        cols = len(entries[0])
         ctx = entries[0][0].ctx
-        c = np.zeros((*entries[0][0].c.shape[:-1], rows, cols, ctx.size), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                e = entries[i][j]
-                if e.ctx is not ctx:
-                    raise ValueError("matrix entries use different contexts")
-                c[..., i, j, :] = e.c
-        return cls(ctx, c)
-
-    @classmethod
-    def from_constant(cls, ctx: SeriesContext, mat) -> "JetMatrix":
-        mat = np.asarray(mat, dtype=complex)
-        c = np.zeros((*mat.shape, ctx.size), dtype=complex)
-        c[..., 0] = mat
-        return cls(ctx, c)
+        if any(e.ctx is not ctx for row in entries for e in row):
+            raise ValueError("matrix entries use different contexts")
+        c = np.stack([e.c for row in entries for e in row], axis=-2)
+        return cls(ctx, c.reshape(c.shape[:-2] + (len(entries), len(entries[0]), ctx.size)))
 
     def entry(self, i: int, j: int) -> JetSeries:
         return JetSeries(self.ctx, self.c[..., i, j, :].copy())
-
-    def _check_same(self, other: "JetMatrix"):
-        if self.ctx is not other.ctx:
-            raise ValueError("matrix contexts differ; truncate first")
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check_same(other)
-        return JetMatrix(self.ctx, self.c + other.c)
 
     def __sub__(self, other: "JetMatrix") -> "JetMatrix":
         self._check_same(other)
         return JetMatrix(self.ctx, self.c - other.c)
 
-    def __neg__(self):
-        return JetMatrix(self.ctx, -self.c)
-
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check_same(other)
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        left, right, _ = self.ctx.mul_table
-        prod = _pair_products(self.c, other.c, left, right, matmul=True)
-        return JetMatrix(self.ctx, _sum_pairs(self.ctx, prod))
-
-    def embed(self, ctx: SeriesContext, variables) -> "JetMatrix":
-        """This matrix in a context with more variables.
-
-        Variable i of this matrix's context becomes variable ``variables[i]``
-        of ``ctx``; coefficients of monomials in the other variables of
-        ``ctx`` are zero.
-        """
-        variables = tuple(variables)
-        if ctx is self.ctx and variables == tuple(range(ctx.num_vars)):
-            return self
-        c = np.zeros(self.c.shape[:-1] + (ctx.size,), dtype=complex)
-        c[..., embedding(self.ctx, ctx, variables)] = self.c
-        return JetMatrix(ctx, c)
-
-    def restrict(self, ctx: SeriesContext, variables) -> "JetMatrix":
-        """The inverse of ``embed``: the terms in ``variables``, ``variables[i]`` as variable i."""
-        return JetMatrix(ctx, self.c.take(embedding(ctx, self.ctx, tuple(variables)), axis=-1))
+        return self._product(other, matmul=True)
 
     def left_const(self, mat) -> "JetMatrix":
         """Constant matrix times self."""
@@ -575,42 +569,6 @@ class JetMatrix:
         mat = np.asarray(mat, dtype=complex)
         return JetMatrix(self.ctx, np.einsum("...ijp,jk->...ikp", self.c, mat))
 
-    def derivative(self, var: int) -> "JetMatrix":
-        src, fac = self.ctx.deriv_table(var)
-        lower = series_context(self.ctx.num_vars, self.ctx.trunc - 1)
-        return JetMatrix(lower, self.c.take(src, axis=-1) * fac)
-
-    def truncate(self, trunc: int) -> "JetMatrix":
-        if trunc > self.ctx.trunc:
-            raise ValueError("cannot raise the truncation order of a matrix")
-        lower = series_context(self.ctx.num_vars, trunc)
-        return JetMatrix(lower, self.c[..., : lower.size])
-
-    def constant_term(self) -> np.ndarray:
-        return self.c[..., 0].copy()
-
-    def coeff(self, alpha) -> np.ndarray:
-        """Taylor coefficients of x^alpha, (*batch, rows, cols)."""
-        _, ranks = self.ctx.checked_ranks([alpha])
-        return self.c[..., ranks[0]].copy()
-
-    def extract(self, alpha) -> np.ndarray:
-        """Matrix of derivative values at the base point (alpha! * coefficient)."""
-        return self.derivatives([alpha])[..., 0, :, :]
-
-    def derivatives(self, exponents) -> np.ndarray:
-        """Derivative values e! * [x^e] at the base point, one matrix per row e.
-
-        ``exponents`` holds one exponent row per derivative, each of width
-        ``num_vars``; the result has shape (*batch, rows of exponents, rows,
-        cols).  Malformed rows are refused (``SeriesContext.checked_ranks``).
-        """
-        return self.read_derivatives(*self.ctx.derivative_ranks(exponents))
-
-    def read_derivatives(self, ranks, fac) -> np.ndarray:
-        """``derivatives`` at rows already ranked by ``SeriesContext.derivative_ranks``."""
-        return fac[:, None, None] * np.moveaxis(self.c.take(ranks, axis=-1), -1, -3)
-
     def inverse(self) -> "JetMatrix":
         """Multiplicative inverse as a series, via Newton iteration.
 
@@ -618,13 +576,6 @@ class JetMatrix:
         doubles the number of correct orders.
         """
         return jet_matrix_inverse(self)
-
-    def __repr__(self):
-        batch = f", batch={self.batch}" if self.batch else ""
-        return (
-            f"JetMatrix(shape={self.shape}{batch}, vars={self.ctx.num_vars}, "
-            f"trunc={self.ctx.trunc})"
-        )
 
 
 def refuse_singular(a0: np.ndarray):
@@ -642,8 +593,8 @@ def jet_matrix_inverse(m: JetMatrix) -> JetMatrix:
         raise ValueError(f"matrix is {rows}x{cols}, not square")
     a0 = m.constant_term()
     refuse_singular(a0)
-    x = JetMatrix.from_constant(m.ctx, np.linalg.inv(a0))
-    ident = JetMatrix.identity(m.ctx, rows)
+    x = JetMatrix.constant(m.ctx, np.linalg.inv(a0))
+    ident = JetMatrix.constant(m.ctx, np.eye(rows))
     steps = max(1, math.ceil(math.log2(m.ctx.trunc + 1)))
     for _ in range(steps):
         x = x + x @ (ident - m @ x)

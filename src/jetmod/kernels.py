@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import JetMatrix, JetSeries, embedding, refuse, series_context
+from .jets import COND_LIMIT, JetMatrix, JetSeries, refuse, series_context
 
 
 class ParseError(ValueError):
@@ -496,24 +496,12 @@ def _fold_mul(a: JetSeries, b: JetSeries) -> JetSeries:
     return JetSeries(var.ctx, np.add(prod, 0.0, out=prod))
 
 
-def _widen(v: JetSeries, support: tuple, union: tuple, trunc: int) -> JetSeries:
-    """``v``, a series over the run variables ``support``, as a series over
-    the run variables ``union``: its coefficients placed at their
-    monomials, zeros elsewhere."""
-    ctx = series_context(len(union), trunc)
-    if v.ctx is ctx:
-        return v
-    c = np.zeros(v.c.shape[:-1] + (ctx.size,), dtype=complex)
-    c[..., embedding(v.ctx, ctx, tuple(map(union.index, support)))] = v.c
-    return JetSeries(ctx, c)
-
-
 def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
     """The slot ``a op b`` of two slots (series, support).
 
     ``-`` is ``a + (-b)``, as ``JetSeries`` subtracts, and ``/`` is ``a *
     recip(b)``, both taken over b's own support.  Two nonempty supports
-    that differ are both widened to their union; an empty one folds.
+    that differ are both embedded in their union's context; an empty one folds.
     """
     (x, sx), (y, sy) = a, b
     if op == "-":
@@ -522,7 +510,9 @@ def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
         y = y.recip()
     if sx and sy and sx != sy:
         union = tuple(sorted({*sx, *sy}))
-        x, y = _widen(x, sx, union, trunc), _widen(y, sy, union, trunc)
+        ctx = series_context(len(union), trunc)
+        x = x.embed(ctx, map(union.index, sx))
+        y = y.embed(ctx, map(union.index, sy))
         sx = sy = union
     if op in "+-":
         return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
@@ -549,8 +539,8 @@ class _Tape:
     it reads.  A varying coordinate reads its one variable and an op the
     union of its operands' supports; a slot over support S is a series in
     the context of len(S) variables, in run order.  Where a binary op
-    meets two different nonempty supports, the operands are widened to
-    their union (``_widen``).  The empty support is constant folding: a slot
+    meets two different nonempty supports, the operands are embedded in
+    the context of their union.  The empty support is constant folding: a slot
     that no varying coordinate reaches (a ``num``, a fixed coordinate, or
     an op over such slots) is a series in the context without variables,
     one coefficient per sample, computed by the same series operations, so
@@ -560,7 +550,7 @@ class _Tape:
     c`` is ``x * recip(c)``.  The ``^`` slots of one base are computed
     together, by one ``power`` call with all their exponents, when the
     first of them is reached, so a refused base raises at that slot.
-    Outputs are widened to the run's context at the end.  For finite
+    Outputs are embedded in the run's context, into one array.  For finite
     values every coefficient equals the one computed over all run
     variables without folding, up to the sign of a zero: the coefficient
     of a monomial reads only monomials of its own support, in the same
@@ -644,7 +634,6 @@ class _Tape:
         variables.
         """
         batch = zs[0][0].c.shape[:-1]
-        trunc = ctx.trunc
         fixed = series_context(0, 0)
         vals = [None] * len(self.ops)  # vals[s]: (series, support) of slot s
         for s, (op, x, y) in enumerate(self.ops):
@@ -656,7 +645,7 @@ class _Tape:
                 elif op == "wb":
                     v = wbs[x]
                 elif op in BinOp.tags:
-                    v = _binary(op, vals[x], vals[y], trunc)
+                    v = _binary(op, vals[x], vals[y], ctx.trunc)
                 elif op == "^":
                     if s in self.powers:
                         base, support = vals[x]
@@ -675,10 +664,12 @@ class _Tape:
             vals[s] = v
             for operand in self.dead[s]:
                 vals[operand] = None
-        everything = tuple(range(ctx.num_vars))
-        return JetMatrix.from_entries(
-            [[_widen(*vals[s], everything, trunc) for s in row] for row in self.out]
-        )
+        out = np.zeros(batch + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
+        for i, row in enumerate(self.out):
+            for j, s in enumerate(row):
+                v, support = vals[s]
+                out[..., i, j, :] = v.embed(ctx, support).c
+        return JetMatrix(ctx, out)
 
 
 # --------------------------------------------------------------------------
@@ -856,7 +847,7 @@ class AffineChart:
         if not 1 <= d <= m:
             raise ValueError(f"codimension d={d} out of range for m={m}")
         cond = np.linalg.cond(linear)
-        if not np.isfinite(cond) or cond > 1e12:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError("chart linear part is numerically singular")
         return cls(
             tuple(map(tuple, linear.tolist())), tuple(offset.tolist()), d

@@ -18,6 +18,12 @@ MultiIndex = tuple  # tuple of non-negative ints
 MAX_TABLE = 2_000_000
 
 
+def check_table_size(count: int, what: str, unit: str):
+    """Refuse a table of ``count`` ``unit`` above ``MAX_TABLE``; ``what`` names it."""
+    if count > MAX_TABLE:
+        raise ValueError(f"{what} needs {count} {unit}, exceeding the supported size {MAX_TABLE}")
+
+
 def pochhammer(z, t: int):
     """Rising factorial z(z+1)...(z+t-1), with (z)_0 == 1."""
     if t < 0:
@@ -114,11 +120,7 @@ class JetIndexTable:
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
         count = math.comb(d + k - 1, k - 1)
-        if count > MAX_TABLE:
-            raise ValueError(
-                f"index table for d={d}, k={k} has {count} entries, "
-                f"exceeding the supported size {MAX_TABLE}"
-            )
+        check_table_size(count, f"index table for d={d}, k={k}", "entries")
         self.d = d
         self.k = k
         self.N = count - 1
@@ -126,16 +128,9 @@ class JetIndexTable:
         for t in range(k):
             indices.extend(degree_slice(d, t))
         self.indices = tuple(indices)
-        self._rank = {alpha: l for l, alpha in enumerate(self.indices)}
-
-    def rank(self, alpha: MultiIndex) -> int:
-        return self._rank[tuple(alpha)]
 
     def __len__(self) -> int:
         return self.N + 1
-
-    def __iter__(self):
-        return iter(self.indices)
 
     def __repr__(self):
         return f"JetIndexTable(d={self.d}, k={self.k}, N={self.N})"

@@ -275,6 +275,39 @@ def test_codimension_below_one_refused(argv, d, capsys):
     assert f"the codimension needs -d >= 1, got {d}" in capsys.readouterr().err
 
 
+CHART_COMMANDS = [
+    ["jetkernel", "--kernel", "b123.kernel", "-k", "2", "--chart", "diagonal(3)"],
+    ["equiv", "--kernel", "b123.kernel", "--kernel2", "b123.kernel", "-k", "2",
+     "--chart", "diagonal(3)", "--num-samples", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", CHART_COMMANDS)
+@pytest.mark.parametrize("d", ["1", "3"])
+def test_codimension_differing_from_the_chart_refused(argv, d, kernel_dir, monkeypatch, capsys):
+    # -d 1 beside diagonal(3), whose d is 2, once ran silently at d = 2
+    from jetmod.cli import main
+
+    monkeypatch.chdir(kernel_dir)
+    assert main([*argv, "-d", d]) == 2
+    err = capsys.readouterr().err
+    assert f"-d {d} differs from d=2 of --chart 'diagonal(3)'" in err
+
+
+@pytest.mark.parametrize("argv", CHART_COMMANDS)
+def test_codimension_equal_to_the_chart_or_absent_runs(argv, kernel_dir, monkeypatch, capsys):
+    from jetmod.cli import main
+
+    monkeypatch.chdir(kernel_dir)
+    outputs = []
+    for extra in ([], ["-d", "2"]):
+        assert main([*argv, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if argv[0] == "jetkernel":
+        assert outputs[0].startswith("jet kernel of b123.kernel (d=2, k=2, N=2)")
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "x"])
 def test_bad_tolerance_refused(tol, capsys):
     from jetmod.cli import main

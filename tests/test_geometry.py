@@ -43,7 +43,7 @@ class TestGramJet:
 
     def test_constant_kernel(self):
         g = gram_jet(parse_kernel("1"), [0.0], trunc=3)
-        ident = JetMatrix.identity(g.jet.ctx, 1)
+        ident = JetMatrix.constant(g.jet.ctx, np.eye(1))
         assert np.allclose(g.jet.c, ident.c)
 
     def test_hermitian_coefficient_symmetry(self):
@@ -299,11 +299,11 @@ class TestNormalization:
         norm = normalize_at(spec, p)
         for z0 in (p, np.array([0.2, -0.1 + 0.15j])):
             jet = norm.eval_jet(z0, p, 3, vary_w=False)
-            ident = JetMatrix.identity(jet.ctx, 2)
+            ident = JetMatrix.constant(jet.ctx, np.eye(2))
             assert np.max(np.abs(jet.c - ident.c)) < 1e-11
         # and the mirror identity in the second argument
         jet = norm.eval_jet(p, np.array([0.1j, 0.25]), 3, vary_z=False)
-        ident = JetMatrix.identity(jet.ctx, 2)
+        ident = JetMatrix.constant(jet.ctx, np.eye(2))
         assert np.max(np.abs(jet.c - ident.c)) < 1e-11
 
     @pytest.mark.parametrize("vary", [True, 2, 1])
@@ -317,7 +317,7 @@ class TestNormalization:
         for jet in (norm.eval_jet(q, p, 4, vary_z=vary, vary_w=False),
                     norm.eval_jet(p, q, 4, vary_z=False, vary_w=vary)):
             assert jet.ctx.num_vars == 6 and jet.ctx.trunc == 4
-            assert np.max(np.abs(jet.c - JetMatrix.identity(jet.ctx, 2).c)) < 1e-11
+            assert np.max(np.abs(jet.c - JetMatrix.constant(jet.ctx, np.eye(2)).c)) < 1e-11
 
     def test_gram_is_identity_at_base(self):
         spec = coupled_rank2_kernel(np.random.default_rng(9))

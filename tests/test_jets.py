@@ -128,7 +128,7 @@ def test_derivative_and_truncate():
         JetSeries.constant(ctx0, 1.0).derivative(0)
     # the matrix once failed building a context of truncation -1 ("need trunc >= 0")
     with pytest.raises(ValueError, match=refusal):
-        JetMatrix.identity(ctx0, 2).derivative(0)
+        JetMatrix.constant(ctx0, np.eye(2)).derivative(0)
 
 
 def test_context_mismatch_errors():
@@ -142,7 +142,7 @@ def test_context_mismatch_errors():
 
 def test_matrix_inverse_examples():
     ctx = series_context(2, 3)
-    ident = JetMatrix.identity(ctx, 2)
+    ident = JetMatrix.constant(ctx, np.eye(2))
     assert np.allclose(jet_matrix_inverse(ident).c, ident.c)
 
     # 1x1 case reduces to the scalar reciprocal
@@ -161,7 +161,7 @@ def test_matrix_inverse_examples():
     assert np.allclose(inv.c[1, 1], (one - y).recip().c)
 
     prod = diag @ inv
-    assert np.allclose(prod.c, JetMatrix.identity(ctx, 2).c, atol=1e-12)
+    assert np.allclose(prod.c, JetMatrix.constant(ctx, np.eye(2)).c, atol=1e-12)
 
     sing = JetMatrix.from_entries([[zero, zero], [zero, zero]])
     with pytest.raises(ValueError, match="singular"):
@@ -175,7 +175,7 @@ def test_matrix_inverse_derivative_identity():
     for _ in range(5):
         base = rng.random((3, 3)) + 1j * rng.random((3, 3))
         h0 = base @ base.conj().T + 3.0 * np.eye(3)
-        m = JetMatrix.from_constant(ctx, h0)
+        m = JetMatrix.constant(ctx, h0)
         pert = JetMatrix(
             ctx,
             0.2 * (rng.random((3, 3, ctx.size)) - 0.5
@@ -195,12 +195,12 @@ def test_matrix_inverse_derivative_identity():
 
 def test_matrix_shape_errors():
     ctx = series_context(1, 1)
-    a = JetMatrix.identity(ctx, 2)
-    b = JetMatrix.from_constant(ctx, np.ones((3, 3)))
+    a = JetMatrix.constant(ctx, np.eye(2))
+    b = JetMatrix.constant(ctx, np.ones((3, 3)))
     with pytest.raises(ValueError, match="shape mismatch"):
         a @ b
     with pytest.raises(ValueError, match="square"):
-        jet_matrix_inverse(JetMatrix.from_constant(ctx, np.ones((2, 3))))
+        jet_matrix_inverse(JetMatrix.constant(ctx, np.ones((2, 3))))
 
 
 def test_matmul_matches_entrywise_bincount():
@@ -248,7 +248,7 @@ def test_derivatives_match_extract_loop(num_vars, trunc, r):
 
 
 def test_derivatives_refuse_malformed_rows():
-    jm = JetMatrix.identity(series_context(2, 3), 2)
+    jm = JetMatrix.constant(series_context(2, 3), np.eye(2))
     for rows, match in [
         ([(1, 0), (1, -1)], "non-negative"),  # its key would read the rank of (0, 0)
         ([(0, 0), (2, 2)], "exceeds truncation 3"),
@@ -262,12 +262,56 @@ def test_derivatives_refuse_malformed_rows():
 def test_coeff_refuses_malformed_index():
     # the rank dict would answer these with a bare KeyError
     ctx = series_context(2, 3)
-    series, matrix = JetSeries.constant(ctx, 1.0), JetMatrix.identity(ctx, 2)
+    series, matrix = JetSeries.constant(ctx, 1.0), JetMatrix.constant(ctx, np.eye(2))
     for alpha, match in [((-1, 2), "non-negative"), ((1, 0, 0), "width 2"), ((2, 2), "truncation 3")]:
         for jet in (series, matrix):
             with pytest.raises(ValueError, match=match):
                 jet.coeff(alpha)
     assert series.coeff((0, 0)) == 1 and matrix.coeff((0, 0)).tolist() == [[1, 0], [0, 1]]
+
+
+class TestSharedReaders:
+    """The readers ``JetSeries`` and ``JetMatrix`` share, at each layout."""
+
+    def test_series_readers_give_a_scalar_alone_and_an_array_for_a_batch(self):
+        rng = np.random.default_rng(21)
+        ctx = series_context(2, 3)
+        batch = JetSeries(ctx, rng.random((4, ctx.size)) + 1j * rng.random((4, ctx.size)))
+        for i in range(4):
+            one = JetSeries(ctx, batch.c[i])
+            for read in ("coeff", "extract"):
+                value = getattr(one, read)((1, 2))
+                assert np.isscalar(value) and isinstance(value, np.complexfloating)
+                assert value == getattr(batch, read)((1, 2))[i]
+        for read in (batch.coeff, batch.extract):
+            assert isinstance(read((1, 2)), np.ndarray) and read((1, 2)).shape == (4,)
+        assert np.array_equal(batch.extract((1, 2)), 2 * batch.coeff((1, 2)))
+        # the context without variables reads its one coefficient
+        const = JetSeries.constant(series_context(0, 0), 2.5 - 1j)
+        assert const.coeff(()) == const.extract(()) == 2.5 - 1j and np.isscalar(const.coeff(()))
+
+    def test_matrix_constant_of_a_stack(self):
+        rng = np.random.default_rng(22)
+        ctx = series_context(2, 2)
+        mats = rng.random((3, 2, 2)) + 1j * rng.random((3, 2, 2))
+        jm = JetMatrix.constant(ctx, mats)
+        assert jm.batch == (3,) and jm.shape == (2, 2) and jm.c.shape == (3, 2, 2, ctx.size)
+        assert np.array_equal(jm.constant_term(), mats) and not np.any(jm.c[..., 1:])
+        for i in range(3):
+            assert jm.c[i].tobytes() == JetMatrix.constant(ctx, mats[i]).c.tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+    def test_derivatives_shapes(self, batch):
+        rng = np.random.default_rng(len(batch))
+        ctx = series_context(2, 3)
+        rows = [(0, 0), (1, 0), (1, 2), (0, 3)]
+        jm = JetMatrix(ctx, rng.random(batch + (2, 3, ctx.size)) + 0.5j)
+        series = jm.entry(1, 2)
+        got_m, got_s = jm.derivatives(rows), series.derivatives(rows)
+        assert got_m.shape == batch + (len(rows), 2, 3)
+        assert got_s.shape == batch + (len(rows),)
+        assert got_s.tobytes() == np.ascontiguousarray(got_m[..., 1, 2]).tobytes()
+        assert got_s[..., 2].tobytes() == np.asarray(series.extract((1, 2))).tobytes()
 
 
 def test_embed_is_a_ring_map():
@@ -284,8 +328,8 @@ def test_embed_is_a_ring_map():
         else:
             assert np.array_equal(ea.c[:, :, rank], a.coeff((alpha[1], alpha[3])))
     # a context without variables holds constants; it embeds at rank 0
-    const = JetMatrix.from_constant(series_context(0, 3), [[2.0 + 1j]])
-    assert np.array_equal(const.embed(big, []).c, JetMatrix.from_constant(big, [[2.0 + 1j]]).c)
+    const = JetMatrix.constant(series_context(0, 3), [[2.0 + 1j]])
+    assert np.array_equal(const.embed(big, []).c, JetMatrix.constant(big, [[2.0 + 1j]]).c)
     with pytest.raises(ValueError, match="cannot embed"):
         a.embed(series_context(4, 2), [1, 3])
 
@@ -299,11 +343,12 @@ def test_context_size_guard():
 
 def _double_loop_table(ctx):
     """Brute-force product table: every pair of indices that fits, by rank."""
+    rank = {alpha: i for i, alpha in enumerate(ctx.indices)}
     triples = set()
     for i, a in enumerate(ctx.indices):
         for j, b in enumerate(ctx.indices):
             if sum(a) + sum(b) <= ctx.trunc:
-                triples.add((i, j, ctx.rank[tuple(x + y for x, y in zip(a, b))]))
+                triples.add((i, j, rank[tuple(x + y for x, y in zip(a, b))]))
     return triples
 
 
@@ -323,11 +368,12 @@ def test_tables_match_loops(num_vars, trunc):
     if trunc == 0:
         return
     lower = series_context(num_vars, trunc - 1)
+    rank = {alpha: i for i, alpha in enumerate(ctx.indices)}
     for var in range(num_vars):
         src, fac = ctx.deriv_table(var)
         for i, beta in enumerate(lower.indices):
             up = beta[:var] + (beta[var] + 1,) + beta[var + 1 :]
-            assert src[i] == ctx.rank[up] and fac[i] == beta[var] + 1
+            assert src[i] == rank[up] and fac[i] == beta[var] + 1
 
 
 _SMALL = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)

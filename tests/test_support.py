@@ -1,5 +1,8 @@
-"""Per-slot variable supports, grouped powers, the transverse read side of
-``jet_kernel`` and the bound on cached product bins."""
+"""Per-slot variable supports, grouped powers, the widening and assembly of
+slots, the transverse read side of ``jet_kernel`` and the bound on cached
+product bins."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ import pytest
 from jetmod.geometry import transverse_blocks
 from jetmod.jet_kernels import jet_kernel
 from jetmod.jets import JetSeries, SeriesContext, series_context
-from jetmod.kernels import builtin_bergman, diagonal_chart, matrix_combination, pullback_affine
+from jetmod.kernels import (
+    builtin_bergman, diagonal_chart, matrix_combination, parse_kernel, pullback_affine,
+)
 from jetmod.multiindex import JetIndexTable
-from util import rand_pd_matrix
+from util import rand_pd_matrix, widen_reference, widened_run
 
 
 def rand_batch(rng, ctx, batch):
@@ -78,6 +83,53 @@ class TestSupports:
         assert jm.ctx is series_context(1, 3)
         jm, _ = spec.varying_jet(z, z, 2, False, False)
         assert jm.ctx is series_context(0, 2) and jm.c.shape == (2, 1, 1, 1)
+
+
+class TestWidening:
+    """The tape widens operands and outputs with ``JetSeries.embed`` and
+    copies the outputs into one array; both equal the former widening
+    (``widen_reference``) and ``from_entries`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_embed_equals_the_former_widening(self, seed):
+        rng = np.random.default_rng(seed)
+        trunc = int(rng.integers(0, 5))
+        union = tuple(sorted(rng.choice(8, int(rng.integers(1, 5)), replace=False).tolist()))
+        support = tuple(sorted(rng.choice(union, int(rng.integers(0, len(union) + 1)),
+                                          replace=False).tolist()))
+        # a constant slot lives in the context without variables, truncated at 0
+        src = series_context(len(support), trunc if support else 0)
+        batch = [(), (3,), (2, 3)][seed % 3]
+        c = rand_batch(rng, src, math.prod(batch)).reshape(batch + (src.size,))
+        c[..., ::3] *= -0.0  # signed zeros must keep their sign
+        v = JetSeries(src, c)
+        ctx = series_context(len(union), trunc)
+        got = v.embed(ctx, map(union.index, support))
+        want = widen_reference(v, support, union, trunc)
+        assert got.ctx is want.ctx is ctx
+        assert got.c.shape == want.c.shape and got.c.tobytes() == want.c.tobytes()
+
+    MIXED = parse_kernel(
+        "m = 2\nr = 2\n"
+        "K[1][1] = (1 - z1*wb1)^-2 * (1 - z2*wb2)^-1\n"
+        "K[1][2] = 0.5\nK[2][1] = 0.5\n"
+        "K[2][2] = exp(z2*wb2)\n"
+    )
+
+    @pytest.mark.parametrize("kernel", ["bergman", "mixed", "k5"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("vary", [(True, True), (1, 0), (1, 2), (False, False)])
+    def test_assembly_equals_widening_then_from_entries(self, kernel, batch, vary):
+        spec = {"bergman": builtin_bergman([1.5, 2.0, 0.5]),
+                "mixed": self.MIXED,
+                "k5": anchored_k5_kernel(2)}[kernel]
+        rng = np.random.default_rng(3)
+        shape = (spec.m,) if batch is None else (batch, spec.m)
+        z0 = 0.3 * (rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5))
+        w0 = 0.3 * (rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5))
+        got, want = widened_run(spec, z0, w0, 3, *vary)
+        assert got.ctx is want.ctx
+        assert got.c.shape == want.c.shape and got.c.tobytes() == want.c.tobytes()
 
 
 class TestJetKernelReadSide:

@@ -2,13 +2,14 @@
 
 import json
 import operator
+import sys
 
 import numpy as np
 
 from jetmod.geometry import pad_pair
-from jetmod.jets import JetMatrix, JetSeries, series_context
+from jetmod.jets import JetMatrix, JetSeries, embedding, series_context
 from jetmod.kernels import (
-    BinOp, DomainError, KernelSpec, Num, Var, builtin_bergman, matrix_combination,
+    BinOp, DomainError, KernelSpec, Num, Var, _Tape, builtin_bergman, matrix_combination,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom
 
@@ -126,6 +127,46 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
             raise DomainError(f"{tape.where(s)}: {exc}") from None
         vals.append(v)
     return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
+
+
+def widen_reference(v: JetSeries, support: tuple, union: tuple, trunc: int) -> JetSeries:
+    """``v``, a series over the run variables ``support``, as a series over
+    the run variables ``union``: its coefficients placed at their
+    monomials, zeros elsewhere.  The kernel tape's widening before
+    ``JetSeries.embed`` took it over, kept as the reference."""
+    ctx = series_context(len(union), trunc)
+    if v.ctx is ctx:
+        return v
+    c = np.zeros(v.c.shape[:-1] + (ctx.size,), dtype=complex)
+    c[..., embedding(v.ctx, ctx, tuple(map(union.index, support)))] = v.c
+    return JetSeries(ctx, c)
+
+
+def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
+    """``spec.varying_jet(...)[0]``, and the same outputs assembled the way
+    ``_Tape.run`` once did: each output slot widened to the run's context
+    (``widen_reference``), then stacked by ``JetMatrix.from_entries``.
+
+    The slots are read from the run's own frame as it returns, so both
+    matrices come from one evaluation.
+    """
+    frames = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is _Tape.run.__code__:
+            frames.append(dict(frame.f_locals))
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        jm, _ = spec.varying_jet(z0, w0, trunc, vary_z, vary_w)
+    finally:
+        sys.setprofile(previous)
+    (run,) = frames
+    everything = tuple(range(run["ctx"].num_vars))
+    rows = [[widen_reference(*run["vals"][s], everything, trunc) for s in row]
+            for row in spec._tape.out]
+    return jm, JetMatrix.from_entries(rows)
 
 
 def three_run_varying_jet(norm, z0, w0, trunc, vary_z=True, vary_w=True):
