@@ -20,7 +20,9 @@ built.  A context may have no variables; its series are the constants.
 ``embedding`` gives the ranks at which a context's monomials sit in a
 context with more variables, by the exponent-key lookup the tables use,
 one cached map per (source, target, positions), which ``embed`` and its
-inverse ``restrict`` read.
+inverse ``restrict`` read.  ``outer_table``, cached beside it, pairs the
+monomials of two contexts whose variables split a third's: a product of
+series in disjoint variables is then one gather and multiply there.
 
 Coefficient arrays may carry leading batch axes, one jet per sample
 point: ``(*batch, size)`` for a ``JetSeries``, ``(*batch, rows, cols,
@@ -227,6 +229,21 @@ def embedding(src: SeriesContext, dst: SeriesContext, positions: tuple) -> np.nd
     exponents = np.zeros((src.size, dst.num_vars), dtype=np.int64)
     exponents[:, list(positions)] = src.exponents
     return dst._ranks(exponents)
+
+
+@lru_cache(maxsize=None)
+def outer_table(left: SeriesContext, right: SeriesContext, dst: SeriesContext, positions: tuple):
+    """Ranks (l, r) in ``left`` and ``right`` of the one pair of monomials
+    whose product is each monomial of ``dst``, as two arrays in its rank
+    order.  ``positions`` places the variables of ``left``, then those of
+    ``right``, in ``dst``, and must name each of its variables once."""
+    split = left.num_vars
+    el = dst.exponents[embedding(left, dst, positions[:split])]
+    er = dst.exponents[embedding(right, dst, positions[split:])]
+    l, r = np.nonzero(left.degrees[:, None] + right.degrees <= dst.trunc)
+    table = np.empty((2, dst.size), dtype=np.int64)
+    table[:, dst._ranks(el[l] + er[r])] = l, r
+    return table
 
 
 def _pair_products(a, b, left, right, matmul=False) -> np.ndarray:
@@ -537,18 +554,6 @@ class JetMatrix(_Jet):
     @property
     def batch(self):
         return self.c.shape[:-3]
-
-    @classmethod
-    def from_entries(cls, entries) -> "JetMatrix":
-        """Build from a nested list of JetSeries (all sharing one context and batch)."""
-        ctx = entries[0][0].ctx
-        if any(e.ctx is not ctx for row in entries for e in row):
-            raise ValueError("matrix entries use different contexts")
-        c = np.stack([e.c for row in entries for e in row], axis=-2)
-        return cls(ctx, c.reshape(c.shape[:-2] + (len(entries), len(entries[0]), ctx.size)))
-
-    def entry(self, i: int, j: int) -> JetSeries:
-        return JetSeries(self.ctx, self.c[..., i, j, :].copy())
 
     def __sub__(self, other: "JetMatrix") -> "JetMatrix":
         self._check_same(other)

@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .jets import COND_LIMIT, JetMatrix, JetSeries, refuse, series_context
+from .jets import COND_LIMIT, JetMatrix, JetSeries, outer_table, refuse, series_context
 
 
 class ParseError(ValueError):
@@ -500,8 +500,10 @@ def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
     """The slot ``a op b`` of two slots (series, support).
 
     ``-`` is ``a + (-b)``, as ``JetSeries`` subtracts, and ``/`` is ``a *
-    recip(b)``, both taken over b's own support.  Two nonempty supports
-    that differ are both embedded in their union's context; an empty one folds.
+    recip(b)``, both taken over b's own support.  Nonempty supports that
+    differ are embedded in their union's context, except that ``*`` and
+    ``/`` of disjoint ones write their outer product there
+    (``outer_table``); an empty one folds.
     """
     (x, sx), (y, sy) = a, b
     if op == "-":
@@ -511,8 +513,15 @@ def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
     if sx and sy and sx != sy:
         union = tuple(sorted({*sx, *sy}))
         ctx = series_context(len(union), trunc)
-        x = x.embed(ctx, map(union.index, sx))
-        y = y.embed(ctx, map(union.index, sy))
+        positions = tuple(map(union.index, sx + sy))
+        if op in "*/" and len(positions) == len(union):  # disjoint supports
+            # the convolution adds exact zeros to each monomial's one nonzero
+            # pair, from +0.0: multiply as it does, and add +0.0
+            left, right = outer_table(x.ctx, y.ctx, ctx, positions)
+            prod = x.c.take(left, -1) * y.c.take(right, -1)
+            return JetSeries(ctx, np.add(prod, 0.0, out=prod)), union
+        x = x.embed(ctx, positions[: len(sx)])
+        y = y.embed(ctx, positions[len(sx) :])
         sx = sy = union
     if op in "+-":
         return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
@@ -538,20 +547,23 @@ class _Tape:
     ``run`` computes each slot over its support only: the run variables
     it reads.  A varying coordinate reads its one variable and an op the
     union of its operands' supports; a slot over support S is a series in
-    the context of len(S) variables, in run order.  Where a binary op
-    meets two different nonempty supports, the operands are embedded in
-    the context of their union.  The empty support is constant folding: a slot
-    that no varying coordinate reaches (a ``num``, a fixed coordinate, or
-    an op over such slots) is a series in the context without variables,
-    one coefficient per sample, computed by the same series operations, so
+    the context of len(S) variables, in run order.  Where ``*`` or ``/``
+    meets two nonempty supports that do not overlap, the result is their
+    outer product masked to the truncation, written into the context of
+    their union; other differing nonempty supports are embedded in that
+    context.  The empty support is constant folding: a slot that no
+    varying coordinate reaches (a ``num``, a fixed coordinate, or an op
+    over such slots) is a series in the context without variables, one
+    coefficient per sample, computed by the same series operations, so
     every check of a varying slot (``SINGULAR_TOL``, the log branch, the
     sample index) applies to it.  Where a constant meets a varying slot,
     ``+`` and ``-`` change coefficient 0 only, ``*`` scales, and ``x /
     c`` is ``x * recip(c)``.  The ``^`` slots of one base are computed
     together, by one ``power`` call with all their exponents, when the
     first of them is reached, so a refused base raises at that slot.
-    Outputs are embedded in the run's context, into one array.  For finite
-    values every coefficient equals the one computed over all run
+    Outputs are embedded in the run's context, into one array; a run
+    warns of no overflow, and refuses an output that is not finite.  For
+    finite values every coefficient equals the one computed over all run
     variables without folding, up to the sign of a zero: the coefficient
     of a monomial reads only monomials of its own support, in the same
     order (the activity and sparsity analysis of Griewank & Walther,
@@ -636,39 +648,42 @@ class _Tape:
         batch = zs[0][0].c.shape[:-1]
         fixed = series_context(0, 0)
         vals = [None] * len(self.ops)  # vals[s]: (series, support) of slot s
-        for s, (op, x, y) in enumerate(self.ops):
-            try:
-                if op == "num":
-                    v = JetSeries.constant(fixed, np.full(batch, x)), ()
-                elif op == "z":
-                    v = zs[x]
-                elif op == "wb":
-                    v = wbs[x]
-                elif op in BinOp.tags:
-                    v = _binary(op, vals[x], vals[y], ctx.trunc)
-                elif op == "^":
-                    if s in self.powers:
-                        base, support = vals[x]
-                        group = self.powers[s]
-                        stacked = base.power([self.ops[t][2] for t in group])
-                        for t, c in zip(group, stacked.c):
-                            vals[t] = JetSeries(base.ctx, c), support
-                    v = vals[s]
-                elif op in Call.tags:
-                    arg, support = vals[x]
-                    v = (arg.exp() if op == "exp" else arg.log()), support
-                else:
-                    raise TypeError(f"unknown tape op {op!r}")
-            except ValueError as exc:
-                raise DomainError(f"{self.where(s)}: {exc}") from None
-            vals[s] = v
-            for operand in self.dead[s]:
-                vals[operand] = None
+        with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+            for s, (op, x, y) in enumerate(self.ops):
+                try:
+                    if op == "num":
+                        v = JetSeries.constant(fixed, np.full(batch, x)), ()
+                    elif op == "z":
+                        v = zs[x]
+                    elif op == "wb":
+                        v = wbs[x]
+                    elif op in BinOp.tags:
+                        v = _binary(op, vals[x], vals[y], ctx.trunc)
+                    elif op == "^":
+                        if s in self.powers:
+                            base, support = vals[x]
+                            group = self.powers[s]
+                            stacked = base.power([self.ops[t][2] for t in group])
+                            for t, c in zip(group, stacked.c):
+                                vals[t] = JetSeries(base.ctx, c), support
+                        v = vals[s]
+                    elif op in Call.tags:
+                        arg, support = vals[x]
+                        v = (arg.exp() if op == "exp" else arg.log()), support
+                    else:
+                        raise TypeError(f"unknown tape op {op!r}")
+                except ValueError as exc:
+                    raise DomainError(f"{self.where(s)}: {exc}") from None
+                vals[s] = v
+                for operand in self.dead[s]:
+                    vals[operand] = None
         out = np.zeros(batch + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
         for i, row in enumerate(self.out):
             for j, s in enumerate(row):
                 v, support = vals[s]
                 out[..., i, j, :] = v.embed(ctx, support).c
+        refuse(~np.isfinite(out).all(axis=(-3, -2, -1)), lambda i: (
+            f"kernel {'value' if ctx.trunc == 0 else 'jet'} is not finite (an overflow)"))
         return JetMatrix(ctx, out)
 
 

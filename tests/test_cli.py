@@ -92,6 +92,19 @@ class TestCurvature:
         assert main(["curvature", "--kernel", str(path), "--points", "0.1, 0.2"]) == 2
         assert "not Hermitian-symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", [
+        "(1 + 1e200*z1*wb1)*(1 + 1e200*z2*wb2)", "(1 + 1e200*z1*wb1)^2",
+    ])
+    def test_overflowing_kernel_is_exit_2_without_warnings(self, tmp_path, expr):
+        # an overflow once leaked numpy RuntimeWarnings and was reported as
+        # "kernel is not Hermitian-symmetric: deviation nan"
+        path = tmp_path / "huge.kernel"
+        path.write_text(f"m = 2\nK[1][1] = {expr}\n")
+        res = run_cli("curvature", "--kernel", str(path), "--points", "0.1,0.2")
+        assert res.returncode == 2
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("error: kernel value is not finite")
+
     def test_malformed_file_is_exit_2(self, kernel_dir):
         res = run_cli("curvature", "--kernel", str(kernel_dir / "bad.kernel"),
                       "--points", "0")

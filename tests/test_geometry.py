@@ -21,6 +21,7 @@ from jetmod.kernels import (
 )
 from util import (
     coupled_rank2_kernel,
+    entry,
     rand_nonvanishing_poly,
     rand_point,
     wirtinger_fd,
@@ -38,8 +39,8 @@ class TestGramJet:
     def test_bergman_coefficients(self):
         lam = 1.3
         g = gram_jet(builtin_bergman([lam]), [0.0], trunc=2)
-        assert abs(g.jet.entry(0, 0).coeff((0, 0)) - 1.0) < 1e-14
-        assert abs(g.jet.entry(0, 0).coeff((1, 1)) - lam) < 1e-13
+        assert abs(entry(g.jet, 0, 0).coeff((0, 0)) - 1.0) < 1e-14
+        assert abs(entry(g.jet, 0, 0).coeff((1, 1)) - lam) < 1e-13
 
     def test_constant_kernel(self):
         g = gram_jet(parse_kernel("1"), [0.0], trunc=3)

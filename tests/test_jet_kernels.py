@@ -24,7 +24,7 @@ from jetmod.kernels import (
     pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom, theta
-from util import coupled_rank2_kernel, module_action_reference, rand_point, rand_poly_ast
+from util import coupled_rank2_kernel, entry, module_action_reference, rand_point, rand_poly_ast
 
 
 class TestJetKernel:
@@ -353,7 +353,7 @@ class TestDiagonalKernelStructure:
                     wb = beta + mu
                     if sum(za) + sum(wb) > 4:
                         continue
-                    coeff = jm.entry(0, 0).coeff(za + wb)
+                    coeff = entry(jm, 0, 0).coeff(za + wb)
                     if alpha == beta and lam == mu:
                         expect = (
                             coeff_c(weights[0], alpha[0])

@@ -13,7 +13,7 @@ from jetmod.jets import (
     jet_matrix_inverse,
     series_context,
 )
-from util import rand_series
+from util import entry, from_entries, rand_series
 
 
 def close(a, b, rtol=1e-9, atol=1e-12):
@@ -148,14 +148,14 @@ def test_matrix_inverse_examples():
     # 1x1 case reduces to the scalar reciprocal
     rng = np.random.default_rng(5)
     a = rand_series(rng, ctx) + JetSeries.constant(ctx, 2.0)
-    m = JetMatrix.from_entries([[a]])
+    m = from_entries([[a]])
     assert np.allclose(jet_matrix_inverse(m).c[0, 0], a.recip().c)
 
     # diagonal of geometric series
     one = JetSeries.constant(ctx, 1.0)
     zero = JetSeries.constant(ctx, 0.0)
     x, y = JetSeries.variable(ctx, 0), JetSeries.variable(ctx, 1)
-    diag = JetMatrix.from_entries([[one - x, zero], [zero, one - y]])
+    diag = from_entries([[one - x, zero], [zero, one - y]])
     inv = jet_matrix_inverse(diag)
     assert np.allclose(inv.c[0, 0], (one - x).recip().c)
     assert np.allclose(inv.c[1, 1], (one - y).recip().c)
@@ -163,7 +163,7 @@ def test_matrix_inverse_examples():
     prod = diag @ inv
     assert np.allclose(prod.c, JetMatrix.constant(ctx, np.eye(2)).c, atol=1e-12)
 
-    sing = JetMatrix.from_entries([[zero, zero], [zero, zero]])
+    sing = from_entries([[zero, zero], [zero, zero]])
     with pytest.raises(ValueError, match="singular"):
         jet_matrix_inverse(sing)
 
@@ -306,7 +306,7 @@ class TestSharedReaders:
         ctx = series_context(2, 3)
         rows = [(0, 0), (1, 0), (1, 2), (0, 3)]
         jm = JetMatrix(ctx, rng.random(batch + (2, 3, ctx.size)) + 0.5j)
-        series = jm.entry(1, 2)
+        series = entry(jm, 1, 2)
         got_m, got_s = jm.derivatives(rows), series.derivatives(rows)
         assert got_m.shape == batch + (len(rows), 2, 3)
         assert got_s.shape == batch + (len(rows),)

@@ -28,7 +28,7 @@ from jetmod.kernels import (
     pretty,
     pullback_affine,
 )
-from util import rand_point, rand_unitary
+from util import entry, rand_point, rand_unitary
 
 
 class TestParser:
@@ -254,9 +254,10 @@ class TestBuiltins:
         assert builtin_bergman([1.0]).check_hermitian([]) == 0.0
 
     def test_nan_deviation_refused(self):
-        # inf * 0 evaluates to nan: max(0.0, nan) once let this pass as 0.0
+        # inf * 0 evaluates to nan: max(0.0, nan) once let this pass as 0.0;
+        # the tape now refuses the value itself, without a RuntimeWarning
         spec = parse_kernel("m = 1\nK[1][1] = 1e200*1e200*z1*wb1*0 + 1\n")
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="deviation nan"):
+        with pytest.raises(ValueError, match="kernel value is not finite"):
             spec.check_hermitian()
 
     @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan, -1.0])
@@ -270,8 +271,8 @@ class TestEvalJet:
         lam = 1.9
         spec = builtin_bergman([lam])
         jet = spec.eval_jet([0.0], [0.0], 2)
-        assert abs(jet.entry(0, 0).coeff((0, 0)) - 1.0) < 1e-14
-        assert abs(jet.entry(0, 0).coeff((1, 1)) - lam) < 1e-13
+        assert abs(entry(jet, 0, 0).coeff((0, 0)) - 1.0) < 1e-14
+        assert abs(entry(jet, 0, 0).coeff((1, 1)) - lam) < 1e-13
 
     def test_trunc_zero_is_plain_value(self):
         spec = builtin_bergman([1.0, 2.0])

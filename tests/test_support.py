@@ -1,20 +1,28 @@
 """Per-slot variable supports, grouped powers, the widening and assembly of
-slots, the transverse read side of ``jet_kernel`` and the bound on cached
-product bins."""
+slots, the outer product of disjoint supports, the transverse read side of
+``jet_kernel``, the bound on cached product bins and the memory of repeated
+``jet_kernel`` calls."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jetmod import kernels
 from jetmod.geometry import transverse_blocks
 from jetmod.jet_kernels import jet_kernel
 from jetmod.jets import JetSeries, SeriesContext, series_context
 from jetmod.kernels import (
-    builtin_bergman, diagonal_chart, matrix_combination, parse_kernel, pullback_affine,
+    _binary, builtin_bergman, diagonal_chart, matrix_combination, parse_kernel, pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable
-from util import rand_pd_matrix, widen_reference, widened_run
+from util import (
+    binary_reference, coupled_rank2_kernel, rand_pd_matrix, widen_reference, widened_run,
+)
 
 
 def rand_batch(rng, ctx, batch):
@@ -193,3 +201,152 @@ class TestPairBins:
         # once more split by degree for the power recurrence
         assert kept <= 2 * (2 * 60) * 2 * left.size * 8
         assert {count for count, _ in ctx.pair_bins.values()} == {60, 120}
+
+
+class TestOuterProduct:
+    """``*`` and ``/`` of two nonempty supports that do not overlap are a
+    masked outer product written into the union's context; it equals the
+    former embedding and union convolution (``binary_reference``) bit for
+    bit."""
+
+    @staticmethod
+    def operands(seed):
+        rng = np.random.default_rng(seed)
+        trunc = seed % 9
+        union = sorted(rng.choice(8, int(rng.integers(2, 5)), replace=False).tolist())
+        side = rng.permutation([0, 1] + rng.integers(0, 2, len(union) - 2).tolist())
+        sx = tuple(v for v, s in zip(union, side) if s == 0)
+        sy = tuple(v for v, s in zip(union, side) if s == 1)
+        if seed % 2 == (sy[0] < sx[0]):
+            sx, sy = sy, sx  # half the cases put the right operand's variables first
+        batch = [(), (3,), (3, 5)][seed % 3]
+        slots = []
+        for support in (sx, sy):
+            ctx = series_context(len(support), trunc)
+            c = rand_batch(rng, ctx, math.prod(batch)).reshape(batch + (ctx.size,))
+            c[..., 1::3] *= -0.0  # signed zeros
+            c[..., 0] += 1.5  # away from 0, for the reciprocal of "/"
+            slots.append((JetSeries(ctx, c), support))
+        return slots, trunc
+
+    @pytest.mark.parametrize("op", ["*", "/"])
+    @pytest.mark.parametrize("seed", range(36))
+    def test_outer_product_equals_the_union_convolution(self, op, seed):
+        (a, b), trunc = self.operands(seed)
+        got, support = _binary(op, a, b, trunc)
+        want, want_support = binary_reference(op, a, b, trunc)
+        assert support == want_support == tuple(sorted(a[1] + b[1]))
+        assert got.ctx is want.ctx is series_context(len(support), trunc)
+        assert got.c.shape == want.c.shape and got.c.tobytes() == want.c.tobytes()
+
+    def test_negative_zero_operands(self):
+        # every product is a signed zero, and the convolution sums them from +0.0
+        ctx = series_context(1, 4)
+        x = JetSeries(ctx, np.full(ctx.size, -0.0 - 0.0j))
+        y = JetSeries(ctx, np.full(ctx.size, 1.0 - 0.0j))
+        got, _ = _binary("*", (x, (1,)), (y, (0,)), 4)
+        want, _ = binary_reference("*", (x, (1,)), (y, (0,)), 4)
+        assert got.c.tobytes() == want.c.tobytes()
+        assert not np.signbit(got.c.view(float)).any()
+
+    def test_overlapping_supports_keep_the_convolution(self, monkeypatch):
+        products = []
+        mul = JetSeries.__mul__
+        monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: products.append(1) or mul(s, o))
+        rng = np.random.default_rng(4)
+        ctx = series_context(2, 4)
+        x, y = (JetSeries(ctx, rand_batch(rng, ctx, 3)) for _ in range(2))
+        got, support = _binary("*", (x, (0, 1)), (y, (1, 2)), 4)
+        assert products == [1] and support == (0, 1, 2)
+        want, _ = binary_reference("*", (x, (0, 1)), (y, (1, 2)), 4)
+        assert got.c.tobytes() == want.c.tobytes()
+
+    @staticmethod
+    def both_ways(monkeypatch, evaluate):
+        got = evaluate()
+        monkeypatch.setattr(kernels, "_binary", binary_reference)
+        return got, evaluate()
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_k5_blocks_equal_the_union_convolution(self, monkeypatch, batch):
+        spec = anchored_k5_kernel(3)
+        rng = np.random.default_rng(5)
+        u = 0.3 * (rng.random(batch) - 0.5 + 1j * (rng.random(batch) - 0.5))
+        q = np.stack(np.broadcast_arrays(0 * u, 0 * u, u), axis=-1)
+        got, want = self.both_ways(monkeypatch, lambda: jet_kernel(spec, 2, 5, q, q).blocks)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("vary", [(True, True), (2, 1), (3, 0)])
+    def test_rank2_equiv_kernel_equals_the_union_convolution(self, monkeypatch, vary):
+        spec = coupled_rank2_kernel(np.random.default_rng(8), m=3)
+        rng = np.random.default_rng(9)
+        z0 = 0.3 * (rng.random((4, 3)) - 0.5 + 1j * (rng.random((4, 3)) - 0.5))
+        w0 = 0.3 * (rng.random((4, 3)) - 0.5 + 1j * (rng.random((4, 3)) - 0.5))
+        got, want = self.both_ways(
+            monkeypatch, lambda: spec.varying_jet(z0, w0, 4, *vary)[0].c)
+        assert got.tobytes() == want.tobytes()
+
+    def test_k5_run_makes_one_series_product(self, monkeypatch):
+        spec = anchored_k5_kernel(1)
+        q = np.array([0.0, 0.0, 0.3 - 0.2j])
+        products = []
+        mul = JetSeries.__mul__
+        monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: products.append(1) or mul(s, o))
+        jet_kernel(spec, 2, 5, q, q)
+        # the union convolutions made six: z1*wb1 and z2*wb2 under the chart,
+        # and the product of the two varying factor powers in each of the
+        # three scalar kernels; what is left is a product of two constants
+        assert len(products) == 1
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_an_overflowing_product_is_refused_without_warnings(self, monkeypatch, reference):
+        # pytest turns a RuntimeWarning into an error, so a leaked one fails here
+        if reference:
+            monkeypatch.setattr(kernels, "_binary", binary_reference)
+        spec = parse_kernel("m = 2\nK[1][1] = (1 + 1e200*z1*wb1)*(1 + 1e200*z2*wb2)\n")
+        z = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match="kernel jet is not finite"):
+            spec.varying_jet(z, z, 3)
+        with pytest.raises(ValueError, match="kernel value is not finite"):
+            spec.eval_point(z, z)
+
+
+MEMORY_CHILD = """
+import os
+import resource
+import sys
+
+# ru_maxrss survives exec, so a process spawned by a large one starts at
+# that one's peak; a fork of this small process starts at its own
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+
+import numpy as np
+from jetmod.jet_kernels import jet_kernel
+from test_support import anchored_k5_kernel
+
+specs = [anchored_k5_kernel(1), anchored_k5_kernel(2)]
+points = [np.array([0.0, 0.0, 0.3 * np.exp(2j * t)]) for t in range(4)]
+
+def calls(n):
+    for i in range(n):
+        q = points[i % 4]
+        jet_kernel(specs[i % 2], 2, 5, q, q)
+
+calls(200)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+calls(2000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_repeated_jet_kernel_calls_keep_their_memory():
+    """2,000 warm ``jet_kernel`` calls on two ``jetkernel-k5``-shaped kernels
+    grow the peak resident set by under 1 MB, so no cache grows per call."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    res = subprocess.run([sys.executable, "-c", MEMORY_CHILD], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 1024  # ru_maxrss is in kB

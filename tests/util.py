@@ -9,7 +9,8 @@ import numpy as np
 from jetmod.geometry import pad_pair
 from jetmod.jets import JetMatrix, JetSeries, embedding, series_context
 from jetmod.kernels import (
-    BinOp, DomainError, KernelSpec, Num, Var, _Tape, builtin_bergman, matrix_combination,
+    BinOp, DomainError, KernelSpec, Num, Var, _fold_add, _fold_mul, _Tape, builtin_bergman,
+    matrix_combination,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom
 
@@ -91,6 +92,20 @@ def rand_point(rng, m, radius=0.4):
     return rad * np.exp(1j * ang)
 
 
+def from_entries(entries) -> JetMatrix:
+    """A ``JetMatrix`` from a nested list of ``JetSeries`` sharing one context and batch."""
+    ctx = entries[0][0].ctx
+    if any(e.ctx is not ctx for row in entries for e in row):
+        raise ValueError("matrix entries use different contexts")
+    c = np.stack([e.c for row in entries for e in row], axis=-2)
+    return JetMatrix(ctx, c.reshape(c.shape[:-2] + (len(entries), len(entries[0]), ctx.size)))
+
+
+def entry(jm: JetMatrix, i: int, j: int) -> JetSeries:
+    """Entry (i, j) of every sample of ``jm``, as a series."""
+    return JetSeries(jm.ctx, jm.c[..., i, j, :].copy())
+
+
 _UNFOLDED_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
     "^": lambda a, e: a.power(e), "exp": lambda a, _: a.exp(), "log": lambda a, _: a.log(),
@@ -126,7 +141,7 @@ def unfolded_jet(spec, z0, w0, trunc, vary_z=True, vary_w=True) -> JetMatrix:
         except ValueError as exc:
             raise DomainError(f"{tape.where(s)}: {exc}") from None
         vals.append(v)
-    return JetMatrix.from_entries([[vals[s] for s in row] for row in tape.out])
+    return from_entries([[vals[s] for s in row] for row in tape.out])
 
 
 def widen_reference(v: JetSeries, support: tuple, union: tuple, trunc: int) -> JetSeries:
@@ -142,10 +157,31 @@ def widen_reference(v: JetSeries, support: tuple, union: tuple, trunc: int) -> J
     return JetSeries(ctx, c)
 
 
+def binary_reference(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
+    """The tape's slot ``a op b`` as it was computed before the outer product:
+    two nonempty supports that differ are both embedded in their union's
+    context, and ``*`` and ``/`` run the full convolution there.  The
+    reference the outer product of disjoint supports must equal bit for bit."""
+    (x, sx), (y, sy) = a, b
+    if op == "-":
+        y = -y
+    elif op == "/":
+        y = y.recip()
+    if sx and sy and sx != sy:
+        union = tuple(sorted({*sx, *sy}))
+        ctx = series_context(len(union), trunc)
+        x = x.embed(ctx, map(union.index, sx))
+        y = y.embed(ctx, map(union.index, sy))
+        sx = sy = union
+    if op in "+-":
+        return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
+    return _fold_mul(x, y), sx or sy
+
+
 def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
     """``spec.varying_jet(...)[0]``, and the same outputs assembled the way
     ``_Tape.run`` once did: each output slot widened to the run's context
-    (``widen_reference``), then stacked by ``JetMatrix.from_entries``.
+    (``widen_reference``), then stacked by ``from_entries``.
 
     The slots are read from the run's own frame as it returns, so both
     matrices come from one evaluation.
@@ -166,7 +202,7 @@ def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
     everything = tuple(range(run["ctx"].num_vars))
     rows = [[widen_reference(*run["vals"][s], everything, trunc) for s in row]
             for row in spec._tape.out]
-    return jm, JetMatrix.from_entries(rows)
+    return jm, from_entries(rows)
 
 
 def three_run_varying_jet(norm, z0, w0, trunc, vary_z=True, vary_w=True):
