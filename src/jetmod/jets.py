@@ -48,9 +48,9 @@ Reciprocal, log, exp and real powers are solved degree by degree from the
 Euler identity ``g E(g^e) = e g^e E(g)`` with ``E = sum_i x_i d/dx_i``
 (Neidinger, Math. Comp. 74, 2005): degree ``n`` of the result is one pass
 over the degree-``n`` slice of the product table, so each operation costs
-about one convolution.  ``power`` takes one exponent or a 1-D array of
-them; an array runs one recurrence for all, the powers stacked in front
-of the batch, each equal bit for bit to its own call.
+about one convolution.  ``power`` raises a stack of bases, each row to
+its own exponent, in one recurrence, each row equal bit for bit to its
+own call; a power n >= 0 of a constant term near 0 is the n-fold product.
 
 All values are double-precision complex.  The identities these series are
 used to verify are exact; the tests check them numerically at relative
@@ -477,20 +477,18 @@ class JetSeries(_Jet):
 
         where ``a`` is g for log and absent otherwise.  The pairs with r in
         degree n read h_n while it is still zero, so they add nothing.  The
-        per-sample ``c`` and ``h0`` are lists in the flattened batch order.
-        A 1-D ``alpha`` solves for one h per entry, stacked in front of the
-        batch, with ``h0`` a list per entry.
+        per-sample ``c`` is a list in the flattened batch order; ``alpha``
+        may be an array (*batch, 1) broadcast against g, one exponent per
+        row, and ``h0`` gives h's constant terms in the broadcast batch.
         """
         ctx = self.ctx
         left, right, _ = ctx.mul_table
         offsets = ctx.mul_offsets
         g = self.c
-        batch = g.shape[:-1]
-        lead = np.shape(alpha)
-        c = np.reshape(c, batch + (1,))
-        eg = (np.reshape(alpha, lead + (1,) * g.ndim) - beta) * ctx.degrees * g
+        c = np.reshape(c, g.shape[:-1] + (1,))
+        eg = (alpha - beta) * ctx.degrees * g
         h = np.zeros(eg.shape, dtype=complex)
-        h[..., 0] = np.reshape(h0, lead + batch)
+        h[..., 0] = np.reshape(h0, eg.shape[:-1])
         for n in range(1, ctx.trunc + 1):
             pairs = slice(offsets[n], offsets[n + 1])
             prod = _pair_products(eg + beta * n * g, h, left[pairs], right[pairs])
@@ -519,22 +517,44 @@ class JetSeries(_Jet):
         return self._euler(1.0, 0.0, [1.0] * len(h0), h0)
 
     def power(self, e) -> "JetSeries":
-        """Real power of a series with a nonzero constant term.
+        """Real power of a series, or of each row of a stack of them.
 
         An integer exponent takes any nonzero constant term; otherwise the
-        constant term of the result is the principal value a0 ** e.  A 1-D
-        array of exponents gives their powers stacked in front of the
-        batch, coefficients (E, *batch, size), from one recurrence; the
-        constant term is checked once.
+        constant term of the result is the principal value a0 ** e.  An
+        array ``e`` broadcasts against the leading batch axes: R exponents
+        raise bases stacked as (R, *batch, size), or one (1, *batch, size),
+        in one recurrence, each row equal bit for bit to its own call.  A
+        constant term closer to 0 than ``SINGULAR_TOL`` is refused unless
+        every such sample's exponent is an integer n >= 0: its n-fold product.
         """
-        a0 = self._constants("series power")
+        g = self.c
         e = np.asarray(e, dtype=float)
-        exponents = [int(x) if x.is_integer() else x for x in e.ravel().tolist()]
-        try:
-            h0 = [[v**x for v in a0] for x in exponents]
-        except OverflowError:  # Python's complex power raises where numpy gives inf
-            raise ValueError("series power: the constant term's power overflows") from None
-        return self._euler(e, -1.0, a0, h0 if e.ndim else h0[0])
+        e = e.reshape(e.shape + (1,) * (g.ndim - 1 - e.ndim))  # one exponent per row
+        near = np.abs(g[..., 0]) < SINGULAR_TOL
+        if near.any():
+            e, near = np.broadcast_arrays(e, near)
+            whole = e[near]
+            if not np.all((whole >= 0) & (np.floor(whole) == whole) & np.isfinite(whole)):
+                self._constants("series power")  # refuses the first sample near 0
+            g = np.broadcast_to(g, near.shape + g.shape[-1:])
+            c = g.copy()
+            c[near, 0] = 1.0  # the recurrence runs on every sample; these are replaced
+            h = JetSeries(self.ctx, c).power(e)
+            for n in set(whole.tolist()):
+                rows = near & (e == n)
+                base = JetSeries(self.ctx, g[rows])
+                p = JetSeries.constant(self.ctx, np.ones(base.c.shape[:-1]))
+                for bit in bin(int(n))[2:]:  # repeated squaring, the highest bit first
+                    p = p * p * base if bit == "1" else p * p
+                h.c[rows] = p.c
+            return h
+        a0 = self._constants()
+        with np.errstate(all="ignore"):  # Python's complex power may overflow a square it drops
+            try:
+                h0 = np.array(a0, object).reshape(g.shape[:-1]) ** e.astype(object)
+            except OverflowError:  # Python's complex power raises where numpy gives inf
+                raise ValueError("series power: the constant term's power overflows") from None
+        return self._euler(e[..., None], -1.0, a0, h0)
 
 
 class JetMatrix(_Jet):

@@ -39,10 +39,11 @@ A run computes each slot over its support, the varying variables it
 reads: a factor (1 - z_i wb_i)^-a of a product kernel is a series in two
 variables however many vary.  The empty support is constant folding: a
 slot that no varying coordinate reaches is one coefficient per sample,
-and a product with it is a scaling.  The powers of one base are computed
-by one recurrence.  A run frees each slot after its last reader.  Given a
-(B, m) stack of points, one run evaluates all B samples over batched
-coordinate series (see :mod:`jetmod.jets`).
+and a product with it is a scaling.  Slots run level by level; the ``^``
+slots of a level in one context are one recurrence, as are its ``exp``
+and its ``log`` slots.  A run frees each slot after its last reader's
+level.  Given a (B, m) stack of points, one run evaluates all B samples
+over batched coordinate series (see :mod:`jetmod.jets`).
 """
 
 from __future__ import annotations
@@ -539,10 +540,10 @@ class _Tape:
     exponent)`` or ``("exp" | "log", slot, None)``; operands precede the
     slots that use them.  ``pos[s]`` is the source position of the first
     occurrence of the subtree that has one.  ``out[i][j]`` is the slot of
-    entry (i, j).  ``dead[s]`` lists the slots whose last reader is slot
-    s, outputs excepted: ``run`` drops them once s is computed.
-    ``powers`` maps the first ``^`` slot of each base, in tape order, to
-    all the ``^`` slots of that base.
+    entry (i, j).  ``levels[k]`` lists, in tape order, the slots k ops
+    above the leaves (the longest chain), the order ``run`` computes them
+    in; ``dead[s]`` lists the slots whose last reader in that order is s,
+    outputs excepted, which ``run`` drops after s's level.
 
     ``run`` computes each slot over its support only: the run variables
     it reads.  A varying coordinate reads its one variable and an op the
@@ -558,11 +559,13 @@ class _Tape:
     every check of a varying slot (``SINGULAR_TOL``, the log branch, the
     sample index) applies to it.  Where a constant meets a varying slot,
     ``+`` and ``-`` change coefficient 0 only, ``*`` scales, and ``x /
-    c`` is ``x * recip(c)``.  The ``^`` slots of one base are computed
-    together, by one ``power`` call with all their exponents, when the
-    first of them is reached, so a refused base raises at that slot.
-    Outputs are embedded in the run's context, into one array; a run
-    warns of no overflow, and refuses an output that is not finite.  For
+    c`` is ``x * recip(c)``.  The ``^`` slots of one level whose bases
+    share a context are one ``power`` call, the bases stacked as rows,
+    each with its own exponent; so are the ``exp`` and the ``log`` slots
+    of one level and context, never mixed.  A refusal runs the tape again
+    slot by slot in tape order, so it names the first refused slot and
+    sample.  Outputs are embedded in the run's context, into one array; a
+    run warns of no overflow, and refuses an output that is not finite.  For
     finite values every coefficient equals the one computed over all run
     variables without folding, up to the sign of a zero: the coefficient
     of a monomial reads only monomials of its own support, in the same
@@ -612,19 +615,21 @@ class _Tape:
                 self.pos[slot] = node.pos
             seen[id(node)] = slot
         self.out = [[seen[id(node)] for node in row] for row in entries]
-        last = {}  # slot -> the last slot that reads it
-        bases = {}  # slot -> the "^" slots that read it
-        for s, (op, x, y) in enumerate(self.ops):
-            for operand in (x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ():
-                last[operand] = s
-            if op in Pow.tags:
-                bases.setdefault(x, []).append(s)
+        reads = [(x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ()
+                 for op, x, y in self.ops]
+        level = []
+        for operands in reads:
+            level.append(1 + max((level[t] for t in operands), default=-1))
+        self.levels = [[] for _ in range(max(level) + 1)]
+        for s, k in enumerate(level):
+            self.levels[k].append(s)
+        # slot -> the last slot, in run order, that reads it
+        last = {t: s for slots in self.levels for s in slots for t in reads[s]}
         outputs = {s for row in self.out for s in row}
         self.dead = [[] for _ in self.ops]
         for operand, s in last.items():
             if operand not in outputs:
                 self.dead[s].append(operand)
-        self.powers = {group[0]: group for group in bases.values()}
 
     def where(self, s: int) -> str:
         """Slot s's source position, else the first entry (row-major) reading it:
@@ -645,39 +650,12 @@ class _Tape:
         batch.  Returns the entries in ``ctx``, the context of all the run
         variables.
         """
-        batch = zs[0][0].c.shape[:-1]
-        fixed = series_context(0, 0)
-        vals = [None] * len(self.ops)  # vals[s]: (series, support) of slot s
         with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
-            for s, (op, x, y) in enumerate(self.ops):
-                try:
-                    if op == "num":
-                        v = JetSeries.constant(fixed, np.full(batch, x)), ()
-                    elif op == "z":
-                        v = zs[x]
-                    elif op == "wb":
-                        v = wbs[x]
-                    elif op in BinOp.tags:
-                        v = _binary(op, vals[x], vals[y], ctx.trunc)
-                    elif op == "^":
-                        if s in self.powers:
-                            base, support = vals[x]
-                            group = self.powers[s]
-                            stacked = base.power([self.ops[t][2] for t in group])
-                            for t, c in zip(group, stacked.c):
-                                vals[t] = JetSeries(base.ctx, c), support
-                        v = vals[s]
-                    elif op in Call.tags:
-                        arg, support = vals[x]
-                        v = (arg.exp() if op == "exp" else arg.log()), support
-                    else:
-                        raise TypeError(f"unknown tape op {op!r}")
-                except ValueError as exc:
-                    raise DomainError(f"{self.where(s)}: {exc}") from None
-                vals[s] = v
-                for operand in self.dead[s]:
-                    vals[operand] = None
-        out = np.zeros(batch + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
+            try:
+                vals = self._walk(ctx.trunc, zs, wbs, self.levels, self.dead)
+            except ValueError:  # raise the first refusal in tape order
+                vals = self._walk(ctx.trunc, zs, wbs, [[s] for s in range(len(self.ops))])
+        out = np.zeros(zs[0][0].c.shape[:-1] + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
         for i, row in enumerate(self.out):
             for j, s in enumerate(row):
                 v, support = vals[s]
@@ -685,6 +663,48 @@ class _Tape:
         refuse(~np.isfinite(out).all(axis=(-3, -2, -1)), lambda i: (
             f"kernel {'value' if ctx.trunc == 0 else 'jet'} is not finite (an overflow)"))
         return JetMatrix(ctx, out)
+
+    def _walk(self, trunc, zs, wbs, schedule, dead=None) -> list:
+        """(series, support) of every slot, ``schedule``'s lists of slots in
+        turn, each ``^``, ``exp`` or ``log`` call taking one list's slots of
+        one (op, context); a refusal names its slot, or its call's first."""
+        batch = zs[0][0].c.shape[:-1]
+        vals = [None] * len(self.ops)
+        for slots in schedule:
+            groups = {}  # (op, context) -> the slots of one call
+            try:
+                for s in slots:
+                    op, x, y = self.ops[s]
+                    if op == "num":
+                        vals[s] = JetSeries.constant(series_context(0, 0), np.full(batch, x)), ()
+                    elif op in _VARS:
+                        vals[s] = (zs if op == "z" else wbs)[x]
+                    elif op in BinOp.tags:
+                        vals[s] = _binary(op, vals[x], vals[y], trunc)
+                    else:
+                        groups.setdefault((op, vals[x][0].ctx), []).append(s)
+                for (op, context), group in groups.items():
+                    s, x, y = group[0], *self.ops[group[0]][1:]
+                    if len(group) == 1:
+                        vals[s] = _analytic(op, vals[x][0], y), vals[x][1]
+                        continue
+                    bases = [self.ops[t][1] for t in group]  # one base is stacked once
+                    bases = bases if len(set(bases)) > 1 else bases[:1]
+                    rows = JetSeries(context, np.stack([vals[x][0].c for x in bases]))
+                    result = _analytic(op, rows, [self.ops[t][2] for t in group])
+                    for t, c in zip(group, result.c):
+                        vals[t] = JetSeries(context, c), vals[self.ops[t][1]][1]
+            except ValueError as exc:
+                raise DomainError(f"{self.where(s)}: {exc}") from None
+            for s in slots if dead else ():
+                for operand in dead[s]:
+                    vals[operand] = None
+        return vals
+
+
+def _analytic(op: str, a: JetSeries, exponent) -> JetSeries:
+    """``a ^ exponent``, ``exp(a)`` or ``log(a)``: one series or a stack of them."""
+    return a.power(exponent) if op == "^" else a.exp() if op == "exp" else a.log()
 
 
 # --------------------------------------------------------------------------

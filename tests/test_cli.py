@@ -105,6 +105,27 @@ class TestCurvature:
         (line,) = res.stderr.splitlines()
         assert line.startswith("error: kernel value is not finite")
 
+    def test_whole_power_of_a_vanishing_base(self, tmp_path):
+        # the Euler recurrence divides by the base's constant term, 0 here;
+        # the repeated product does not
+        blocks = []
+        for name, expr in [("square", "1 + (z1*wb1)^2"), ("written", "1 + z1*wb1*z1*wb1")]:
+            (tmp_path / f"{name}.kernel").write_text(f"m = 1\nr = 1\nK[1][1] = {expr}\n")
+            out = tmp_path / f"{name}.json"
+            res = run_cli("curvature", "--kernel", str(tmp_path / f"{name}.kernel"),
+                          "--points", "0; 0.3", "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            blocks.append([p["blocks"] for p in json.loads(out.read_text())["results"]["points"]])
+        assert np.allclose(*blocks, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", ["-2", "0.5"])
+    def test_negative_or_fractional_power_of_a_vanishing_base_is_exit_2(self, tmp_path, exponent):
+        path = tmp_path / "vanishing.kernel"
+        path.write_text(f"m = 1\nK[1][1] = 1 + (z1*wb1)^{exponent}\n")
+        res = run_cli("curvature", "--kernel", str(path), "--points", "0")
+        assert res.returncode == 2
+        assert "series power requires a constant term away from 0" in res.stderr
+
     def test_malformed_file_is_exit_2(self, kernel_dir):
         res = run_cli("curvature", "--kernel", str(kernel_dir / "bad.kernel"),
                       "--points", "0")

@@ -121,9 +121,12 @@ def test_random_pools_group_powers_of_every_kind():
     groups, zero_based = [], 0
     for seed in range(40):
         tape = random_pool_kernel(np.random.default_rng(seed))._tape
-        groups += [[tape.ops[s][2] for s in group] for group in tape.powers.values()]
-        zero_based += sum(tape.ops[tape.ops[s][1]][0] == "-" and tape.ops[tape.ops[s][1]][1]
-                          == tape.ops[tape.ops[s][1]][2] for s in tape.powers)
+        powers = {}  # base slot -> the exponents it is raised to
+        for op, x, y in tape.ops:
+            if op == "^":
+                powers.setdefault(x, []).append(y)
+        groups += powers.values()
+        zero_based += sum(tape.ops[x][0] == "-" and tape.ops[x][1] == tape.ops[x][2] for x in powers)
     mixed = [g for g in groups if len(g) > 1 and {float(e).is_integer() for e in g} == {True, False}]
     assert len(mixed) >= 20 and zero_based >= 1
 

@@ -319,6 +319,7 @@ class TestEvalJet:
 
     @pytest.mark.parametrize("text", [
         "log(z1*wb1 - 2)", "log(z1*wb1)", "1/(z1*wb1)", "(z1*wb1 - 2)^0.5", "(z1*wb1 - 2)^-2",
+        "(z1*wb1)^2", "(z1*wb1)^0", "(z1*wb1)^-1", "(z1*wb1)^0.5",
     ])
     def test_eval_point_and_eval_jet_share_domain(self, text):
         # both raise DomainError at the origin, or both give the same value
@@ -397,8 +398,10 @@ class TestTape:
         computed = []  # (base coefficients, exponent) of every power computed
         power = JetSeries.power
 
-        def counting(self, e):
-            computed.extend((self.c.tobytes(), x) for x in np.atleast_1d(e).tolist())
+        def counting(self, e):  # a stacked call raises each row, or its one base, to each exponent
+            es = np.atleast_1d(e).tolist()
+            rows = np.broadcast_to(self.c, (len(es),) + self.c.shape[1:]) if np.ndim(e) else [self.c]
+            computed.extend((c.tobytes(), x) for c, x in zip(rows, es))
             return power(self, e)
 
         monkeypatch.setattr(JetSeries, "power", counting)

@@ -1,4 +1,5 @@
-"""Per-slot variable supports, grouped powers, the widening and assembly of
+"""Per-slot variable supports, stacked powers and the powers of a vanishing
+base, the level schedule of the tape, the widening and assembly of
 slots, the outer product of disjoint supports, the transverse read side of
 ``jet_kernel``, the bound on cached product bins and the memory of repeated
 ``jet_kernel`` calls."""
@@ -11,23 +12,34 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetmod import kernels
 from jetmod.geometry import transverse_blocks
 from jetmod.jet_kernels import jet_kernel
 from jetmod.jets import JetSeries, SeriesContext, series_context
 from jetmod.kernels import (
-    _binary, builtin_bergman, diagonal_chart, matrix_combination, parse_kernel, pullback_affine,
+    _binary, builtin_bergman, conjugate_by_unitary, diagonal_chart, matrix_combination,
+    parse_kernel, pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable
+from test_folding import random_pool_kernel
 from util import (
-    binary_reference, coupled_rank2_kernel, rand_pd_matrix, widen_reference, widened_run,
+    binary_reference, coupled_rank2_kernel, rand_pd_matrix, rand_unitary, slotwise_run,
+    widen_reference, widened_run,
 )
 
 
 def rand_batch(rng, ctx, batch):
     shape = (batch, ctx.size)
     return rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5)
+
+
+def stacked_power(a, exponents):
+    """The powers of ``a`` to ``exponents`` by one ``power`` call: its
+    coefficients stacked once per exponent, each row with its own."""
+    return JetSeries(a.ctx, np.stack([a.c] * len(exponents))).power(exponents)
 
 
 class TestGroupedPower:
@@ -42,18 +54,84 @@ class TestGroupedPower:
         c[:, 0] = -1.5 + rng.random(batch)  # a negative base: integer exponents only are real
         c[1::2, 0] += 0.7j
         a = JetSeries(ctx, c)
-        stacked = a.power(self.EXPONENTS)
-        assert stacked.c.shape == (len(self.EXPONENTS), batch, ctx.size)
-        for e, got in zip(self.EXPONENTS, stacked.c):
-            assert got.tobytes() == a.power(e).c.tobytes()
+        # the base stacked once per exponent, or once with a leading axis of 1
+        once = JetSeries(ctx, c[None]).power(self.EXPONENTS)
+        for stacked in (stacked_power(a, self.EXPONENTS), once):
+            assert stacked.c.shape == (len(self.EXPONENTS), batch, ctx.size)
+            for e, got in zip(self.EXPONENTS, stacked.c):
+                assert got.tobytes() == a.power(e).c.tobytes()
 
     def test_one_refusal_for_the_whole_array(self):
         ctx = series_context(2, 3)
         c = np.zeros((3, ctx.size), dtype=complex)
         c[:, 0] = [1.0, 1e-12, 2.0]
         with pytest.raises(ValueError, match="series power requires a constant term") as exc:
-            JetSeries(ctx, c).power([2.0, -0.5])
-        assert str(exc.value).endswith("at sample 1")
+            stacked_power(JetSeries(ctx, c), [2.0, -0.5])
+        # the first vanishing constant term of the stack, although its exponent is 2
+        assert str(exc.value).endswith("at sample 0, 1")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 3),
+           st.lists(st.sampled_from([-2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]),
+                    min_size=1, max_size=5), st.integers(0, 2**31))
+    def test_stacked_rows_equal_their_own_calls(self, num_vars, trunc, batch, exponents, seed):
+        # each row its own base and exponent, with or without a sample axis
+        ctx = series_context(num_vars, trunc)
+        rng = np.random.default_rng(seed)
+        shape = (len(exponents),) + ((batch,) if batch else ())
+        c = rand_batch(rng, ctx, math.prod(shape)).reshape(shape + (ctx.size,))
+        c[..., 0] = rng.choice([-1.5, 0.8, 1.2j, 2.0 - 1j], shape)
+        c[..., 1::2] *= -0.0  # signed zeros must keep their sign
+        stacked = JetSeries(ctx, c).power(exponents)
+        assert stacked.c.shape == c.shape
+        for row, e, got in zip(c, exponents, stacked.c):
+            assert got.tobytes() == JetSeries(ctx, row).power(e).c.tobytes()
+
+
+class TestVanishingBase:
+    """A non-negative integer power n of a series whose constant term is
+    closer to 0 than ``SINGULAR_TOL`` is its n-fold truncated product."""
+
+    @staticmethod
+    def product(a, n):
+        want = JetSeries.constant(a.ctx, np.ones(a.c.shape[:-1]))
+        for _ in range(n):
+            want = want * a
+        return want
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9])
+    def test_whole_powers_are_products_and_keep_the_other_samples(self, n):
+        ctx = series_context(2, 4)
+        c = rand_batch(np.random.default_rng(n), ctx, 4)
+        c[:, 0] = [1.3, 0.0, 1e-12, -0.7 + 0.2j]
+        a = JetSeries(ctx, c)
+        got = a.power(n)
+        near = [1, 2]
+        assert np.allclose(got.c[near], self.product(a, n).c[near], rtol=1e-12, atol=1e-12)
+        for i in range(4):  # batched equals unbatched, and samples away from 0 keep their bits
+            assert got.c[i].tobytes() == JetSeries(ctx, c[i]).power(n).c.tobytes()
+        assert np.all(stacked_power(a, [n, n]).c == got.c)
+        assert np.all(JetSeries(ctx, c[None]).power([n, n]).c == got.c)
+
+    @pytest.mark.parametrize("e", [-1.0, -2.0, 0.5, 2.5, float("inf")])
+    def test_negative_or_fractional_powers_are_refused(self, e):
+        ctx = series_context(1, 3)
+        c = np.array([[1.0, 0.5, 0, 0], [0.0, 1.0, 0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"series power requires a constant term .* at sample 1$"):
+            JetSeries(ctx, c).power(e)
+
+    @pytest.mark.parametrize("vary", [(True, True), (1, 0), (False, False)])
+    def test_kernels_agree_with_the_product_written_kernel(self, vary):
+        square, written = (parse_kernel(f"m = 2\nK[1][1] = {text}\n") for text in (
+            "1 + (z1*wb1)^2 * (0.5 + z2*wb2)^3 + (z1 - z1)^0",
+            "1 + z1*wb1*z1*wb1 * (0.5 + z2*wb2)^3 + 1",
+        ))
+        z = np.array([[0.0, 0.2], [0.3, -0.1j], [0.1j, 0.0]])
+        w = np.array([[0.0, 0.3], [0.0, 0.1], [0.2, 0.4]])
+        got, want = (k.varying_jet(z, w, 4, *vary)[0].c for k in (square, written))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        got, want = (k.eval_point(z, w) for k in (square, written))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def anchored_k5_kernel(seed):
@@ -68,19 +146,23 @@ def anchored_k5_kernel(seed):
 
 class TestSupports:
     def test_factor_powers_run_in_two_variable_contexts(self, monkeypatch):
-        powers = []
+        calls = []  # (context variables, (base row, exponent) of each row) of every power call
         power = JetSeries.power
 
         def recording(self, e):
-            powers.append((self.ctx.num_vars, len(np.atleast_1d(e))))
+            es = np.atleast_1d(e).tolist()
+            rows = np.broadcast_to(self.c, (len(es),) + self.c.shape[1:])  # one base, or one each
+            calls.append((self.ctx.num_vars, [(c.tobytes(), x) for c, x in zip(rows, es)]))
             return power(self, e)
 
         monkeypatch.setattr(JetSeries, "power", recording)
         q = np.array([0.0, 0.0, 0.3 - 0.2j])
         jet_kernel(anchored_k5_kernel(1), 2, 5, q, q)
-        # (1 - z1 wb1) and (1 - z2 wb2) read one transverse pair each; the
-        # third factor reads no varying variable; each base takes 3 weights
-        assert sorted(powers) == [(0, 3), (2, 3), (2, 3)]
+        # (1 - z1 wb1) and (1 - z2 wb2) read one transverse pair each, so
+        # they share a context and a level: one call of 2 bases x 3 weights;
+        # the third factor reads no varying variable: 1 base x 3 weights
+        assert sorted((n, len(rows)) for n, rows in calls) == [(0, 3), (2, 6)]
+        assert all(len(set(rows)) == len(rows) for _, rows in calls)
 
     def test_outputs_are_widened_to_the_run_context(self):
         spec = builtin_bergman([1.5, 2.0])
@@ -91,6 +173,86 @@ class TestSupports:
         assert jm.ctx is series_context(1, 3)
         jm, _ = spec.varying_jet(z, z, 2, False, False)
         assert jm.ctx is series_context(0, 2) and jm.c.shape == (2, 1, 1, 1)
+
+
+class TestLevelSchedule:
+    """``_Tape.run`` walks the tape level by level, with one call per
+    (level, op, context) for ``^``, ``exp`` and ``log``: it equals the
+    slot-order run (``util.slotwise_run``) bit for bit, signed zeros
+    included, and raises what it raises."""
+
+    VARY = [(True, True), (True, False), (2, 1), (False, False)]
+
+    @staticmethod
+    def both_ways(monkeypatch, evaluate):
+        def outcome():
+            try:
+                return evaluate()
+            except ValueError as exc:  # a DomainError, or an output that is not finite
+                return str(exc)
+
+        got = outcome()
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels._Tape, "run", slotwise_run)
+            return got, outcome()
+
+    @staticmethod
+    def points(seed, m, batch):
+        rng = np.random.default_rng(seed)
+        shape = (m,) if batch is None else (batch, m)
+        return (0.3 * (rng.random(shape) - 0.5 + 1j * (rng.random(shape) - 0.5)) for _ in range(2))
+
+    @pytest.mark.parametrize("kernel", ["k5", "rank2", "k5-conj", "rank2-conj"])
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("vary", VARY)
+    def test_kernels_equal_the_slotwise_run(self, monkeypatch, kernel, batch, vary):
+        rng = np.random.default_rng(6)
+        spec = anchored_k5_kernel(2) if kernel.startswith("k5") else coupled_rank2_kernel(rng, m=3)
+        if kernel.endswith("conj"):
+            spec = conjugate_by_unitary(spec, rand_unitary(rng, 2))
+        z0, w0 = self.points(7, 3, batch)
+        got, want = self.both_ways(monkeypatch, lambda: spec.varying_jet(z0, w0, 4, *vary)[0].c)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_tapes_equal_the_slotwise_run(self, monkeypatch, seed):
+        # pools of +, -, *, /, ^, exp and log over shared subtrees, some of
+        # whose bases vanish
+        spec = random_pool_kernel(np.random.default_rng(seed))
+        for batch, vary in zip([None, 3, 1, 5], self.VARY):
+            z0, w0 = self.points(seed, spec.m, batch)
+            got, want = self.both_ways(monkeypatch, lambda: spec.varying_jet(z0, w0, 3, *vary)[0].c)
+            assert type(got) is type(want)
+            assert got == want if isinstance(got, str) else got.tobytes() == want.tobytes()
+
+    def test_a_refusal_in_a_stacked_call_names_its_slot_and_sample(self, monkeypatch):
+        spec = parse_kernel("m = 2\nK[1][1] = (1 - z1*wb1)^-2 * (0.5 - z2*wb2)^-1.5\n")
+        bad = spec._tape.ops.index(next(op for op in spec._tape.ops if op[0] == "^" and op[2] == -1.5))
+        z = np.array([[0.1, 0.2], [0.1, 1.0], [0.2, 0.3]])
+        w = np.array([[0.1, 0.2], [0.3, 0.5], [0.1, -0.2]])  # z2 wb2 = 0.5 at sample 1 only
+        shapes = []
+        power = JetSeries.power
+        monkeypatch.setattr(JetSeries, "power", lambda a, e: shapes.append(np.shape(e)) or power(a, e))
+        got, want = self.both_ways(monkeypatch, lambda: spec.varying_jet(z, w, 3))
+        # both bases are series in two variables at one level: one call
+        assert shapes[0] == (2,)
+        assert got == want == (f"{spec._tape.where(bad)}: series power requires a constant term "
+                               "away from 0 (|a0|=0.00e+00) at sample 1")
+
+    @pytest.mark.parametrize("text, refused, message", [
+        ("(z1*wb1)^2 + (z1*wb1)^-1", -1.0, "series power requires a constant term away from 0"),
+        ("(1e200 + z1*wb1)^1 + (1e200 + z1*wb1)^2", 2.0,
+         "series power: the constant term's power overflows"),
+    ])
+    def test_a_refusal_names_the_refused_power_of_its_base(self, text, refused, message):
+        # both powers of the base are one call; the first of them is accepted
+        spec = parse_kernel(f"m = 1\nK[1][1] = {text}\n")
+        tape = spec._tape
+        bad = next(s for s, (op, _, e) in enumerate(tape.ops) if op == "^" and e == refused)
+        assert tape.pos[bad] != tape.pos[bad - 1] and tape.ops[bad - 1][0] == "^"
+        with pytest.raises(kernels.DomainError) as exc:
+            spec.varying_jet(np.zeros(1), np.zeros(1), 2)
+        assert str(exc.value).startswith(f"{tape.where(bad)}: {message}")
 
 
 class TestWidening:
@@ -188,10 +350,10 @@ class TestPairBins:
         other = JetSeries(ctx, rand_batch(rng, ctx, 60))
         base.c[:, 0] += 2.0
         alone = [((JetSeries(ctx, base.c[i]) * JetSeries(ctx, other.c[i])).c,
-                  JetSeries(ctx, base.c[i]).power([-1.5, 2.0]).c) for i in range(60)]
+                  stacked_power(JetSeries(ctx, base.c[i]), [-1.5, 2.0]).c) for i in range(60)]
         for b in sizes:
             a, o = JetSeries(ctx, base.c[:b]), JetSeries(ctx, other.c[:b])
-            prod, pw = (a * o).c, a.power([-1.5, 2.0]).c
+            prod, pw = (a * o).c, stacked_power(a, [-1.5, 2.0]).c
             for i in range(b):
                 assert prod[i].tobytes() == alone[i][0].tobytes()
                 assert pw[:, i].tobytes() == alone[i][1].tobytes()

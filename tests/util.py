@@ -7,10 +7,10 @@ import sys
 import numpy as np
 
 from jetmod.geometry import pad_pair
-from jetmod.jets import JetMatrix, JetSeries, embedding, series_context
+from jetmod.jets import JetMatrix, JetSeries, embedding, refuse, series_context
 from jetmod.kernels import (
-    BinOp, DomainError, KernelSpec, Num, Var, _fold_add, _fold_mul, _Tape, builtin_bergman,
-    matrix_combination,
+    BinOp, DomainError, KernelSpec, Num, Var, _binary, _fold_add, _fold_mul, _Tape,
+    builtin_bergman, matrix_combination,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom
 
@@ -176,6 +176,40 @@ def binary_reference(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
     if op in "+-":
         return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
     return _fold_mul(x, y), sx or sy
+
+
+def slotwise_run(tape, ctx, zs, wbs) -> JetMatrix:
+    """``_Tape.run`` without the level schedule: the slots in tape order,
+    one call each, so a refusal names the first refused slot; no slot is
+    dropped.  The reference the level schedule must equal bit for bit, and
+    whose refusals it must raise."""
+    batch = zs[0][0].c.shape[:-1]
+    vals = [None] * len(tape.ops)
+    with np.errstate(all="ignore"):
+        for s, (op, x, y) in enumerate(tape.ops):
+            try:
+                if op == "num":
+                    vals[s] = JetSeries.constant(series_context(0, 0), np.full(batch, x)), ()
+                elif op in ("z", "wb"):
+                    vals[s] = (zs if op == "z" else wbs)[x]
+                elif op in BinOp.tags:
+                    vals[s] = _binary(op, vals[x], vals[y], ctx.trunc)
+                elif op == "^":
+                    base, support = vals[x]
+                    vals[s] = base.power(y), support
+                else:
+                    arg, support = vals[x]
+                    vals[s] = (arg.exp() if op == "exp" else arg.log()), support
+            except ValueError as exc:
+                raise DomainError(f"{tape.where(s)}: {exc}") from None
+    out = np.zeros(batch + (len(tape.out),) * 2 + (ctx.size,), dtype=complex)
+    for i, row in enumerate(tape.out):
+        for j, s in enumerate(row):
+            v, support = vals[s]
+            out[..., i, j, :] = v.embed(ctx, support).c
+    refuse(~np.isfinite(out).all(axis=(-3, -2, -1)), lambda i: (
+        f"kernel {'value' if ctx.trunc == 0 else 'jet'} is not finite (an overflow)"))
+    return JetMatrix(ctx, out)
 
 
 def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
