@@ -8,13 +8,19 @@ matrix of one onto that of the other, at every point of the submanifold:
     d^l dbar^t H(q) = D  d^l dbar^t H~(q)  D*        0 <= l, t <= N.
 
 Every criterion compares two block stacks of shape (samples, blocks, r, r).
-The witness search turns a pair of stacks into one linear system for D,
-extracts its near-null space by SVD, and accepts a candidate only if it is
-unitary and its conjugation residual is below tolerance.  A missing null
-space refutes equivalence; a null space of dimension above one (reducible
-kernels) triggers a search for a unitary inside the subspace and is
-otherwise reported as inconclusive.  One rule, ``_verdict``, turns a
-residual into a verdict.
+The witness core appends the adjoint of every block to both stacks (a
+unitary D with B = D A D* also has B* = D A* D*) and solves the linear
+intertwining B D = D A of the adjoint-closed family by SVD.  If D in its
+null space is invertible, then D*D commutes with every block, so the polar
+factor U = D (D*D)^(-1/2) intertwines too and is unitary: a pair is
+equivalent exactly when the null space holds an invertible element.  The
+candidate is the projection of the identity onto the null space (a
+seeded combination of its basis if that is singular, the last singular
+vector if the null space is empty); the witness is its polar factor, and
+``unitarity_defect`` is max |C C* - I| of the candidate C scaled to
+Frobenius norm sqrt(r), before the polar step.  One rule, ``_verdict``,
+turns the witness's conjugation residual into a verdict; with no null
+space it is never "equivalent".
 
 The same data feeds the invariant-by-invariant criterion: isometry of the
 restricted Grams, intertwined transverse curvature with its covariant
@@ -35,10 +41,8 @@ from .kernels import AffineChart, KernelSpec, diagonal_chart, identity_chart, pu
 from .multiindex import JetIndexTable
 
 NULL_SPACE_RTOL = 1e-8
-UNITARY_TOL = 1e-6
 DEFAULT_TOL = 1e-8
 NOT_EQUIVALENT_MARGIN = 10.0
-PROJECTION_STEPS = 200  # alternating projections per start of the unitary search
 
 
 def check_tol(tol: float):
@@ -216,74 +220,35 @@ def _stack_constraints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return system.reshape(-1, r * r)
 
 
-def _search_unitary_in_subspace(basis: np.ndarray, r: int):
-    """Best unitary approximately inside span(columns of basis), or None.
-
-    Alternating projection between the subspace and the unitary group,
-    started from the projection of the identity and from each basis
-    vector.
-    """
-    def project(mat):
-        coef = basis.conj().T @ mat.reshape(-1)
-        return (basis @ coef).reshape(r, r)
-
-    starts = [np.eye(r, dtype=complex)]
-    starts += [basis[:, i].reshape(r, r) for i in range(basis.shape[1])]
-    best = None
-    for start in starts:
-        x = project(start)
-        if np.max(np.abs(x)) < 1e-14:
-            continue
-        for _ in range(PROJECTION_STEPS):
-            w = _nearest_unitary(x)
-            x_new = project(w)
-            if np.max(np.abs(x_new - x)) < 1e-14:
-                x = x_new
-                break
-            x = x_new
-        w = _nearest_unitary(x)
-        defect = float(np.max(np.abs(project(w) - w)))
-        if best is None or defect < best[0]:
-            best = (defect, w)
-    if best is None or best[0] > 1e-8:
-        return None
-    return _fix_phase(best[1])
-
-
 def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
-    """Shared witness-search core on two (samples, blocks, r, r) stacks.
+    """Shared witness core on two (samples, blocks, r, r) stacks.
 
     Returns (verdict, witness, residuals, notes).
     """
     r = a.shape[-1]
+    closed = [np.concatenate([x, np.conj(np.swapaxes(x, -1, -2))], axis=1) for x in (a, b)]
     # at least r^2 rows (one sample, one block), so the thin vh is square
-    _, sing, vh = np.linalg.svd(_stack_constraints(a, b), full_matrices=False)
-    smax = sing[0] if len(sing) else 0.0
-    if smax < 1e-12:
-        null_dim = r * r
-    else:
-        null_dim = int(np.sum(sing < NULL_SPACE_RTOL * smax))
+    _, sing, vh = np.linalg.svd(_stack_constraints(*closed), full_matrices=False)
+    null_dim = r * r if sing[0] < 1e-12 else int(np.sum(sing < NULL_SPACE_RTOL * sing[0]))
     notes = [f"null space dimension {null_dim}"]
 
-    # right null vectors of the system are the conjugated rows of vh
-    last = np.conj(vh[-1]).reshape(r, r)
-    defect, d = 0.0, None
-    if null_dim == 1:
-        last = last * np.sqrt(r) / np.linalg.norm(last)
-        defect = float(np.max(np.abs(last @ last.conj().T - np.eye(r))))
-    elif null_dim > 1:  # degenerate (reducible) case: a unitary inside the null space
-        d = _search_unitary_in_subspace(vh[-null_dim:].conj().T, r)
-        if d is None:
-            notes.append("no unitary witness found inside the degenerate null space")
-            defect = float("nan")
-    if d is None:
-        d = _fix_phase(_nearest_unitary(last))
+    # right null vectors of the system are the conjugated rows of vh; with no
+    # null space the last one stands in.  The candidate is the projection of
+    # the identity, or a seeded combination of the rows if that is singular.
+    rows = vh[-max(null_dim, 1):]
+    cand = (rows.conj().T @ (rows @ np.eye(r).ravel())).reshape(r, r)
+    spread = np.linalg.svd(cand, compute_uv=False)
+    if spread[-1] <= NULL_SPACE_RTOL * spread[0]:
+        coef = np.random.default_rng(0).normal(size=(2, len(rows)))
+        cand = (rows.conj().T @ (coef[0] + 1j * coef[1])).reshape(r, r)
+    cand = cand * np.sqrt(r) / np.linalg.norm(cand)
+    defect = float(np.max(np.abs(cand @ cand.conj().T - np.eye(r))))
+    d = _fix_phase(_nearest_unitary(cand))
 
     residuals = _conjugation_residuals(a, b, d, scale)
     worst = float(np.max(residuals))  # numpy's max keeps a NaN wherever it sits
     verdict = _verdict(worst, tol)
-    # no null space, a non-unitary candidate or no candidate at all decides nothing
-    if np.isnan(defect) or (verdict == "equivalent" and (null_dim == 0 or defect > UNITARY_TOL)):
+    if verdict == "equivalent" and null_dim == 0:  # no intertwiner decides nothing
         verdict = "inconclusive"
     elif verdict == "equivalent" and null_dim > 1:
         notes.append("witness is not unique (reducible pair)")
@@ -377,13 +342,6 @@ def mthm_check(
     }
     joint = [np.concatenate([g[side] for g in groups.values()], axis=1) for side in (0, 1)]
     _, witness, _, notes = _find_witness(*joint, scale, tol)
-    if np.isnan(witness.unitarity_defect):
-        return EquivalenceReport(
-            verdict="inconclusive", witness=witness,
-            residuals=_conjugation_residuals(*gram[:2], witness.matrix, scale),
-            params={"d": chart.d, "k": k, "tol": tol},
-            notes=notes + ["no candidate isometry could be determined"],
-        )
 
     conditions = {
         name: _conjugation_residuals(a, b, witness.matrix, s)

@@ -43,6 +43,18 @@ def kernel_dir(tmp_path):
         "K[1][2] = 0\nK[2][1] = 0\n"
         "K[2][2] = (1 - z1*wb1)^-1 * (1 - z2*wb2)^-1\n"
     )
+    # three positive-definite summands: an irreducible family after normalization
+    mix = [
+        "2 * B11 + B21 + B12", "B11 + 0.5 * B12", "B11 + 0.5 * B12", "B11 + 2 * B21 + 3 * B12",
+    ]
+    factors = {f"B{a}{b}": f"(1 - z1*wb1)^-{a} * (1 - z2*wb2)^-{b}" for a in "12" for b in "12"}
+    for name, gauge in (("mix", "{}"), ("mix-gauge", "(1 + 0.2*z1) * ({}) * (1 + 0.2*wb1)")):
+        lines = ["m = 2", "r = 2"]
+        for (i, j), entry in zip([(1, 1), (1, 2), (2, 1), (2, 2)], mix):
+            for key, factor in factors.items():
+                entry = entry.replace(key, factor)
+            lines.append(f"K[{i}][{j}] = " + gauge.format(entry))
+        (tmp_path / f"{name}.kernel").write_text("\n".join(lines) + "\n")
     return tmp_path
 
 
@@ -168,14 +180,46 @@ class TestEquiv:
         assert res.returncode == 3
         assert "verdict: not-equivalent" in res.stdout
 
-    def test_degenerate_pair_exit_4(self, kernel_dir):
+    def test_degenerate_pair_exit_3(self, kernel_dir):
+        # a reducible pair whose null space holds no invertible intertwiner
         res = run_cli(
             "equiv", "--kernel", str(kernel_dir / "diag11.kernel"),
             "--kernel2", str(kernel_dir / "diag12.kernel"),
             "--chart", "identity(2,1)", "-k", "2",
         )
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert "verdict: not-equivalent" in res.stdout
+        assert "note: null space dimension 2" in res.stdout
+
+    def test_residual_inside_the_margin_exit_4(self, tmp_path, kernel_dir):
+        # weights 7 digits apart: the worst residual lies between tol and 10 tol
+        (tmp_path / "b123x.kernel").write_text("m = 3\nK = bergman(1,2,3.0000001)\n")
+        res = run_cli(
+            "equiv", "--kernel", str(kernel_dir / "b123.kernel"),
+            "--kernel2", str(tmp_path / "b123x.kernel"),
+            "--chart", "diagonal(3)", "-k", "2",
+        )
         assert res.returncode == 4, res.stdout + res.stderr
         assert "verdict: inconclusive" in res.stdout
+
+    def test_witness_contract(self, kernel_dir, tmp_path):
+        # an irreducible rank-2 kernel against a gauge of it: the witness is
+        # unique up to a phase and its JSON fields keep their names
+        out = tmp_path / "equiv.json"
+        res = run_cli(
+            "equiv", "--kernel", str(kernel_dir / "mix.kernel"),
+            "--kernel2", str(kernel_dir / "mix-gauge.kernel"),
+            "--chart", "identity(2,1)", "-k", "2", "--out", str(out),
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        witness = json.loads(out.read_text())["results"]["witness"]
+        assert set(witness) == {"matrix", "unitarity_defect", "max_residual", "null_dim"}
+        assert witness["null_dim"] == 1
+        assert witness["unitarity_defect"] <= 1e-6
+        assert witness["max_residual"] <= 1e-8
+        matrix = np.array(witness["matrix"])
+        assert matrix.shape == (2, 2, 2)  # [re, im] encoding
+        assert np.max(np.abs(matrix[..., 0] + 1j * matrix[..., 1] - np.eye(2))) < 1e-8
 
     def test_invariant_criterion(self, kernel_dir):
         res = run_cli(

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetmod.equivalence import (
     NOT_EQUIVALENT_MARGIN,
-    UNITARY_TOL,
     _conjugation_residuals,
     _find_witness,
     _fix_phase,
+    _scale,
     _stack_constraints,
     _verdict,
     default_samples,
@@ -214,11 +216,12 @@ class TestRankR:
         report = rankr_equiv(a, b, CHART2, k=2)
         assert report.verdict == "not-equivalent"
 
-    def test_degenerate_inconclusive(self):
+    def test_degenerate_pair_not_equivalent(self):
+        # the null space is reducible but holds no invertible intertwiner
         a = direct_sum(builtin_bergman([1.0, 1.0]), builtin_bergman([1.0, 1.0]))
         b = direct_sum(builtin_bergman([1.0, 1.0]), builtin_bergman([3.0, 1.0]))
         report = rankr_equiv(a, b, CHART2, k=2)
-        assert report.verdict == "inconclusive"
+        assert report.verdict == "not-equivalent"
         assert report.witness.null_dim > 1
 
     def test_permuted_direct_sum_equivalent(self):
@@ -271,6 +274,13 @@ class TestMthm:
                 mthm_check(a, b, CHART2, 2).verdict
                 == rankr_equiv(a, b, CHART2, 2).verdict
             )
+        # a reducible pair whose null space holds no invertible intertwiner
+        a = direct_sum(builtin_bergman([1.0, 1.0]), builtin_bergman([1.0, 1.0]))
+        b = direct_sum(builtin_bergman([1.0, 1.0]), builtin_bergman([3.0, 1.0]))
+        report = mthm_check(a, b, CHART2, 2)
+        assert report.witness.null_dim > 1
+        assert report.verdict == rankr_equiv(a, b, CHART2, 2).verdict == "not-equivalent"
+        assert report.notes[-1].startswith("first failing condition: (ii)")
 
     def test_permuted_weights_fail_curvature_condition(self):
         a = builtin_bergman([1.0, 2.0, 3.0])
@@ -548,18 +558,19 @@ class TestWitnessCore:
         assert abs(_fix_phase(u)[first].imag) < 1e-15 and _fix_phase(u)[first].real > 0
 
     @pytest.mark.parametrize("eps, tol, verdict", [
-        (1e-4, 1e-3, "inconclusive"),  # residual within tol, candidate not unitary
+        (1e-4, 1e-3, "inconclusive"),  # residual within tol, but no intertwiner
         (1e-4, 1e-8, "not-equivalent"),
         (0.0, 1e-8, "equivalent"),
     ])
     def test_non_unitary_intertwiner(self, eps, tol, verdict):
-        # B = S A S^-1 with S = diag(1, 1 + eps): the null space is spanned by S
+        # B = S A S^-1 with S = diag(1, 1 + eps): S intertwines the blocks but
+        # not their adjoints (B* = S^-1 A S), so the adjoint rows leave no
+        # null space unless S is unitary
         s = np.diag([1.0, 1.0 + eps])
         a = _stack([np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]]])
         b = s @ a @ np.linalg.inv(s)
         got, witness, residuals, _ = _find_witness(a, b, 1.0, tol)
-        assert witness.null_dim == 1
-        assert (witness.unitarity_defect > UNITARY_TOL) == (eps > 0)
+        assert witness.null_dim == (0 if eps > 0 else 1)
         assert got == verdict
 
     def test_reducible_pair_with_unitary_in_null_space(self):
@@ -570,15 +581,87 @@ class TestWitnessCore:
         assert notes == ["null space dimension 2", "witness is not unique (reducible pair)"]
 
     def test_reducible_pair_without_unitary_in_null_space(self):
-        # B D = D A forces the second row of D to vanish: no unitary is left
+        # B D = D A forces the second row of D to vanish: every element of the
+        # null space is singular, so no unitary intertwines
         verdict, witness, _, notes = _find_witness(
             _stack([np.eye(2)]), _stack([np.diag([1.0, 3.0])]), 1.0, 1e-8
         )
-        assert witness.null_dim == 2 and np.isnan(witness.unitarity_defect)
-        assert verdict == "inconclusive"
-        assert notes[1] == "no unitary witness found inside the degenerate null space"
+        assert witness.null_dim == 2
+        # the candidate's second row vanishes: scaled, its C C* is diag(2, 0)
+        assert witness.unitarity_defect == pytest.approx(1.0, abs=1e-12)
+        assert verdict == "not-equivalent"
+        assert notes == ["null space dimension 2"]
 
     def test_zero_system(self):
         zero = np.zeros((2, 3, 2, 2), dtype=complex)
         verdict, witness, _, _ = _find_witness(zero, zero, 1.0, 1e-8)
         assert witness.null_dim == 4 and verdict == "equivalent"
+
+
+def _hermitian_stack(rng, samples, blocks, r):
+    x = rng.normal(size=(samples, blocks, r, r)) + 1j * rng.normal(size=(samples, blocks, r, r))
+    return x + np.conj(np.swapaxes(x, -1, -2))
+
+
+def _block_diag(*stacks):
+    """Per block, the direct sum of the blocks of the given stacks."""
+    sizes = [s.shape[-1] for s in stacks]
+    out = np.zeros(stacks[0].shape[:2] + (sum(sizes), sum(sizes)), dtype=complex)
+    for start, s in zip(np.cumsum([0] + sizes), stacks):
+        out[..., start:start + s.shape[-1], start:start + s.shape[-1]] = s
+    return out
+
+
+def _witness(a, b):
+    return _find_witness(a, b, _scale(a, b), 1e-8)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 4))  # (samples, blocks)
+
+
+class TestWitnessProperties:
+    """The witness core on synthetic Hermitian stacks: conjugate pairs are
+    equivalent with the conjugating unitary as witness, and a reducible
+    pair is decided whether or not it is equivalent."""
+
+    @given(_SEEDS, st.integers(1, 3), _SHAPES)
+    def test_conjugation_recovers_the_unitary(self, seed, r, shape):
+        rng = np.random.default_rng(seed)
+        a = _hermitian_stack(rng, *shape, r)
+        u = rand_unitary(rng, r)
+        verdict, witness, _, _ = _witness(a, u @ a @ u.conj().T)
+        assert verdict == "equivalent"
+        if witness.null_dim == 1:  # irreducible: the witness is unique up to a phase
+            assert np.max(np.abs(phase_align(witness.matrix, u) - u)) < 1e-8
+
+    @given(_SEEDS, st.integers(1, 3), _SHAPES)
+    def test_swapped_arguments_give_the_adjoint(self, seed, r, shape):
+        rng = np.random.default_rng(seed)
+        a = _hermitian_stack(rng, *shape, r)
+        u = rand_unitary(rng, r)
+        b = u @ a @ u.conj().T
+        fwd, bwd = _witness(a, b), _witness(b, a)
+        assert fwd[0] == bwd[0] == "equivalent"
+        assert fwd[1].null_dim == bwd[1].null_dim
+        if fwd[1].null_dim == 1:
+            adjoint = fwd[1].matrix.conj().T
+            assert np.max(np.abs(phase_align(bwd[1].matrix, adjoint) - adjoint)) < 1e-8
+
+    @given(_SEEDS, _SHAPES)
+    def test_reducible_conjugate_pair_is_equivalent(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a1, a2 = (_hermitian_stack(rng, *shape, 1) for _ in range(2))
+        a = _block_diag(a1, a1, a2)
+        u = rand_unitary(rng, 3)
+        verdict, witness, residuals, _ = _witness(a, u @ a @ u.conj().T)
+        assert witness.null_dim > 1
+        assert verdict == "equivalent" and max(residuals) < 1e-12
+
+    @given(_SEEDS, _SHAPES)
+    def test_reducible_pair_without_intertwiner_is_not_equivalent(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a1, a2 = (_hermitian_stack(rng, *shape, 1) for _ in range(2))
+        verdict, witness, _, _ = _witness(_block_diag(a1, a1), _block_diag(a1, a2))
+        assert witness.null_dim > 1
+        assert verdict == "not-equivalent"
