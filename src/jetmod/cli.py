@@ -405,6 +405,7 @@ def cmd_equiv(args) -> tuple:
             "unitarity_defect": report.witness.unitarity_defect,
             "max_residual": report.witness.max_residual,
             "null_dim": report.witness.null_dim,
+            "candidate_sv_ratio": report.witness.candidate_sv_ratio,
         }
     config = {
         "kernel": args.kernel, "kernel2": args.kernel2, "chart": args.chart,

@@ -16,9 +16,10 @@ factor U = D (D*D)^(-1/2) intertwines too and is unitary: a pair is
 equivalent exactly when the null space holds an invertible element.  The
 candidate is the projection of the identity onto the null space (a
 seeded combination of its basis if that is singular, the last singular
-vector if the null space is empty); the witness is its polar factor, and
-``unitarity_defect`` is max |C C* - I| of the candidate C scaled to
-Frobenius norm sqrt(r), before the polar step.  One rule, ``_verdict``,
+vector if the null space is empty); the witness W is its polar factor,
+``unitarity_defect`` is max |W W* - I| of that reported W, and
+``candidate_sv_ratio`` is the candidate's smallest singular value over its
+largest (near 0: no invertible intertwiner was found).  One rule, ``_verdict``,
 turns the witness's conjugation residual into a verdict; with no null
 space it is never "equivalent".
 
@@ -129,9 +130,10 @@ def invariant_array(
 @dataclass
 class UnitaryWitness:
     matrix: np.ndarray
-    unitarity_defect: float
+    unitarity_defect: float  # max |W W* - I| of the reported witness W
     max_residual: float
     null_dim: int
+    candidate_sv_ratio: float  # smallest over largest singular value of W's candidate
 
 
 @dataclass
@@ -187,11 +189,6 @@ def _fix_phase(d: np.ndarray) -> np.ndarray:
     return d * (abs(pivot) / pivot)
 
 
-def _nearest_unitary(d: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(d)
-    return u @ vh
-
-
 def _conjugation_residuals(a: np.ndarray, b: np.ndarray, d: np.ndarray, scale: float):
     """Per-sample max block residual of B - D A D* over two block stacks.
 
@@ -241,9 +238,9 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
     if spread[-1] <= NULL_SPACE_RTOL * spread[0]:
         coef = np.random.default_rng(0).normal(size=(2, len(rows)))
         cand = (rows.conj().T @ (coef[0] + 1j * coef[1])).reshape(r, r)
-    cand = cand * np.sqrt(r) / np.linalg.norm(cand)
-    defect = float(np.max(np.abs(cand @ cand.conj().T - np.eye(r))))
-    d = _fix_phase(_nearest_unitary(cand))
+    u, sv, vh = np.linalg.svd(cand * np.sqrt(r) / np.linalg.norm(cand))
+    d = _fix_phase(u @ vh)  # the polar factor
+    defect = float(np.max(np.abs(d @ d.conj().T - np.eye(r))))
 
     residuals = _conjugation_residuals(a, b, d, scale)
     worst = float(np.max(residuals))  # numpy's max keeps a NaN wherever it sits
@@ -252,7 +249,8 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
         verdict = "inconclusive"
     elif verdict == "equivalent" and null_dim > 1:
         notes.append("witness is not unique (reducible pair)")
-    return verdict, UnitaryWitness(d, defect, worst, null_dim), residuals, notes
+    witness = UnitaryWitness(d, defect, worst, null_dim, float(sv[-1] / sv[0]))
+    return verdict, witness, residuals, notes
 
 
 def _compatible(inv_a: InvariantArray, inv_b: InvariantArray):
@@ -279,7 +277,7 @@ def rank1_equiv(
     diff = np.abs(inv_a.deriv_tables - inv_b.deriv_tables)
     residuals = (np.max(diff, axis=(1, 2, 3, 4)) / max(inv_a.scale, inv_b.scale)).tolist()
     worst = float(np.max(residuals))
-    witness = UnitaryWitness(np.eye(1, dtype=complex), 0.0, worst, 1)
+    witness = UnitaryWitness(np.eye(1, dtype=complex), 0.0, worst, 1, 1.0)
     return EquivalenceReport(
         verdict=_verdict(worst, tol), witness=witness, residuals=residuals,
         params={"d": chart.d, "k": k, "N": inv_a.N, "samples": len(inv_a.samples),

@@ -34,16 +34,13 @@ node equality, hashing and ``repr``, ``pretty``, ``uses_wb``,
 ``pullback_affine`` and ``gauge_scale`` read the slots.  ``eval_jet`` runs
 the tape over only the variables that vary (``vary_z``/``vary_w`` give
 all, none or a count of leading coordinates) and embeds the result in the
-2m-variable context; ``eval_point`` runs it with no varying variable.
-A run computes each slot over its support, the varying variables it
-reads: a factor (1 - z_i wb_i)^-a of a product kernel is a series in two
-variables however many vary.  The empty support is constant folding: a
-slot that no varying coordinate reaches is one coefficient per sample,
-and a product with it is a scaling.  Slots run level by level; the ``^``
-slots of a level in one context are one recurrence, as are its ``exp``
-and its ``log`` slots.  A run frees each slot after its last reader's
-level.  Given a (B, m) stack of points, one run evaluates all B samples
-over batched coordinate series (see :mod:`jetmod.jets`).
+2m-variable context; ``eval_point`` runs it with no varying variable.  A
+run computes each slot over its support, the varying variables it reads,
+folding a slot that none reaches to one coefficient per sample.  None of
+this reads a value, so the tape compiles it once per truncation and
+coordinate supports into a plan, a flat list of steps that each run
+replays over raw coefficient arrays (``_Tape``); given a (B, m) stack of
+points, one run evaluates all B samples.
 """
 
 from __future__ import annotations
@@ -51,11 +48,13 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import ClassVar
+from functools import lru_cache
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .jets import COND_LIMIT, JetMatrix, JetSeries, outer_table, refuse, series_context
+from .jets import (COND_LIMIT, JetMatrix, JetSeries, _pair_products, _sum_pairs, embedding,
+                   outer_table, refuse, series_context)
 
 
 class ParseError(ValueError):
@@ -408,20 +407,17 @@ class KernelSpec:
         nz, nw = self._varying(vary_z), self._varying(vary_w)
         ctx = series_context(nz + nw, trunc)
         z0, w0 = np.broadcast_arrays(z0, w0)  # every coordinate has the batch
-        # (series, support) of each coordinate: a varying one in its own
-        # variable, a fixed one a constant (see _Tape.run)
-        fixed, one = series_context(0, 0), series_context(1, trunc)
-        x = JetSeries.variable(one, 0)
-
-        def coordinate(value, var):
-            if var is None:
-                return JetSeries.constant(fixed, value), ()
-            return JetSeries.constant(one, value) + x, (var,)
-
-        zs = [coordinate(z0[..., i], i if i < nz else None) for i in range(self.m)]
-        wbs = [coordinate(np.conj(w0[..., i]), nz + i if i < nw else None) for i in range(self.m)]
+        # z_1..z_m, wb_1..wb_m as constants, and as series in one variable where they vary
+        points = np.concatenate([z0, np.conj(w0)], axis=-1)
+        points = points.transpose(-1, *range(points.ndim - 1))
+        one = series_context(1, trunc)
+        fixed = JetSeries.constant(series_context(0, 0), points).c
+        varying = (JetSeries.constant(one, points) + JetSeries.variable(one, 0)).c
+        supports = (*[(i,) if i < nz else () for i in range(self.m)],
+                    *[(nz + i,) if i < nw else () for i in range(self.m)])
+        coords = [varying[k] if support else fixed[k] for k, support in enumerate(supports)]
         variables = [*range(nz), *range(self.m, self.m + nw)]
-        return self._tape.run(ctx, zs, wbs), variables
+        return self._tape.run(ctx, coords, supports), variables
 
     def _varying(self, flag) -> int:
         """Number of leading coordinates that vary: True is m, False is 0."""
@@ -464,69 +460,16 @@ class KernelSpec:
         return f"KernelSpec(m={self.m}, r={self.r}{tag})"
 
 
-def _fold_add(a: JetSeries, b: JetSeries, zero: float = 0.0) -> JetSeries:
-    """a + b, where a constant side (a series without variables) adds to
-    coefficient 0 only.
-
-    ``zero`` is the sign of the zeros the constant would carry as a full
-    series (-0.0 once negated), added to the other coefficients so that
-    they keep the bits of the unfolded sum.
-    """
-    if a.ctx is b.ctx:
-        return a + b
-    var = b if a.ctx.num_vars == 0 else a
-    c = np.add(var.c, zero)
-    c[..., 0] = a.c[..., 0] + b.c[..., 0]
-    return JetSeries(var.ctx, c)
+_ANALYTIC = Pow.tags + Call.tags
 
 
-def _fold_mul(a: JetSeries, b: JetSeries) -> JetSeries:
-    """a * b, where a constant side (a series without variables) scales
-    the other.
+class _Plan(NamedTuple):
+    """A run of a tape, compiled (see ``_Tape``)."""
 
-    The scaling rounds as the unfolded product does: it multiplies
-    contiguous arrays with the operands in their order, and adds +0.0, as
-    the product's bincount adds every coefficient to +0.0.
-    """
-    if a.ctx is b.ctx:
-        return a * b
-    const, var = (a, b) if a.ctx.num_vars == 0 else (b, a)
-    scale = const.c.repeat(var.ctx.size, axis=-1)
-    coeffs = np.ascontiguousarray(var.c)
-    prod = scale * coeffs if const is a else coeffs * scale
-    return JetSeries(var.ctx, np.add(prod, 0.0, out=prod))
-
-
-def _binary(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
-    """The slot ``a op b`` of two slots (series, support).
-
-    ``-`` is ``a + (-b)``, as ``JetSeries`` subtracts, and ``/`` is ``a *
-    recip(b)``, both taken over b's own support.  Nonempty supports that
-    differ are embedded in their union's context, except that ``*`` and
-    ``/`` of disjoint ones write their outer product there
-    (``outer_table``); an empty one folds.
-    """
-    (x, sx), (y, sy) = a, b
-    if op == "-":
-        y = -y
-    elif op == "/":
-        y = y.recip()
-    if sx and sy and sx != sy:
-        union = tuple(sorted({*sx, *sy}))
-        ctx = series_context(len(union), trunc)
-        positions = tuple(map(union.index, sx + sy))
-        if op in "*/" and len(positions) == len(union):  # disjoint supports
-            # the convolution adds exact zeros to each monomial's one nonzero
-            # pair, from +0.0: multiply as it does, and add +0.0
-            left, right = outer_table(x.ctx, y.ctx, ctx, positions)
-            prod = x.c.take(left, -1) * y.c.take(right, -1)
-            return JetSeries(ctx, np.add(prod, 0.0, out=prod)), union
-        x = x.embed(ctx, positions[: len(sx)])
-        y = y.embed(ctx, positions[len(sx) :])
-        sx = sy = union
-    if op in "+-":
-        return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
-    return _fold_mul(x, y), sx or sy
+    leaves: tuple  # (literal slots, their values, (slot, coordinate index) pairs)
+    steps: tuple  # (kind, slot, x, y, what the kind reads), in run order
+    outputs: tuple  # (i, j, slot, its ranks in the run's context) per entry
+    supports: tuple  # the run variables of each slot
 
 
 class _Tape:
@@ -541,36 +484,32 @@ class _Tape:
     slots that use them.  ``pos[s]`` is the source position of the first
     occurrence of the subtree that has one.  ``out[i][j]`` is the slot of
     entry (i, j).  ``levels[k]`` lists, in tape order, the slots k ops
-    above the leaves (the longest chain), the order ``run`` computes them
-    in; ``dead[s]`` lists the slots whose last reader in that order is s,
-    outputs excepted, which ``run`` drops after s's level.
+    above the leaves (the longest chain); ``dead[s]`` lists the slots
+    whose last reader in level order is s, outputs excepted.
 
-    ``run`` computes each slot over its support only: the run variables
-    it reads.  A varying coordinate reads its one variable and an op the
-    union of its operands' supports; a slot over support S is a series in
-    the context of len(S) variables, in run order.  Where ``*`` or ``/``
-    meets two nonempty supports that do not overlap, the result is their
-    outer product masked to the truncation, written into the context of
-    their union; other differing nonempty supports are embedded in that
-    context.  The empty support is constant folding: a slot that no
-    varying coordinate reaches (a ``num``, a fixed coordinate, or an op
-    over such slots) is a series in the context without variables, one
-    coefficient per sample, computed by the same series operations, so
-    every check of a varying slot (``SINGULAR_TOL``, the log branch, the
-    sample index) applies to it.  Where a constant meets a varying slot,
-    ``+`` and ``-`` change coefficient 0 only, ``*`` scales, and ``x /
-    c`` is ``x * recip(c)``.  The ``^`` slots of one level whose bases
-    share a context are one ``power`` call, the bases stacked as rows,
-    each with its own exponent; so are the ``exp`` and the ``log`` slots
-    of one level and context, never mixed.  A refusal runs the tape again
-    slot by slot in tape order, so it names the first refused slot and
-    sample.  Outputs are embedded in the run's context, into one array; a
-    run warns of no overflow, and refuses an output that is not finite.  For
-    finite values every coefficient equals the one computed over all run
-    variables without folding, up to the sign of a zero: the coefficient
-    of a monomial reads only monomials of its own support, in the same
-    order (the activity and sparsity analysis of Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., ch. 6).
+    A run computes each slot over its support, the run variables it reads (a
+    coordinate's own, an op's the union of its operands'); a folded slot is
+    computed by the same series operations as a varying one, so it gets
+    every check (``SINGULAR_TOL``, the log branch, the sample index).
+    ``plan`` compiles a run once per run context and coordinate supports
+    (the taping model of Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., ch. 6) into steps that hold their contexts and gather ranks, and
+    ``run`` replays them over raw (*batch, size) arrays.  A binary step
+    (``_binary_step``, shared by every plan) negates its right operand for
+    ``-`` or inverts it (``recip``) for ``/``; then ``outer`` writes the
+    masked outer product of disjoint supports (a constant's empty one
+    scales) into their union's context (``outer_table``); ``fold+`` adds a
+    constant to coefficient 0, and its zeros' sign to the rest; ``+`` and
+    ``*`` add or convolve in one context, other differing supports embedded
+    in their union's first.  The ``^`` slots of a level whose bases share a
+    context are one ``power`` step, the bases stacked as rows, each with its
+    own exponent; so are its ``exp`` and its ``log`` slots.  A ``drop`` step
+    frees what ``dead`` names after its level.  A refusal replays the
+    slotwise plan, one step per slot in tape order, to name the first
+    refused slot and sample.  Non-finite outputs are refused, without a
+    warning.  For finite values each coefficient equals the unfolded run's
+    over all run variables, up to the sign of a zero: a monomial's
+    coefficient reads only monomials of its own support, in the same order.
     """
 
     def __init__(self, entries):
@@ -615,7 +554,7 @@ class _Tape:
                 self.pos[slot] = node.pos
             seen[id(node)] = slot
         self.out = [[seen[id(node)] for node in row] for row in entries]
-        reads = [(x, y) if op in BinOp.tags else (x,) if op in Pow.tags + Call.tags else ()
+        reads = [(x, y) if op in BinOp.tags else (x,) if op in _ANALYTIC else ()
                  for op, x, y in self.ops]
         level = []
         for operands in reads:
@@ -630,6 +569,7 @@ class _Tape:
         for operand, s in last.items():
             if operand not in outputs:
                 self.dead[s].append(operand)
+        self.plans = {}  # (run context, coordinate supports, slotwise) -> _Plan
 
     def where(self, s: int) -> str:
         """Slot s's source position, else the first entry (row-major) reading it:
@@ -639,67 +579,128 @@ class _Tape:
         i, j = divmod(next(n for n, t in enumerate(np.ravel(self.out)) if t >= s), len(self.out))
         return f"in K[{i + 1}][{j + 1}]"
 
-    def run(self, ctx, zs, wbs) -> JetMatrix:
-        """Evaluate every slot with the coordinates given.
-
-        Each coordinate is a pair (series, support): a varying one a
-        series in one variable with the support (its run variable,), a
-        fixed one a series in the context without variables with the
-        support ().  Constants take the batch of the coordinates, so that
-        every slot is computed with the array layout it has without a
-        batch.  Returns the entries in ``ctx``, the context of all the run
-        variables.
-        """
+    def run(self, ctx, coords, supports) -> JetMatrix:
+        """The entries in ``ctx``, the context of all the run variables, with
+        coordinate k (z_1..z_m, then wb_1..wb_m) the (*batch, size) array
+        ``coords[k]`` over the run variables ``supports[k]``."""
+        plan = self.plan(ctx, supports)
         with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
             try:
-                vals = self._walk(ctx.trunc, zs, wbs, self.levels, self.dead)
+                vals = self._replay(plan, coords)
             except ValueError:  # raise the first refusal in tape order
-                vals = self._walk(ctx.trunc, zs, wbs, [[s] for s in range(len(self.ops))])
-        out = np.zeros(zs[0][0].c.shape[:-1] + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
-        for i, row in enumerate(self.out):
-            for j, s in enumerate(row):
-                v, support = vals[s]
-                out[..., i, j, :] = v.embed(ctx, support).c
+                vals = self._replay(self.plan(ctx, supports, slotwise=True), coords)
+        out = np.zeros(coords[0].shape[:-1] + (len(self.out),) * 2 + (ctx.size,), dtype=complex)
+        for i, j, s, ranks in plan.outputs:
+            out[..., i, j, ranks] = vals[s]
         refuse(~np.isfinite(out).all(axis=(-3, -2, -1)), lambda i: (
             f"kernel {'value' if ctx.trunc == 0 else 'jet'} is not finite (an overflow)"))
         return JetMatrix(ctx, out)
 
-    def _walk(self, trunc, zs, wbs, schedule, dead=None) -> list:
-        """(series, support) of every slot, ``schedule``'s lists of slots in
-        turn, each ``^``, ``exp`` or ``log`` call taking one list's slots of
-        one (op, context); a refusal names its slot, or its call's first."""
-        batch = zs[0][0].c.shape[:-1]
-        vals = [None] * len(self.ops)
-        for slots in schedule:
+    def plan(self, ctx, supports, slotwise=False) -> _Plan:
+        """The run at ``ctx`` over coordinates of ``supports``, level by level or ``slotwise``
+        (a step per slot in tape order), compiled once and kept for every thread and batch."""
+        key = ctx, supports, slotwise
+        if key in self.plans:
+            return self.plans[key]
+        sup, nums, inputs, steps = [()] * len(self.ops), [], [], []  # sup: each slot's support
+        for slots in [[s] for s in range(len(self.ops))] if slotwise else self.levels:
             groups = {}  # (op, context) -> the slots of one call
-            try:
-                for s in slots:
-                    op, x, y = self.ops[s]
-                    if op == "num":
-                        vals[s] = JetSeries.constant(series_context(0, 0), np.full(batch, x)), ()
-                    elif op in _VARS:
-                        vals[s] = (zs if op == "z" else wbs)[x]
-                    elif op in BinOp.tags:
-                        vals[s] = _binary(op, vals[x], vals[y], trunc)
-                    else:
-                        groups.setdefault((op, vals[x][0].ctx), []).append(s)
-                for (op, context), group in groups.items():
-                    s, x, y = group[0], *self.ops[group[0]][1:]
-                    if len(group) == 1:
-                        vals[s] = _analytic(op, vals[x][0], y), vals[x][1]
+            for s in slots:
+                op, x, y = self.ops[s]
+                if op == "num":
+                    nums.append(s)
+                elif op in _VARS:
+                    inputs.append((s, x + len(supports) // 2 * (op == "wb")))
+                    sup[s] = supports[inputs[-1][1]]
+                elif op in BinOp.tags:
+                    kind, sup[s], arg = _binary_step(op, sup[x], sup[y], ctx.trunc)
+                    steps.append((kind, s, x, y, arg))
+                else:
+                    sup[s] = sup[x]
+                    groups.setdefault((op, _context(sup[x], ctx.trunc)), []).append(s)
+            for (op, actx), group in groups.items():
+                bases, exps = zip(*(self.ops[t][1:] for t in group))
+                rows = len(group) > 1 and (group, bases if len(set(bases)) > 1 else bases[:1])
+                steps.append((op, group[0], bases[0], exps if rows else exps[0], (actx, rows)))
+            dead = () if slotwise else tuple(t for s in slots for t in self.dead[s])
+            steps += [("drop", None, dead, None, None)] if dead else []
+        outputs = tuple((i, j, s, embedding(_context(sup[s], ctx.trunc), ctx, sup[s]))
+                        for i, row in enumerate(self.out) for j, s in enumerate(row))
+        values = np.array([self.ops[s][1] for s in nums], dtype=complex)
+        plan = _Plan((nums, values, inputs), tuple(steps), outputs, tuple(sup))
+        return self.plans.setdefault(key, plan)
+
+    def _replay(self, plan, coords) -> list:
+        """The array of every slot ``plan`` keeps alive; a refusal names its step's (first) slot."""
+        vals = [None] * len(self.ops)
+        nums, values, inputs = plan.leaves
+        block = np.empty((len(nums),) + coords[0].shape[:-1] + (1,), dtype=complex)
+        block.T[...] = values  # literal i fills row i, across the batch
+        for s, row in zip(nums, block):
+            vals[s] = row
+        for s, k in inputs:
+            vals[s] = coords[k]
+        try:
+            for kind, s, x, y, arg in plan.steps:
+                if kind == "drop":
+                    for t in x:
+                        vals[t] = None
+                elif kind in _ANALYTIC:
+                    actx, rows = arg
+                    if not rows:
+                        vals[s] = _analytic(kind, JetSeries(actx, vals[x]), y).c
                         continue
-                    bases = [self.ops[t][1] for t in group]  # one base is stacked once
-                    bases = bases if len(set(bases)) > 1 else bases[:1]
-                    rows = JetSeries(context, np.stack([vals[x][0].c for x in bases]))
-                    result = _analytic(op, rows, [self.ops[t][2] for t in group])
-                    for t, c in zip(group, result.c):
-                        vals[t] = JetSeries(context, c), vals[self.ops[t][1]][1]
-            except ValueError as exc:
-                raise DomainError(f"{self.where(s)}: {exc}") from None
-            for s in slots if dead else ():
-                for operand in dead[s]:
-                    vals[operand] = None
+                    group, bases = rows  # one base is stacked once
+                    stack = np.empty((len(bases),) + vals[x].shape, dtype=complex)
+                    for i, t in enumerate(bases):
+                        stack[i] = vals[t]
+                    for t, c in zip(group, _analytic(kind, JetSeries(actx, stack), y).c):
+                        vals[t] = c
+                else:
+                    neg, inv, ex, ey, rctx, how = arg
+                    a, b = vals[x], -vals[y] if neg else vals[y]
+                    if inv is not None:
+                        b = JetSeries(inv, b).recip().c
+                    a = a if ex is None else JetSeries(ex[0], a).embed(rctx, ex[1]).c
+                    b = b if ey is None else JetSeries(ey[0], b).embed(rctx, ey[1]).c
+                    if kind == "+":
+                        v = a + b
+                    elif kind == "*":
+                        v = _sum_pairs(rctx, _pair_products(a, b, *how))
+                    elif kind == "outer":
+                        v = a.take(how[0], -1) * b.take(how[1], -1)
+                        np.add(v, 0.0, out=v)  # a convolution adds its one product to +0.0
+                    else:  # "fold+"
+                        v = np.add(b if how[0] else a, how[1])
+                        v[..., 0] = a[..., 0] + b[..., 0]
+                    vals[s] = v
+        except ValueError as exc:
+            raise DomainError(f"{self.where(s)}: {exc}") from None
         return vals
+
+
+def _context(support: tuple, trunc: int):
+    """The context of a slot over ``support``, without variables for a constant."""
+    return series_context(len(support), trunc if support else 0)
+
+
+@lru_cache(maxsize=None)
+def _binary_step(op: str, sx: tuple, sy: tuple, trunc: int) -> tuple:
+    """(kind, support, what it reads) of a binary step on supports sx, sy; every plan shares it."""
+    union = tuple(sorted({*sx, *sy}))
+    positions, rctx = tuple(map(union.index, sx + sy)), _context(union, trunc)
+    cx, cy = _context(sx, trunc), _context(sy, trunc)
+    kind, ex, ey, how = "+" if op in "+-" else "*", None, None, None
+    if sx != sy and kind == "*" and len(positions) == len(union):  # disjoint, or a scaling
+        kind, how = "outer", tuple(outer_table(cx, cy, rctx, positions))
+    elif sx != sy and sx and sy:  # a side short of the union is embedded in its context
+        ex = None if sx == union else (cx, positions[: len(sx)])
+        ey = None if sy == union else (cy, positions[len(sx) :])
+    elif sx != sy:  # the constant side, and the sign of its zeros
+        kind, how = "fold+", (not sx, -0.0 if op == "-" and not sy else 0.0)
+    if kind == "*":
+        how = rctx.mul_table[:2]
+    return kind, union, (op == "-", cy if op == "/" else None, ex, ey, rctx, how)
 
 
 def _analytic(op: str, a: JetSeries, exponent) -> JetSeries:

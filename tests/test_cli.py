@@ -213,9 +213,11 @@ class TestEquiv:
         )
         assert res.returncode == 0, res.stdout + res.stderr
         witness = json.loads(out.read_text())["results"]["witness"]
-        assert set(witness) == {"matrix", "unitarity_defect", "max_residual", "null_dim"}
+        assert set(witness) == {"matrix", "unitarity_defect", "max_residual", "null_dim",
+                                "candidate_sv_ratio"}
         assert witness["null_dim"] == 1
-        assert witness["unitarity_defect"] <= 1e-6
+        assert witness["unitarity_defect"] <= 1e-12
+        assert 0.5 < witness["candidate_sv_ratio"] <= 1.0
         assert witness["max_residual"] <= 1e-8
         matrix = np.array(witness["matrix"])
         assert matrix.shape == (2, 2, 2)  # [re, im] encoding

@@ -537,6 +537,7 @@ class TestWitnessCore:
         verdict, witness, residuals, notes = _find_witness(a, b, 1.0, 1e-8)
         assert verdict == "equivalent" and notes == ["null space dimension 1"]
         assert witness.null_dim == 1 and witness.unitarity_defect < 1e-12
+        assert witness.candidate_sv_ratio == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(phase_align(witness.matrix, u) - u)) < 1e-12
         assert max(residuals) < 1e-13
 
@@ -576,7 +577,8 @@ class TestWitnessCore:
     def test_reducible_pair_with_unitary_in_null_space(self):
         a = _stack([np.diag([1.0, 2.0])])
         verdict, witness, residuals, notes = _find_witness(a, a.copy(), 1.0, 1e-8)
-        assert witness.null_dim == 2 and witness.unitarity_defect == 0.0
+        assert witness.null_dim == 2 and witness.unitarity_defect < 1e-15
+        assert witness.candidate_sv_ratio == pytest.approx(1.0, abs=1e-12)
         assert verdict == "equivalent"
         assert notes == ["null space dimension 2", "witness is not unique (reducible pair)"]
 
@@ -587,8 +589,10 @@ class TestWitnessCore:
             _stack([np.eye(2)]), _stack([np.diag([1.0, 3.0])]), 1.0, 1e-8
         )
         assert witness.null_dim == 2
-        # the candidate's second row vanishes: scaled, its C C* is diag(2, 0)
-        assert witness.unitarity_defect == pytest.approx(1.0, abs=1e-12)
+        # the candidate's second row vanishes, so it is singular; the reported
+        # witness, its polar factor, is still unitary
+        assert witness.candidate_sv_ratio < 1e-12
+        assert witness.unitarity_defect < 1e-15
         assert verdict == "not-equivalent"
         assert notes == ["null space dimension 2"]
 
@@ -657,6 +661,8 @@ class TestWitnessProperties:
         verdict, witness, residuals, _ = _witness(a, u @ a @ u.conj().T)
         assert witness.null_dim > 1
         assert verdict == "equivalent" and max(residuals) < 1e-12
+        # the defect is the reported witness's, not its candidate's
+        assert witness.unitarity_defect < 1e-12 and witness.candidate_sv_ratio > 1e-8
 
     @given(_SEEDS, _SHAPES)
     def test_reducible_pair_without_intertwiner_is_not_equivalent(self, seed, shape):

@@ -20,14 +20,14 @@ from jetmod.geometry import transverse_blocks
 from jetmod.jet_kernels import jet_kernel
 from jetmod.jets import JetSeries, SeriesContext, series_context
 from jetmod.kernels import (
-    _binary, builtin_bergman, conjugate_by_unitary, diagonal_chart, matrix_combination,
+    BinOp, Var, builtin_bergman, conjugate_by_unitary, diagonal_chart, matrix_combination,
     parse_kernel, pullback_affine,
 )
 from jetmod.multiindex import JetIndexTable
 from test_folding import random_pool_kernel
 from util import (
-    binary_reference, coupled_rank2_kernel, rand_pd_matrix, rand_unitary, slotwise_run,
-    widen_reference, widened_run,
+    binary_reference, coupled_rank2_kernel, rand_pd_matrix, rand_unitary, reference_run,
+    slot_context, slotwise_run, widen_reference, widened_run,
 )
 
 
@@ -365,6 +365,21 @@ class TestPairBins:
         assert {count for count, _ in ctx.pair_bins.values()} == {60, 120}
 
 
+def tape_binary(op, a, b, trunc):
+    """The slot ``a op b`` of two slots (series, support) as a tape's plan
+    computes it, and the kinds of the plan's steps: a one-op tape over two
+    coordinates of those supports, their variables renumbered in order."""
+    (x, sx), (y, sy) = a, b
+    union = sorted({*sx, *sy})
+    supports = tuple(tuple(map(union.index, support)) for support in (sx, sy)) + ((), ())
+    tape = kernels._Tape([[BinOp(op, Var("z", 1), Var("z", 2))]])
+    plan = tape.plan(series_context(len(union), trunc), supports)
+    s = tape.out[0][0]
+    got = JetSeries(slot_context(plan.supports[s], trunc), tape._replay(plan, [x.c, y.c])[s])
+    kinds = [step[0] for step in plan.steps if step[0] != "drop"]
+    return got, tuple(union[v] for v in plan.supports[s]), kinds
+
+
 class TestOuterProduct:
     """``*`` and ``/`` of two nonempty supports that do not overlap are a
     masked outer product written into the union's context; it equals the
@@ -395,7 +410,8 @@ class TestOuterProduct:
     @pytest.mark.parametrize("seed", range(36))
     def test_outer_product_equals_the_union_convolution(self, op, seed):
         (a, b), trunc = self.operands(seed)
-        got, support = _binary(op, a, b, trunc)
+        got, support, kinds = tape_binary(op, a, b, trunc)
+        assert kinds == ["outer"]
         want, want_support = binary_reference(op, a, b, trunc)
         assert support == want_support == tuple(sorted(a[1] + b[1]))
         assert got.ctx is want.ctx is series_context(len(support), trunc)
@@ -406,27 +422,24 @@ class TestOuterProduct:
         ctx = series_context(1, 4)
         x = JetSeries(ctx, np.full(ctx.size, -0.0 - 0.0j))
         y = JetSeries(ctx, np.full(ctx.size, 1.0 - 0.0j))
-        got, _ = _binary("*", (x, (1,)), (y, (0,)), 4)
+        got, _, _ = tape_binary("*", (x, (1,)), (y, (0,)), 4)
         want, _ = binary_reference("*", (x, (1,)), (y, (0,)), 4)
         assert got.c.tobytes() == want.c.tobytes()
         assert not np.signbit(got.c.view(float)).any()
 
-    def test_overlapping_supports_keep_the_convolution(self, monkeypatch):
-        products = []
-        mul = JetSeries.__mul__
-        monkeypatch.setattr(JetSeries, "__mul__", lambda s, o: products.append(1) or mul(s, o))
+    def test_overlapping_supports_keep_the_convolution(self):
         rng = np.random.default_rng(4)
         ctx = series_context(2, 4)
         x, y = (JetSeries(ctx, rand_batch(rng, ctx, 3)) for _ in range(2))
-        got, support = _binary("*", (x, (0, 1)), (y, (1, 2)), 4)
-        assert products == [1] and support == (0, 1, 2)
+        got, support, kinds = tape_binary("*", (x, (0, 1)), (y, (1, 2)), 4)
+        assert kinds == ["*"] and support == (0, 1, 2)
         want, _ = binary_reference("*", (x, (0, 1)), (y, (1, 2)), 4)
         assert got.c.tobytes() == want.c.tobytes()
 
     @staticmethod
     def both_ways(monkeypatch, evaluate):
         got = evaluate()
-        monkeypatch.setattr(kernels, "_binary", binary_reference)
+        monkeypatch.setattr(kernels._Tape, "run", reference_run(binary_reference))
         return got, evaluate()
 
     @pytest.mark.parametrize("batch", [None, 3])
@@ -457,14 +470,17 @@ class TestOuterProduct:
         jet_kernel(spec, 2, 5, q, q)
         # the union convolutions made six: z1*wb1 and z2*wb2 under the chart,
         # and the product of the two varying factor powers in each of the
-        # three scalar kernels; what is left is a product of two constants
-        assert len(products) == 1
+        # three scalar kernels; what is left is a product of two constants,
+        # a step of the plan that calls no series method
+        (plan,) = spec._tape.plans.values()
+        contexts = [arg[4] for kind, _, _, _, arg in plan.steps if kind == "*"]
+        assert [ctx.num_vars for ctx in contexts] == [0] and products == []
 
     @pytest.mark.parametrize("reference", [False, True])
     def test_an_overflowing_product_is_refused_without_warnings(self, monkeypatch, reference):
         # pytest turns a RuntimeWarning into an error, so a leaked one fails here
         if reference:
-            monkeypatch.setattr(kernels, "_binary", binary_reference)
+            monkeypatch.setattr(kernels._Tape, "run", reference_run(binary_reference))
         spec = parse_kernel("m = 2\nK[1][1] = (1 + 1e200*z1*wb1)*(1 + 1e200*z2*wb2)\n")
         z = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="kernel jet is not finite"):

@@ -7,10 +7,9 @@ import sys
 import numpy as np
 
 from jetmod.geometry import pad_pair
-from jetmod.jets import JetMatrix, JetSeries, embedding, refuse, series_context
+from jetmod.jets import JetMatrix, JetSeries, embedding, outer_table, refuse, series_context
 from jetmod.kernels import (
-    BinOp, DomainError, KernelSpec, Num, Var, _binary, _fold_add, _fold_mul, _Tape,
-    builtin_bergman, matrix_combination,
+    BinOp, DomainError, KernelSpec, Num, Var, _Tape, builtin_bergman, matrix_combination,
 )
 from jetmod.multiindex import JetIndexTable, multi_binom
 
@@ -157,6 +156,71 @@ def widen_reference(v: JetSeries, support: tuple, union: tuple, trunc: int) -> J
     return JetSeries(ctx, c)
 
 
+def fold_add(a: JetSeries, b: JetSeries, zero: float = 0.0) -> JetSeries:
+    """a + b, where a constant side (a series without variables) adds to
+    coefficient 0 only.
+
+    ``zero`` is the sign of the zeros the constant would carry as a full
+    series (-0.0 once negated), added to the other coefficients so that
+    they keep the bits of the unfolded sum.
+    """
+    if a.ctx is b.ctx:
+        return a + b
+    var = b if a.ctx.num_vars == 0 else a
+    c = np.add(var.c, zero)
+    c[..., 0] = a.c[..., 0] + b.c[..., 0]
+    return JetSeries(var.ctx, c)
+
+
+def fold_mul(a: JetSeries, b: JetSeries) -> JetSeries:
+    """a * b, where a constant side (a series without variables) scales
+    the other.
+
+    The scaling rounds as the unfolded product does: it multiplies
+    contiguous arrays with the operands in their order, and adds +0.0, as
+    the product's bincount adds every coefficient to +0.0.
+    """
+    if a.ctx is b.ctx:
+        return a * b
+    const, var = (a, b) if a.ctx.num_vars == 0 else (b, a)
+    scale = const.c.repeat(var.ctx.size, axis=-1)
+    coeffs = np.ascontiguousarray(var.c)
+    prod = scale * coeffs if const is a else coeffs * scale
+    return JetSeries(var.ctx, np.add(prod, 0.0, out=prod))
+
+
+def binary_slot(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
+    """The slot ``a op b`` of two slots (series, support), one series
+    operation at a time: the tape's steps before they were compiled into
+    plans, kept as the reference its replay must equal bit for bit.
+
+    ``-`` is ``a + (-b)``, as ``JetSeries`` subtracts, and ``/`` is ``a *
+    recip(b)``, both taken over b's own support.  Nonempty supports that
+    differ are embedded in their union's context, except that ``*`` and
+    ``/`` of disjoint ones write their outer product there
+    (``outer_table``); an empty one folds.
+    """
+    (x, sx), (y, sy) = a, b
+    if op == "-":
+        y = -y
+    elif op == "/":
+        y = y.recip()
+    if sx and sy and sx != sy:
+        union = tuple(sorted({*sx, *sy}))
+        ctx = series_context(len(union), trunc)
+        positions = tuple(map(union.index, sx + sy))
+        if op in "*/" and len(positions) == len(union):  # disjoint supports
+            left, right = outer_table(x.ctx, y.ctx, ctx, positions)
+            prod = x.c.take(left, -1) * y.c.take(right, -1)
+            return JetSeries(ctx, np.add(prod, 0.0, out=prod)), union
+        x = x.embed(ctx, positions[: len(sx)])
+        y = y.embed(ctx, positions[len(sx) :])
+        sx = sy = union
+    if op in "+-":
+        return fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
+    return fold_mul(x, y), sx or sy
+
+
 def binary_reference(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
     """The tape's slot ``a op b`` as it was computed before the outer product:
     two nonempty supports that differ are both embedded in their union's
@@ -174,16 +238,23 @@ def binary_reference(op: str, a: tuple, b: tuple, trunc: int) -> tuple:
         y = y.embed(ctx, map(union.index, sy))
         sx = sy = union
     if op in "+-":
-        return _fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
-    return _fold_mul(x, y), sx or sy
+        return fold_add(x, y, -0.0 if op == "-" and not sy else 0.0), sx or sy
+    return fold_mul(x, y), sx or sy
 
 
-def slotwise_run(tape, ctx, zs, wbs) -> JetMatrix:
-    """``_Tape.run`` without the level schedule: the slots in tape order,
-    one call each, so a refusal names the first refused slot; no slot is
-    dropped.  The reference the level schedule must equal bit for bit, and
-    whose refusals it must raise."""
-    batch = zs[0][0].c.shape[:-1]
+def slot_context(support: tuple, trunc: int):
+    """The context of a tape slot over ``support``: its variables at the run's
+    truncation, or none at truncation 0 for a constant."""
+    return series_context(len(support), trunc if support else 0)
+
+
+def slotwise_run(tape, ctx, coords, supports, binary=binary_slot) -> JetMatrix:
+    """``_Tape.run`` one series operation per slot, in tape order, with
+    ``binary`` for the binary slots: no plan, no stacked call, no dropped
+    slot, so a refusal names the first refused slot.  The reference the
+    replayed plan must equal bit for bit, and whose refusals it must raise."""
+    batch = coords[0].shape[:-1]
+    m = len(supports) // 2
     vals = [None] * len(tape.ops)
     with np.errstate(all="ignore"):
         for s, (op, x, y) in enumerate(tape.ops):
@@ -191,9 +262,10 @@ def slotwise_run(tape, ctx, zs, wbs) -> JetMatrix:
                 if op == "num":
                     vals[s] = JetSeries.constant(series_context(0, 0), np.full(batch, x)), ()
                 elif op in ("z", "wb"):
-                    vals[s] = (zs if op == "z" else wbs)[x]
+                    k = x + m * (op == "wb")
+                    vals[s] = JetSeries(slot_context(supports[k], ctx.trunc), coords[k]), supports[k]
                 elif op in BinOp.tags:
-                    vals[s] = _binary(op, vals[x], vals[y], ctx.trunc)
+                    vals[s] = binary(op, vals[x], vals[y], ctx.trunc)
                 elif op == "^":
                     base, support = vals[x]
                     vals[s] = base.power(y), support
@@ -212,13 +284,19 @@ def slotwise_run(tape, ctx, zs, wbs) -> JetMatrix:
     return JetMatrix(ctx, out)
 
 
+def reference_run(binary):
+    """A stand-in for ``_Tape.run``: ``slotwise_run`` with ``binary``."""
+    return lambda tape, ctx, coords, supports: slotwise_run(tape, ctx, coords, supports, binary)
+
+
 def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
     """``spec.varying_jet(...)[0]``, and the same outputs assembled the way
     ``_Tape.run`` once did: each output slot widened to the run's context
     (``widen_reference``), then stacked by ``from_entries``.
 
-    The slots are read from the run's own frame as it returns, so both
-    matrices come from one evaluation.
+    The slots' coefficient arrays and supports are read from the run's own
+    frame as it returns (its ``vals`` and its plan), so both matrices come
+    from one evaluation.
     """
     frames = []
 
@@ -234,7 +312,9 @@ def widened_run(spec, z0, w0, trunc, vary_z=True, vary_w=True):
         sys.setprofile(previous)
     (run,) = frames
     everything = tuple(range(run["ctx"].num_vars))
-    rows = [[widen_reference(*run["vals"][s], everything, trunc) for s in row]
+    supports = run["plan"].supports
+    rows = [[widen_reference(JetSeries(slot_context(supports[s], trunc), run["vals"][s]),
+                             supports[s], everything, trunc) for s in row]
             for row in spec._tape.out]
     return jm, from_entries(rows)
 
