@@ -380,12 +380,8 @@ def cmd_equiv(args) -> tuple:
         samples = equivalence.default_samples(
             spec_a.m, chart.d, count=args.num_samples, seed=args.seed
         )
-    if args.criterion == "invariants":
-        report = equivalence.mthm_check(spec_a, spec_b, chart, k, samples, tol=args.tol)
-    elif spec_a.r == 1 and spec_b.r == 1:
-        report = equivalence.rank1_equiv(spec_a, spec_b, chart, k, samples, tol=args.tol)
-    else:
-        report = equivalence.rankr_equiv(spec_a, spec_b, chart, k, samples, tol=args.tol)
+    check = equivalence.mthm_check if args.criterion == "invariants" else equivalence.rankr_equiv
+    report = check(spec_a, spec_b, chart, k, samples, tol=args.tol)
 
     print(f"verdict: {report.verdict}")
     print(f"per-sample residuals: {['%.3e' % r for r in report.residuals]}")

@@ -19,9 +19,10 @@ seeded combination of its basis if that is singular, the last singular
 vector if the null space is empty); the witness W is its polar factor,
 ``unitarity_defect`` is max |W W* - I| of that reported W, and
 ``candidate_sv_ratio`` is the candidate's smallest singular value over its
-largest (near 0: no invertible intertwiner was found).  One rule, ``_verdict``,
-turns the witness's conjugation residual into a verdict; with no null
-space it is never "equivalent".
+largest (near 0: no invertible intertwiner was found); at r = 1, where
+scalars commute with every scalar, the witness is 1.  One rule, ``_verdict``,
+turns a residual and the null-space dimension into a verdict for every
+criterion; with no null space it is never "equivalent".
 
 The same data feeds the invariant-by-invariant criterion: isometry of the
 restricted Grams, intertwined transverse curvature with its covariant
@@ -101,7 +102,7 @@ def invariant_array(
     variables the readers differentiate in: the d transverse z- and
     conj-displacements, and the tangential conj ones of the transport maps.
     With ``bundle_data`` off only the derivative tables are filled (enough
-    for the rank-1 and derivative-array criteria).
+    for the derivative-array criterion, at every rank).
     """
     d = chart.d
     pulled = pullback_affine(spec, chart)
@@ -162,10 +163,11 @@ def _sample_residuals(diff, a, b) -> list:
     return (worst(diff) / np.maximum(1.0, np.maximum(worst(a), worst(b)))).tolist()
 
 
-def _verdict(worst: float, tol: float) -> str:
-    """Equivalent up to tol, not-equivalent beyond the margin, else (and on NaN) inconclusive."""
+def _verdict(worst: float, tol: float, null_dim: int) -> str:
+    """Equivalent up to tol with an intertwiner (null_dim >= 1), not-equivalent
+    beyond the margin, else (and on NaN) inconclusive."""
     if worst <= tol:
-        return "equivalent"
+        return "equivalent" if null_dim >= 1 else "inconclusive"
     if worst > NOT_EQUIVALENT_MARGIN * tol:
         return "not-equivalent"
     return "inconclusive"
@@ -223,33 +225,34 @@ def _find_witness(a: np.ndarray, b: np.ndarray, scale: float, tol: float):
     Returns (verdict, witness, residuals, notes).
     """
     r = a.shape[-1]
-    closed = [np.concatenate([x, np.conj(np.swapaxes(x, -1, -2))], axis=1) for x in (a, b)]
-    # at least r^2 rows (one sample, one block), so the thin vh is square
-    _, sing, vh = np.linalg.svd(_stack_constraints(*closed), full_matrices=False)
-    null_dim = r * r if sing[0] < 1e-12 else int(np.sum(sing < NULL_SPACE_RTOL * sing[0]))
+    # scalars commute with every scalar: at r = 1 the witness is 1
+    d, defect, null_dim, ratio = np.eye(1, dtype=complex), 0.0, 1, 1.0
+    if r > 1:
+        closed = [np.concatenate([x, np.conj(np.swapaxes(x, -1, -2))], axis=1) for x in (a, b)]
+        # at least r^2 rows (one sample, one block), so the thin vh is square
+        _, sing, vh = np.linalg.svd(_stack_constraints(*closed), full_matrices=False)
+        null_dim = r * r if sing[0] < 1e-12 else int(np.sum(sing < NULL_SPACE_RTOL * sing[0]))
+
+        # right null vectors of the system are the conjugated rows of vh; with no
+        # null space the last one stands in.  The candidate is the projection of
+        # the identity, or a seeded combination of the rows if that is singular.
+        rows = vh[-max(null_dim, 1):]
+        cand = (rows.conj().T @ (rows @ np.eye(r).ravel())).reshape(r, r)
+        spread = np.linalg.svd(cand, compute_uv=False)
+        if spread[-1] <= NULL_SPACE_RTOL * spread[0]:
+            coef = np.random.default_rng(0).normal(size=(2, len(rows)))
+            cand = (rows.conj().T @ (coef[0] + 1j * coef[1])).reshape(r, r)
+        u, sv, vh = np.linalg.svd(cand * np.sqrt(r) / np.linalg.norm(cand))
+        d = _fix_phase(u @ vh)  # the polar factor
+        defect = float(np.max(np.abs(d @ d.conj().T - np.eye(r))))
+        ratio = float(sv[-1] / sv[0])
     notes = [f"null space dimension {null_dim}"]
-
-    # right null vectors of the system are the conjugated rows of vh; with no
-    # null space the last one stands in.  The candidate is the projection of
-    # the identity, or a seeded combination of the rows if that is singular.
-    rows = vh[-max(null_dim, 1):]
-    cand = (rows.conj().T @ (rows @ np.eye(r).ravel())).reshape(r, r)
-    spread = np.linalg.svd(cand, compute_uv=False)
-    if spread[-1] <= NULL_SPACE_RTOL * spread[0]:
-        coef = np.random.default_rng(0).normal(size=(2, len(rows)))
-        cand = (rows.conj().T @ (coef[0] + 1j * coef[1])).reshape(r, r)
-    u, sv, vh = np.linalg.svd(cand * np.sqrt(r) / np.linalg.norm(cand))
-    d = _fix_phase(u @ vh)  # the polar factor
-    defect = float(np.max(np.abs(d @ d.conj().T - np.eye(r))))
-
     residuals = _conjugation_residuals(a, b, d, scale)
     worst = float(np.max(residuals))  # numpy's max keeps a NaN wherever it sits
-    verdict = _verdict(worst, tol)
-    if verdict == "equivalent" and null_dim == 0:  # no intertwiner decides nothing
-        verdict = "inconclusive"
-    elif verdict == "equivalent" and null_dim > 1:
+    verdict = _verdict(worst, tol, null_dim)
+    if verdict == "equivalent" and null_dim > 1:
         notes.append("witness is not unique (reducible pair)")
-    witness = UnitaryWitness(d, defect, worst, null_dim, float(sv[-1] / sv[0]))
+    witness = UnitaryWitness(d, defect, worst, null_dim, ratio)
     return verdict, witness, residuals, notes
 
 
@@ -264,25 +267,15 @@ def rank1_equiv(
     spec_a: KernelSpec, spec_b: KernelSpec, chart: AffineChart, k: int,
     samples=None, tol: float = DEFAULT_TOL,
 ) -> EquivalenceReport:
-    """Equivalence test for rank-1 kernels.
+    """Equivalence test for rank-1 kernels: ``rankr_equiv`` at r = 1.
 
     After normalization the only gauge left is a constant phase, which the
-    derivative arrays cannot see; the arrays must agree entrywise.
+    derivative arrays cannot see: the witness is 1, and the arrays must agree.
     """
     check_tol(tol)
     if spec_a.r != 1 or spec_b.r != 1:
         raise ValueError("rank1_equiv requires rank-1 kernels")
-    inv_a = invariant_array(spec_a, chart, k, samples, bundle_data=False)
-    inv_b = invariant_array(spec_b, chart, k, samples, bundle_data=False)
-    diff = np.abs(inv_a.deriv_tables - inv_b.deriv_tables)
-    residuals = (np.max(diff, axis=(1, 2, 3, 4)) / max(inv_a.scale, inv_b.scale)).tolist()
-    worst = float(np.max(residuals))
-    witness = UnitaryWitness(np.eye(1, dtype=complex), 0.0, worst, 1, 1.0)
-    return EquivalenceReport(
-        verdict=_verdict(worst, tol), witness=witness, residuals=residuals,
-        params={"d": chart.d, "k": k, "N": inv_a.N, "samples": len(inv_a.samples),
-                "tol": tol},
-    )
+    return rankr_equiv(spec_a, spec_b, chart, k, samples, tol)
 
 
 def rankr_equiv(
@@ -320,7 +313,7 @@ def mthm_check(
     extracted from the jointly stacked system — restricting the search to
     one condition can pick a spurious candidate when a reducible pair
     leaves that condition degenerate — and the conditions are then scored
-    separately, in order, so the first failure is reported.
+    separately, in order: the first failure decides, and with none the null-space guard.
     """
     check_tol(tol)
     inv_a = invariant_array(spec_a, chart, k, samples)
@@ -346,11 +339,10 @@ def mthm_check(
         for name, (a, b, s) in groups.items()
     }
     residuals = np.max(list(conditions.values()), axis=0).tolist()
-    verdict = "equivalent"
     for name, vals in conditions.items():
         worst = float(np.max(vals))
-        verdict = _verdict(worst, tol)
-        if verdict != "equivalent":
+        verdict = _verdict(worst, tol, witness.null_dim)
+        if not worst <= tol:  # beyond tol, or NaN: this condition decides
             notes.append(f"first failing condition: {name} (residual {worst:.3e})")
             break
     witness = replace(witness, max_residual=float(np.max(residuals)))

@@ -991,10 +991,10 @@ def gauge_scale(spec: KernelSpec, psi) -> KernelSpec:
 
 
 def _weighted_sum(terms) -> object:
-    """AST for sum c * node over the (c, node) pairs with |c| >= 1e-15."""
+    """AST for sum c * node over the (c, node) pairs, skipping zeros."""
     node = None
     for c, term in terms:
-        if abs(c) >= 1e-15:
+        if c != 0:
             term = BinOp("*", Num(c), term)
             node = term if node is None else BinOp("+", node, term)
     return node if node is not None else Num(0.0)

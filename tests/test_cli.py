@@ -223,6 +223,23 @@ class TestEquiv:
         assert matrix.shape == (2, 2, 2)  # [re, im] encoding
         assert np.max(np.abs(matrix[..., 0] + 1j * matrix[..., 1] - np.eye(2))) < 1e-8
 
+    @pytest.mark.parametrize("other, code", [("b123.kernel", 0), ("b132.kernel", 3)])
+    def test_rank1_report_contract(self, kernel_dir, tmp_path, other, code):
+        # scalar blocks: the witness is 1 and the residual alone decides
+        out = tmp_path / "equiv.json"
+        res = run_cli(
+            "equiv", "--kernel", str(kernel_dir / "b123.kernel"),
+            "--kernel2", str(kernel_dir / other),
+            "--chart", "diagonal(3)", "-k", "2", "--out", str(out),
+        )
+        assert res.returncode == code, res.stdout + res.stderr
+        results = json.loads(out.read_text())["results"]
+        assert results["params"]["r"] == 1
+        assert results["notes"] == ["null space dimension 1"]
+        witness = results["witness"]
+        assert witness["null_dim"] == 1 and witness["matrix"] == [[[1.0, 0.0]]]
+        assert witness["unitarity_defect"] == 0 and witness["candidate_sv_ratio"] == 1
+
     def test_invariant_criterion(self, kernel_dir):
         res = run_cli(
             "equiv", "--kernel", str(kernel_dir / "b123.kernel"),

@@ -38,6 +38,7 @@ from jetmod.kernels import (
     direct_sum,
     gauge_scale,
     identity_chart,
+    matrix_combination,
     parse_kernel,
     pullback_affine,
 )
@@ -45,6 +46,7 @@ from util import (
     coupled_rank2_kernel,
     phase_align,
     rand_nonvanishing_poly,
+    rand_pd_matrix,
     rand_unitary,
 )
 
@@ -251,6 +253,23 @@ class TestRankR:
         assert np.max(np.abs(aligned - fwd.witness.matrix.conj().T)) < 1e-8
 
 
+def _weight_shifted_pair(delta):
+    """A rank-2 combination A against U A' U*, where A' has the first Bergman
+    weight moved from 1 to 1 + delta."""
+    mats = [
+        np.array([[2, 0.5j], [-0.5j, 1]]),
+        np.array([[1, 0.3], [0.3, 2]]),
+        np.array([[1.5, -0.4 + 0.2j], [-0.4 - 0.2j, 1]]),
+    ]
+    u = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+
+    def combination(w):
+        weights = ([w, 2.0, 3.0], [2.0, 1.0, 1.5], [1.5, 2.5, 1.0])
+        return matrix_combination([builtin_bergman(x) for x in weights], mats)
+
+    return combination(1.0), conjugate_by_unitary(combination(1.0 + delta), u)
+
+
 class TestMthm:
     def test_identical(self):
         rng = np.random.default_rng(4)
@@ -281,6 +300,12 @@ class TestMthm:
         assert report.witness.null_dim > 1
         assert report.verdict == rankr_equiv(a, b, CHART2, 2).verdict == "not-equivalent"
         assert report.notes[-1].startswith("first failing condition: (ii)")
+        # residuals below tol with no joint null space: neither criterion says equivalent
+        for delta in (3e-8, 1e-8):
+            a, b = _weight_shifted_pair(delta)
+            report = mthm_check(a, b, diagonal_chart(3), 3)
+            assert report.witness.null_dim == 0 and max(report.residuals) <= 1e-8
+            assert report.verdict == rankr_equiv(a, b, diagonal_chart(3), 3).verdict
 
     def test_permuted_weights_fail_curvature_condition(self):
         a = builtin_bergman([1.0, 2.0, 3.0])
@@ -323,11 +348,25 @@ class TestScaleFree:
         scaled = gauge_scale(spec, Num(c))
         assert rank1_equiv(spec, scaled, self.CHART, 3).verdict == "equivalent"
         assert mthm_check(spec, scaled, self.CHART, 2).verdict == "equivalent"
+        # residuals of a few ulps, from one singular value at r = 1
+        spec = builtin_bergman([6.0, 7.0, 8.0])
+        scaled = gauge_scale(spec, Num(c))
+        assert rankr_equiv(spec, scaled, self.CHART, 2).verdict == "equivalent"
 
     @pytest.mark.parametrize("c", SCALES)
     def test_rank2(self, c):
         spec = coupled_rank2_kernel(np.random.default_rng(6), m=3)
         scaled = gauge_scale(spec, Num(c))
+        assert rankr_equiv(spec, scaled, self.CHART, 2).verdict == "equivalent"
+        assert mthm_check(spec, scaled, self.CHART, 2).verdict == "equivalent"
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scaled_matrices(self, c):
+        rng = np.random.default_rng(10)
+        scalars = [builtin_bergman(0.5 + 3.0 * rng.random(3)) for _ in range(3)]
+        mats = [rand_pd_matrix(rng, 2) for _ in range(3)]
+        spec = matrix_combination(scalars, mats)
+        scaled = matrix_combination(scalars, [c * mat for mat in mats])
         assert rankr_equiv(spec, scaled, self.CHART, 2).verdict == "equivalent"
         assert mthm_check(spec, scaled, self.CHART, 2).verdict == "equivalent"
 
@@ -505,25 +544,32 @@ class TestWitnessCore:
     def test_verdict_boundaries(self):
         tol = 1e-8
         margin = NOT_EQUIVALENT_MARGIN * tol
-        assert _verdict(0.0, tol) == "equivalent"
-        assert _verdict(tol, tol) == "equivalent"
-        assert _verdict(np.nextafter(tol, 1.0), tol) == "inconclusive"
-        assert _verdict(margin, tol) == "inconclusive"
-        assert _verdict(np.nextafter(margin, 1.0), tol) == "not-equivalent"
-        assert _verdict(float("nan"), tol) == "inconclusive"
+        assert _verdict(0.0, tol, null_dim=1) == "equivalent"
+        assert _verdict(tol, tol, null_dim=1) == "equivalent"
+        assert _verdict(np.nextafter(tol, 1.0), tol, null_dim=1) == "inconclusive"
+        assert _verdict(margin, tol, null_dim=1) == "inconclusive"
+        assert _verdict(np.nextafter(margin, 1.0), tol, null_dim=1) == "not-equivalent"
+        assert _verdict(float("nan"), tol, null_dim=1) == "inconclusive"
+        assert "equivalent" not in {
+            _verdict(x, tol, null_dim=0) for x in (0.0, tol, margin, 2 * margin, float("nan"))
+        }
 
     def test_no_null_space_is_never_equivalent(self):
-        # the residual 1e-9 is below tolerance, but no intertwiner exists
+        # the residual 5e-9 is below tolerance, but the gaps |b_i - a_j| (5e-9
+        # twice, 0.25 -+ 5e-9) put the smallest singular value of the system at
+        # 2e-8 of the largest, above the null cut: no intertwiner exists
         verdict, witness, residuals, notes = _find_witness(
-            _stack([[[1.0]]]), _stack([[[1.0 + 1e-9]]]), 1.0, 1e-8
+            _stack([np.diag([1.0, 1.25])]), _stack([np.diag([1.0 + 5e-9, 1.25 + 5e-9])]),
+            1.0, 1e-8,
         )
         assert witness.null_dim == 0 and notes == ["null space dimension 0"]
         assert residuals[0] <= 1e-8
         assert verdict == "inconclusive"
 
     def test_no_null_space_far_apart(self):
+        # the smallest gap |b_i - a_j| is 0.5: the witness is diagonal
         verdict, witness, residuals, _ = _find_witness(
-            _stack([[[1.0]]]), _stack([[[2.0]]]), 1.0, 1e-8
+            _stack([np.diag([0.0, 3.0])]), _stack([np.diag([1.0, 3.5])]), 1.0, 1e-8
         )
         assert witness.null_dim == 0 and residuals == [1.0]
         assert verdict == "not-equivalent"
@@ -671,3 +717,42 @@ class TestWitnessProperties:
         verdict, witness, _, _ = _witness(_block_diag(a1, a1), _block_diag(a1, a2))
         assert witness.null_dim > 1
         assert verdict == "not-equivalent"
+
+
+_DELTAS = st.sampled_from([0.0, 3e-9, 1e-8, 3e-8, 1e-7])
+
+
+class TestVerdictConsistency:
+    """Kernel-level verdicts on drawn pairs K against U K' U*, where K is a
+    combination of three product kernels with positive-definite r x r weights
+    and K' has the first weight of its first product kernel scaled by 1 + delta."""
+
+    CHART = diagonal_chart(3)
+
+    @staticmethod
+    def _pair(seed, r, delta):
+        rng = np.random.default_rng(seed)
+        # three distinct weights, gaps >= 0.1, in random order
+        weights = [rng.permutation(0.5 + 0.5 * np.arange(3) + rng.uniform(0, 0.4, 3))
+                   for _ in range(3)]
+        mats = [rand_pd_matrix(rng, r) for _ in range(3)]
+        shifted = [weights[0] * [1.0 + delta, 1.0, 1.0]] + weights[1:]
+        a, b = (matrix_combination([builtin_bergman(w) for w in ws], mats)
+                for ws in (weights, shifted))
+        return a, conjugate_by_unitary(b, rand_unitary(rng, r))
+
+    @given(_SEEDS, st.integers(1, 2), _DELTAS)
+    def test_criteria_agree(self, seed, r, delta):
+        a, b = self._pair(seed, r, delta)
+        arrays = rankr_equiv(a, b, self.CHART, 2)
+        invariants = mthm_check(a, b, self.CHART, 2)
+        reports = [arrays, invariants]
+        if r == 1:
+            rank1 = rank1_equiv(a, b, self.CHART, 2)
+            assert rank1.verdict == arrays.verdict and rank1.residuals == arrays.residuals
+            reports.append(rank1)
+        for report in reports:
+            assert report.verdict != "equivalent" or report.witness.null_dim >= 1
+        assert {arrays.verdict, invariants.verdict} != {"equivalent", "not-equivalent"}
+        if delta == 0:
+            assert arrays.verdict == invariants.verdict == "equivalent"
